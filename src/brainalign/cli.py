@@ -16,14 +16,14 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import stats
 from .data import (
     SynthSpec,
+    group_by_roi,
     load_brain_rdm_dir,
     load_stimulus_dir,
     read_cifar10_binary,
+    read_rdm_csv,
     write_rdm_csv,
     write_synth_dataset,
 )
@@ -33,11 +33,13 @@ from .network import TAPS, extract_all_taps, load_checkpoint, save_checkpoint
 from .pipeline import (
     ExperimentConfig,
     best_layer_sweep,
+    bootstrap_seed,
     load_features_dir,
     run_experiment,
+    save_features,
     _write_csv,
 )
-from .rdm import rdm_from_features, upper_triangle
+from .rdm import average_rdms, rdm_from_features, upper_triangle
 from .rules import train as train_rule
 
 log = logging.getLogger(__name__)
@@ -96,13 +98,8 @@ def _cmd_train(args) -> int:
 def _cmd_extract(args) -> int:
     state, rule = load_checkpoint(args.ckpt)
     stimuli = load_stimulus_dir(args.stimuli, resolution=args.resolution)
-    feats = extract_all_taps(state, stimuli)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for tap, feat in feats.items():
-        np.save(out / f"features_{tap}.npy", feat.matrix)
-    (out / "stimulus_ids.txt").write_text("\n".join(stimuli.ids) + "\n")
-    print(f"features for rule {rule!r} written to {out}")
+    save_features(extract_all_taps(state, stimuli), stimuli.ids, Path(args.out))
+    print(f"features for rule {rule!r} written to {args.out}")
     return 0
 
 
@@ -117,37 +114,31 @@ def _cmd_rdm(args) -> int:
 
 
 def _load_model_rdms(path):
+    """Model RDM CSVs (one file or a directory of them) keyed by file stem,
+    plus the stimulus ids they all share."""
     path = Path(path)
-    if path.is_dir():
-        return {p.stem: read_model_rdm(p) for p in sorted(path.glob("*.csv"))}
-    return {path.stem: read_model_rdm(path)}
-
-
-def read_model_rdm(path):
-    # model RDM CSVs share the brain format but carry no subject/ROI stem,
-    # so parse the matrix part only
-    from .rdm import RDM
-    lines = Path(path).read_text().splitlines()
-    ids = tuple(h.strip() for h in lines[0].split(",")[1:])
-    values = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
-    return RDM(values=(values + values.T) / 2.0, ids=ids)
+    models = {p.stem: read_rdm_csv(p)
+              for p in (sorted(path.glob("*.csv")) if path.is_dir() else [path])}
+    if not models:
+        raise DataFormatError(f"{path}: no model RDM CSVs found")
+    orders = {m.ids for m in models.values()}
+    if len(orders) > 1:
+        raise DataFormatError(f"{path}: model RDMs differ in stimulus ids or their order")
+    return models, orders.pop()
 
 
 def _cmd_rsa(args) -> int:
     cfg = _load_config(args)
-    models = _load_model_rdms(args.model_rdm)
-    brain = load_brain_rdm_dir(args.brain_dir)
-    by_roi: dict[str, list] = {}
-    for b in brain:
-        by_roi.setdefault(b.roi, []).append(b.rdm)
+    models, ids = _load_model_rdms(args.model_rdm)
+    by_roi = group_by_roi(load_brain_rdm_dir(args.brain_dir), ids)
+    brain_vecs = {roi: upper_triangle(average_rdms([b.rdm for b in files]))
+                  for roi, files in sorted(by_roi.items())}
     rows = []
-    from .rdm import average_rdms
     for name, model in sorted(models.items()):
         vec = upper_triangle(model)
-        for roi in sorted(by_roi):
-            mean_vec = upper_triangle(average_rdms(by_roi[roi]))
-            res = stats.compute_rsa(vec, mean_vec, n_boot=cfg.n_boot,
-                                    level=cfg.ci_level, seed=cfg.stats_seed)
+        for roi, brain_vec in brain_vecs.items():
+            res = stats.compute_rsa(vec, brain_vec, n_boot=cfg.n_boot, level=cfg.ci_level,
+                                    seed=bootstrap_seed(cfg.stats_seed, name, roi))
             rows.append([name, roi, res.rho, res.ci_low, res.ci_high, res.n_pairs])
     _write_csv(args.out, ["model", "roi", "rho", "ci_low", "ci_high", "n_pairs"], rows)
     print(f"RSA table written to {args.out}")
@@ -155,17 +146,13 @@ def _cmd_rsa(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    models = _load_model_rdms(args.rdm_dir)
+    models, ids = _load_model_rdms(args.rdm_dir)
     unknown = [t for t in models if t not in TAPS]
     if unknown:
         raise ConfigurationError(
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
-    brain = load_brain_rdm_dir(args.brain_dir)
-    from .rdm import average_rdms
-    by_roi: dict[str, list] = {}
-    for b in brain:
-        by_roi.setdefault(b.roi, []).append(b.rdm)
-    mean_brain = {roi: average_rdms(v) for roi, v in by_roi.items()}
+    by_roi = group_by_roi(load_brain_rdm_dir(args.brain_dir), ids)
+    mean_brain = {roi: average_rdms([b.rdm for b in files]) for roi, files in by_roi.items()}
     sweep = best_layer_sweep(models, mean_brain)
     rows = [[tap] + [float(v) for v in sweep.matrix[i]]
             for i, tap in enumerate(sweep.taps)]

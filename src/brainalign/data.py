@@ -7,8 +7,9 @@ File conventions consumed here:
   * Stimulus directories: PPM (P6) images, optionally PNG when Pillow is
     installed; stimuli are ordered lexicographically by filename and the
     filename stem is the stimulus id.
-  * Brain RDM CSVs: square matrix with a header row/column of stimulus
-    ids; the filename stem is "<subject>_<ROI>".
+  * RDM CSVs: square matrix with a header row/column of stimulus ids.
+    Brain RDM filename stems are "<subject>_<ROI>"; model RDMs carry no
+    subject/ROI stem.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .seeding import named_rng
 log = logging.getLogger(__name__)
 
 ROIS = ("V1", "V2", "LOC", "IT")
+DEFAULT_ROI_MAP = (("V1", "conv1"), ("V2", "conv1"), ("LOC", "conv3"), ("IT", "fc1"))
 CIFAR_RECORD_BYTES = 3073
 
 
@@ -281,14 +283,13 @@ def _parse_subject_roi(path):
         f"expected '<subject>_<ROI>' with ROI in {ROIS}")
 
 
-def read_brain_rdm_csv(path) -> BrainRdmFile:
-    """Read and validate one brain RDM CSV.
+def read_rdm_csv(path) -> RDM:
+    """Read and validate one RDM CSV.
 
     Validation: square, unique ids, row ids matching header order,
     symmetric and zero-diagonal (warn past 1e-9, hard error past 1e-6).
     The stored matrix is exactly symmetrized with a zero diagonal.
     """
-    subject, roi = _parse_subject_roi(path)
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
@@ -333,7 +334,13 @@ def read_brain_rdm_csv(path) -> BrainRdmFile:
         log.warning("%s: diagonal up to %.3g at %s; zeroing", path, diag[d], ids[d])
     sym = (values + values.T) / 2.0
     np.fill_diagonal(sym, 0.0)
-    return BrainRdmFile(subject=subject, roi=roi, rdm=RDM(values=sym, ids=ids))
+    return RDM(values=sym, ids=ids)
+
+
+def read_brain_rdm_csv(path) -> BrainRdmFile:
+    """Read one brain RDM CSV named "<subject>_<ROI>.csv" (see read_rdm_csv)."""
+    subject, roi = _parse_subject_roi(path)
+    return BrainRdmFile(subject=subject, roi=roi, rdm=read_rdm_csv(path))
 
 
 def load_brain_rdm_dir(directory) -> list[BrainRdmFile]:
@@ -343,6 +350,24 @@ def load_brain_rdm_dir(directory) -> list[BrainRdmFile]:
     if not paths:
         raise DataFormatError(f"{directory}: no brain RDM CSVs found")
     return [read_brain_rdm_csv(p) for p in paths]
+
+
+def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
+    """Brain RDMs grouped by ROI, each group sorted by subject.
+
+    Every brain RDM must be keyed to exactly `ids`, in that order: a
+    mismatch is an error, never silently reordered.
+    """
+    by_roi: dict[str, list[BrainRdmFile]] = {}
+    for b in brain_files:
+        if b.rdm.ids != tuple(ids):
+            raise DataFormatError(
+                f"brain RDM {b.subject}/{b.roi} stimulus ids do not match the "
+                f"expected stimulus ordering")
+        by_roi.setdefault(b.roi, []).append(b)
+    for roi in by_roi:
+        by_roi[roi].sort(key=lambda b: b.subject)
+    return by_roi
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +393,7 @@ class SynthSpec:
     extraction_resolution: int = 32
     noise_amplitude: float = 0.1
     subjects: tuple[str, ...] = ("sub-01", "sub-02", "sub-03")
-    roi_map: dict | None = None          # ROI -> tap; default matches the pipeline
+    roi_map: dict | None = None          # ROI -> tap; default DEFAULT_ROI_MAP
     channels: tuple[int, int, int] = (32, 64, 128)
     reference_seed: int | None = None    # defaults to seed + 1000
 
@@ -419,7 +444,7 @@ def synth_dataset(spec: SynthSpec, seed: int):
     network's features. Returns (LabeledImageSet, StimulusSet, [BrainRdmFile])."""
     from .network import extract_all_taps, init_he_normal  # avoid import cycle
 
-    roi_map = spec.roi_map or {"V1": "conv1", "V2": "conv1", "LOC": "conv3", "IT": "fc1"}
+    roi_map = spec.roi_map or dict(DEFAULT_ROI_MAP)
     labeled = _labeled_blobs(spec, named_rng(seed, "synth-train"))
 
     raw = synth_stimuli_raw(spec, seed)

@@ -189,12 +189,16 @@ def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCa
         c = _block_forward(block, x, mode)
         caches.append(c)
         x = c.out
-    gap = ops.global_avg_pool(x)
+    return fc_forward(state, ops.global_avg_pool(x))._replace(blocks=tuple(caches))
+
+
+def fc_forward(state: NetworkState, gap) -> ForwardCache:
+    """FC1 -> ReLU -> FC2 on [B, C3] features; the cache has no conv blocks."""
     fc1_pre = ops.affine_forward(gap, state.fc1.w, state.fc1.b)
     fc1_act = ops.relu_forward(fc1_pre)
     logits = ops.affine_forward(fc1_act, state.fc2.w, state.fc2.b)
-    return ForwardCache(blocks=tuple(caches), gap=gap, fc1_pre=fc1_pre,
-                        fc1_act=fc1_act, logits=logits)
+    return ForwardCache(blocks=(), gap=gap, fc1_pre=fc1_pre, fc1_act=fc1_act,
+                        logits=logits)
 
 
 def taps_from_cache(cache: ForwardCache) -> dict[str, np.ndarray]:
@@ -238,21 +242,10 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
     weights uses the fixed random tensors instead, while BN parameter
     gradients and pool/ReLU routing stay local.
     """
-    # FC2
-    grad_fc2_w = cache.fc1_act.T @ grad_logits
-    grad_fc2_b = grad_logits.sum(axis=0)
     if feedback is None:
-        delta = grad_logits @ state.fc2.w.T
+        delta, grads = fc_backward(cache, grad_logits, state.fc1.w, state.fc2.w)
     else:
-        delta = grad_logits @ feedback.fc2
-    # FC1
-    delta = ops.relu_backward(delta, cache.fc1_pre)
-    grad_fc1_w = cache.gap.T @ delta
-    grad_fc1_b = delta.sum(axis=0)
-    if feedback is None:
-        delta = delta @ state.fc1.w.T
-    else:
-        delta = delta @ feedback.fc1
+        delta, grads = fc_backward(cache, grad_logits, feedback.fc1.T, feedback.fc2.T)
     # GAP
     delta = ops.global_avg_pool_backward(delta, cache.blocks[2].out.shape)
     # Conv blocks, deepest first
@@ -269,8 +262,22 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
         if i > 0:
             w_t = block.w if feedback is None else feedback.conv[i]
             delta = ops.conv2d_input_grad(delta, w_t, block.spec, c.x.shape[2:])
-    return Grads(conv=conv_grads, fc1_w=grad_fc1_w, fc1_b=grad_fc1_b,
-                 fc2_w=grad_fc2_w, fc2_b=grad_fc2_b)
+    grads.conv = conv_grads
+    return grads
+
+
+def fc_backward(cache: ForwardCache, grad_logits, w_fc1, w_fc2):
+    """Backward through FC2 -> ReLU -> FC1 from a logits gradient.
+
+    The error travels down through `w_fc2.T` and `w_fc1.T`: the forward
+    weights give exact backprop, FA's transposed feedback tensors give its
+    fixed random transport. Returns (gradient w.r.t. `cache.gap`, Grads
+    with an empty conv list).
+    """
+    delta, fc2_w, fc2_b = ops.affine_backward(grad_logits, cache.fc1_act, w_fc2)
+    delta = ops.relu_backward(delta, cache.fc1_pre)
+    delta, fc1_w, fc1_b = ops.affine_backward(delta, cache.gap, w_fc1)
+    return delta, Grads(conv=[], fc1_w=fc1_w, fc1_b=fc1_b, fc2_w=fc2_w, fc2_b=fc2_b)
 
 
 def apply_sgd(state: NetworkState, grads: Grads, lr: float) -> None:

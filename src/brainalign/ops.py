@@ -27,11 +27,6 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array, the common currency here."""
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------

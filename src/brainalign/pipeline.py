@@ -30,8 +30,9 @@ import numpy as np
 
 from . import stats
 from .data import (
+    DEFAULT_ROI_MAP,
     ROIS,
-    BrainRdmFile,
+    group_by_roi,
     load_brain_rdm_dir,
     load_stimulus_dir,
     read_cifar10_binary,
@@ -51,8 +52,6 @@ from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
 from .rules import RULES, LearningRuleConfig, evaluate_accuracy, train
 
 log = logging.getLogger(__name__)
-
-DEFAULT_ROI_MAP = (("V1", "conv1"), ("V2", "conv1"), ("LOC", "conv3"), ("IT", "fc1"))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +123,9 @@ class ExperimentConfig:
         return dict(self.roi_map)
 
     def rule_config(self, rule: str) -> LearningRuleConfig:
-        return LearningRuleConfig(
-            rule=rule, epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            pc_t_inf=self.pc_t_inf, pc_alpha=self.pc_alpha, pc_eta_w=self.pc_eta_w,
-            stdp_t=self.stdp_t, stdp_tau_plus_ms=self.stdp_tau_plus_ms,
-            stdp_tau_minus_ms=self.stdp_tau_minus_ms, stdp_a_plus=self.stdp_a_plus,
-            stdp_a_minus=self.stdp_a_minus, stdp_lr=self.stdp_lr,
-            stdp_timestep_ms=self.stdp_timestep_ms)
+        params = {f.name: getattr(self, f.name)
+                  for f in fields(LearningRuleConfig) if f.name != "rule"}
+        return LearningRuleConfig(rule=rule, **params)
 
     # -- serialization ------------------------------------------------------
 
@@ -220,6 +215,12 @@ def _derived_seed(stats_seed: int, purpose: str) -> int:
     return zlib.crc32(f"{stats_seed}|{purpose}".encode("utf-8"))
 
 
+def bootstrap_seed(stats_seed: int, model: str, roi: str) -> int:
+    """Seed of the bootstrap CI of one model RDM at one ROI, shared by
+    `report` (model = rule) and `rsa` (model = CSV stem)."""
+    return _derived_seed(stats_seed, f"boot|{model}|{roi}")
+
+
 # ---------------------------------------------------------------------------
 # Standalone analyses
 # ---------------------------------------------------------------------------
@@ -258,17 +259,16 @@ def per_subject_analysis(model_rdms, brain_files, roi_map) -> list[dict]:
     `model_rdms` maps condition -> {tap: RDM}; returns rows of
     {condition, subject, roi, rho}, ordered by (condition, roi, subject).
     Missing subject x ROI data simply yields no row (the caller flags gaps).
+    Brain RDMs keyed to another stimulus order than the model RDMs raise.
     """
     rows = []
-    by_roi: dict[str, list[BrainRdmFile]] = {}
-    for b in brain_files:
-        by_roi.setdefault(b.roi, []).append(b)
     for condition, rdms in model_rdms.items():
+        by_roi = group_by_roi(brain_files, next(iter(rdms.values())).ids)
         for roi, tap in roi_map.items():
             if roi not in by_roi or tap not in rdms:
                 continue
             vec = upper_triangle(rdms[tap])
-            for b in sorted(by_roi[roi], key=lambda b: b.subject):
+            for b in by_roi[roi]:
                 rows.append({
                     "condition": condition, "subject": b.subject, "roi": roi,
                     "rho": stats.spearman(vec, upper_triangle(b.rdm)),
@@ -319,7 +319,8 @@ def _write_csv(path, header, rows):
             w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def _save_features(features: dict[str, LayerFeatures], ids, out_dir: Path):
+def save_features(features: dict[str, LayerFeatures], ids, out_dir: Path) -> None:
+    """Write a feature directory: features_<tap>.npy plus stimulus_ids.txt."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for tap, feat in features.items():
         np.save(out_dir / f"features_{tap}.npy", feat.matrix)
@@ -342,19 +343,6 @@ def load_features_dir(directory) -> tuple[dict[str, LayerFeatures], tuple[str, .
     return feats, ids
 
 
-def _group_brain(brain_files, stimuli_ids) -> dict[str, list[BrainRdmFile]]:
-    by_roi: dict[str, list[BrainRdmFile]] = {}
-    for b in brain_files:
-        if b.rdm.ids != tuple(stimuli_ids):
-            raise DataFormatError(
-                f"brain RDM {b.subject}/{b.roi} stimulus ids do not match the "
-                f"stimulus set ordering")
-        by_roi.setdefault(b.roi, []).append(b)
-    for roi in by_roi:
-        by_roi[roi].sort(key=lambda b: b.subject)
-    return by_roi
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full pipeline for every (rule, seed) cell and write the
     run directory. Returns the report dict (also written as report.json).
@@ -370,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 if config.test_data else None)
     stimuli = load_stimulus_dir(config.stimuli_dir, resolution=config.resolution)
     brain_files = load_brain_rdm_dir(config.brain_rdm_dir)
-    by_roi = _group_brain(brain_files, stimuli.ids)
+    by_roi = group_by_roi(brain_files, stimuli.ids)
     roi_map = {roi: tap for roi, tap in config.roi_map if roi in by_roi}
     for roi in config.roi_map_dict:
         if roi not in by_roi:
@@ -402,7 +390,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     accuracy[rule][seed] = evaluate_accuracy(
                         state, test_set.images, test_set.labels)
                 feats = extract_all_taps(state, stimuli)
-                _save_features(feats, stimuli.ids, out / "features" / cell)
+                save_features(feats, stimuli.ids, out / "features" / cell)
                 rdms = {tap: rdm_from_features(feats[tap].matrix, stimuli.ids)
                         for tap in TAPS}
                 for tap, r in rdms.items():
@@ -444,7 +432,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             ci[rule][roi] = stats.bootstrap_ci(
                 upper_triangle(mean_rdms[rule][tap]), upper_triangle(mean_brain[roi]),
                 n_boot=config.n_boot, level=config.ci_level,
-                seed=_derived_seed(config.stats_seed, f"boot|{rule}|{roi}"))
+                seed=bootstrap_seed(config.stats_seed, rule, roi))
 
     # Pairwise permutation tests; one shared permutation stream per ROI
     pairwise: list[dict] = []

@@ -46,6 +46,8 @@ from .network import (
     NetworkState,
     apply_sgd,
     backward,
+    fc_backward,
+    fc_forward,
     forward,
     forward_cached,
     init_he_normal,
@@ -371,20 +373,14 @@ def stdp_step(state: NetworkState, batch, labels, cfg: LearningRuleConfig, spike
 
 def _readout_step(state: NetworkState, feats, labels, lr: float):
     """BP/SGD step on FC1+FC2 only, from fixed [B, C3] features."""
-    fc1_pre = ops.affine_forward(feats, state.fc1.w, state.fc1.b)
-    fc1_act = ops.relu_forward(fc1_pre)
-    logits = ops.affine_forward(fc1_act, state.fc2.w, state.fc2.b)
-    loss, grad_logits = ops.softmax_xent(logits, labels)
-    grad_fc2_w = fc1_act.T @ grad_logits
-    grad_fc2_b = grad_logits.sum(axis=0)
-    delta = ops.relu_backward(grad_logits @ state.fc2.w.T, fc1_pre)
-    grad_fc1_w = feats.T @ delta
-    grad_fc1_b = delta.sum(axis=0)
-    state.fc2.w -= lr * grad_fc2_w
-    state.fc2.b -= lr * grad_fc2_b
-    state.fc1.w -= lr * grad_fc1_w
-    state.fc1.b -= lr * grad_fc1_b
-    return loss, logits
+    cache = fc_forward(state, feats)
+    loss, grad_logits = ops.softmax_xent(cache.logits, labels)
+    _, grads = fc_backward(cache, grad_logits, state.fc1.w, state.fc2.w)
+    state.fc2.w -= lr * grads.fc2_w
+    state.fc2.b -= lr * grads.fc2_b
+    state.fc1.w -= lr * grads.fc1_w
+    state.fc1.b -= lr * grads.fc1_b
+    return loss, cache.logits
 
 
 def evaluate_accuracy(state: NetworkState, images, labels, batch_size: int = 256) -> float:

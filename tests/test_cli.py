@@ -1,9 +1,15 @@
 """CLI tests: every verb end to end on synthetic artifacts, flag
 overrides, rerun determinism, and the exit-code contract."""
 
+import json
+import shutil
+
+import numpy as np
 import pytest
 
 from brainalign.cli import main
+from brainalign.data import read_rdm_csv, write_rdm_csv
+from brainalign.rdm import RDM
 
 from helpers import treehash
 
@@ -65,6 +71,21 @@ class TestVerbs:
         assert main(args) == 0
         assert treehash(tmp_path / "run") == h1  # verb rerun is byte-identical
 
+    def test_rsa_reproduces_report_ci(self, synth_dir, tmp_path):
+        # rsa on <rule>.csv seeds its bootstrap exactly as report does for that rule
+        run = tmp_path / "run"
+        assert main(["report", "--config", str(synth_dir / "data" / "synth.cfg"),
+                     "--out", str(run), "--rules", "bp", "--seeds", "0", "--epochs", "1"]) == 0
+        shutil.copy(run / "rdms" / "bp_mean_conv1.csv", tmp_path / "bp.csv")
+        assert main(["rsa", "--config", str(run / "config.cfg"),
+                     "--model-rdm", str(tmp_path / "bp.csv"),
+                     "--brain-dir", str(synth_dir / "data" / "brain"),
+                     "--out", str(tmp_path / "rsa.csv")]) == 0
+        v1 = next(line.split(",") for line in (tmp_path / "rsa.csv").read_text().splitlines()
+                  if line.startswith("bp,V1,"))
+        report = json.loads((run / "report.json").read_text())
+        assert [float(v1[3]), float(v1[4])] == report["rois"]["V1"]["conditions"]["bp"]["ci"]
+
     def test_extract_rejects_unsupported_resolution(self, synth_dir, tmp_path):
         cfg = str(synth_dir / "data" / "synth.cfg")
         main(["train", "--config", cfg, "--rule", "random", "--seed", "1",
@@ -93,3 +114,31 @@ class TestExitCodes:
         assert main(["filters", "--ckpt", str(bad),
                      "--out-scores", str(tmp_path / "s.csv"),
                      "--out-grid", str(tmp_path / "g.csv")]) == 3
+
+    def test_ragged_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "data" / "brain" / "sub-01_V1.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]  # data row 2 loses its last value
+        ragged = tmp_path / "model.csv"
+        ragged.write_text("\n".join(lines) + "\n")
+        assert main(["rsa", "--model-rdm", str(ragged),
+                     "--brain-dir", str(synth_dir / "data" / "brain"),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "row 2 ('stim-0002') has 15 values" in capsys.readouterr().err
+
+    def test_reordered_model_rdm_is_3(self, synth_dir, tmp_path):
+        # a model RDM keyed to another stimulus order is an error, never scored
+        brain = synth_dir / "data" / "brain"
+        rdm = read_rdm_csv(brain / "sub-01_V1.csv")
+        rev = np.arange(rdm.size)[::-1]
+        reordered = RDM(values=rdm.values[np.ix_(rev, rev)],
+                        ids=tuple(rdm.ids[i] for i in rev))
+        alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+        alone.mkdir()
+        mixed.mkdir()
+        write_rdm_csv(reordered, alone / "conv1.csv")
+        write_rdm_csv(rdm, mixed / "conv1.csv")
+        write_rdm_csv(reordered, mixed / "conv2.csv")
+        for model_dir in (alone, mixed):
+            for verb, flag in (("rsa", "--model-rdm"), ("sweep", "--rdm-dir")):
+                assert main([verb, flag, str(model_dir), "--brain-dir", str(brain),
+                             "--out", str(tmp_path / f"{verb}.csv")]) == 3, (verb, model_dir)

@@ -14,6 +14,7 @@ from brainalign.ops import ConvSpec
 from brainalign.rules import (
     LearningRuleConfig,
     PcState,
+    _readout_step,
     bp_step,
     evaluate_accuracy,
     fa_step,
@@ -98,6 +99,19 @@ class TestBp:
         cache2 = forward_cached(state, xb, "train")
         loss_after, _ = ops.softmax_xent(cache2.logits, yb)
         assert loss_after < loss_before
+
+    def test_readout_step_is_the_bp_fc_head(self, rng):
+        # the PC/STDP readout on fixed features must update fc1/fc2 exactly
+        # as the FC part of a BP step on the same batch and state
+        state = init_he_normal(3, channels=SMALL)
+        xb, yb = small_batch(rng)
+        gap = forward_cached(state.copy(), xb, "train").gap
+        bp, readout = state.copy(), state.copy()
+        bp_step(bp, xb, yb, lr=0.1)
+        _readout_step(readout, gap, yb, lr=0.1)
+        for layer in ("fc1", "fc2"):
+            assert np.array_equal(getattr(bp, layer).w, getattr(readout, layer).w), layer
+            assert np.array_equal(getattr(bp, layer).b, getattr(readout, layer).b), layer
 
 
 # ---------------------------------------------------------------------------
