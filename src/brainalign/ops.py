@@ -5,10 +5,10 @@ feature maps) and every forward operation has a matching hand-written
 backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
-Convolution is cross-correlation (no kernel flip), the usual deep
-learning convention. Max pooling breaks ties in favour of the first
-element in row-major window order and truncates a trailing odd row or
-column. Batch norm uses epsilon 1e-5 and running-stat momentum 0.1.
+Convolution is cross-correlation (no kernel flip, the deep learning
+convention), always one GEMM against conv_windows. Max pooling breaks
+ties towards the first element in row-major window order and truncates
+a trailing odd row or column. Batch norm: eps 1e-5, running-stat momentum 0.1.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -66,55 +67,59 @@ class ConvSpec:
         return (self.out_channels, self.in_channels, self.kernel_size, self.kernel_size)
 
 
-def _check_conv_shapes(x, w, spec: ConvSpec):
-    if x.ndim != 4 or w.ndim != 4:
-        raise ConfigurationError(
-            f"conv2d expects 4D input and weights, got input {x.shape} weights {w.shape}"
-        )
+def _check_weights(w, spec: ConvSpec):
     if w.shape != spec.weight_shape:
         raise ConfigurationError(
             f"conv2d weights {w.shape} do not match spec shape {spec.weight_shape}"
         )
-    if x.shape[1] != spec.in_channels:
+
+
+def conv_windows(x, spec: ConvSpec) -> np.ndarray:
+    """The package's im2col: a read-only [B,C,Ho,Wo,k,k] view of `x`
+    [B,C,H,W], zero-padded, holding the k x k input window under each
+    output position. Every convolution is one tensordot against it."""
+    if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigurationError(
-            f"conv2d input {x.shape} has {x.shape[1]} channels, spec expects {spec.in_channels}"
+            f"conv2d expects a 4D input with {spec.in_channels} channels, got {x.shape}"
         )
-
-
-def _pad_input(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    Ho, Wo = spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
+    if p:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))
+    return windows[:, :, : s * Ho : s, : s * Wo : s]
 
 
 def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k] plus bias `b` [O].
 
-    Accumulates one kernel offset at a time via tensordot so large inputs
-    never materialise an im2col buffer.
+    One GEMM per batch chunk, weights on the left: a windows-on-the-left
+    GEMM makes OpenBLAS pack large panels of the long B*Ho*Wo side. The
+    chunk holds max(1, B*O // (C*k^2)) images, so the im2col copy that
+    tensordot makes is never larger than the output.
     """
-    _check_conv_shapes(x, w, spec)
-    B, _, H, W = x.shape
-    k, s = spec.kernel_size, spec.stride
-    Ho, Wo = spec.out_size(H), spec.out_size(W)
-    xp = _pad_input(x, spec.padding)
-    out = np.zeros((B, Ho, Wo, spec.out_channels))
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki : ki + s * Ho : s, kj : kj + s * Wo : s]
-            # [B,C,Ho,Wo] x [O,C] summed over C -> [B,Ho,Wo,O]
-            out += np.tensordot(patch, w[:, :, ki, kj], axes=([1], [1]))
-    out += np.asarray(b).reshape(1, 1, 1, -1)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    _check_weights(w, spec)
+    windows = conv_windows(x, spec)
+    B, _, Ho, Wo = windows.shape[:4]
+    O, C, k = spec.out_channels, spec.in_channels, spec.kernel_size
+    out = np.empty((B, O, Ho, Wo))
+    chunk = max(1, B * O // (C * k * k))
+    for b0 in range(0, B, chunk):
+        # [O,C,k,k] x [b,C,Ho,Wo,k,k] summed over C,k,k -> [O,b,Ho,Wo]
+        cols = np.tensordot(w, windows[b0 : b0 + chunk], axes=([1, 2, 3], [1, 4, 5]))
+        out[b0 : b0 + chunk] = cols.transpose(1, 0, 2, 3)
+    out += np.asarray(b).reshape(1, -1, 1, 1)
+    return out
 
 
 def conv2d_input_grad(grad_out, w, spec: ConvSpec, in_hw) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. its input; equally, a transposed
-    convolution of `grad_out` by `w` onto an `in_hw`-sized grid."""
-    if w.shape != spec.weight_shape:
-        raise ConfigurationError(
-            f"conv2d weights {w.shape} do not match spec shape {spec.weight_shape}"
-        )
+    convolution of `grad_out` by `w` onto an `in_hw`-sized grid.
+
+    One GEMM gives every window's gradient; col2im, the adjoint of
+    conv_windows, scatter-adds them back onto the padded input grid.
+    """
+    _check_weights(w, spec)
     B, O, Ho, Wo = grad_out.shape
     if O != spec.out_channels:
         raise ConfigurationError(
@@ -122,29 +127,21 @@ def conv2d_input_grad(grad_out, w, spec: ConvSpec, in_hw) -> np.ndarray:
         )
     H, W = in_hw
     k, s, p = spec.kernel_size, spec.stride, spec.padding
+    # [O,C,k,k] x [B,O,Ho,Wo] summed over O -> [C,k,k,B,Ho,Wo]
+    cols = np.tensordot(w, grad_out, axes=([0], [1]))
     gxp = np.zeros((B, spec.in_channels, H + 2 * p, W + 2 * p))
     for ki in range(k):
         for kj in range(k):
-            # [B,O,Ho,Wo] x [O,C] summed over O -> [B,Ho,Wo,C]
-            contrib = np.tensordot(grad_out, w[:, :, ki, kj], axes=([1], [0]))
-            gxp[:, :, ki : ki + s * Ho : s, kj : kj + s * Wo : s] += contrib.transpose(0, 3, 1, 2)
-    if p:
-        return np.ascontiguousarray(gxp[:, :, p:-p, p:-p])
-    return gxp
+            gxp[:, :, ki : ki + s * Ho : s, kj : kj + s * Wo : s] += (
+                cols[:, ki, kj].transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(gxp[:, :, p : p + H, p : p + W])
 
 
 def conv2d_weight_grad(grad_out, x, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv2d_forward w.r.t. the weights."""
-    _check_conv_shapes(x, np.empty(spec.weight_shape), spec)
-    B, O, Ho, Wo = grad_out.shape
-    k, s = spec.kernel_size, spec.stride
-    xp = _pad_input(x, spec.padding)
-    gw = np.empty(spec.weight_shape)
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki : ki + s * Ho : s, kj : kj + s * Wo : s]
-            gw[:, :, ki, kj] = np.tensordot(grad_out, patch, axes=([0, 2, 3], [0, 2, 3]))
-    return gw
+    """Gradient of conv2d_forward w.r.t. the weights: one GEMM of
+    `grad_out` against the input windows."""
+    # [B,O,Ho,Wo] x [B,C,Ho,Wo,k,k] summed over B,Ho,Wo -> [O,C,k,k]
+    return np.tensordot(grad_out, conv_windows(x, spec), axes=([0, 2, 3], [0, 2, 3]))
 
 
 def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):

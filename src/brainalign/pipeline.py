@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import logging
+import shutil
 import zlib
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -349,10 +350,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     A failing cell is flagged in the report and the run continues.
     """
-    out = Path(config.out_dir)
-    for sub in ("checkpoints", "metrics", "features", "rdms", "tables"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-
     train_set = read_cifar10_binary(list(config.train_data), limit=config.train_limit)
     test_set = (read_cifar10_binary(list(config.test_data))
                 if config.test_data else None)
@@ -367,6 +364,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     mean_brain = {roi: average_rdms([b.rdm for b in files])
                   for roi, files in by_roi.items()}
 
+    out = Path(config.out_dir)
+    for sub in ("checkpoints", "metrics", "features", "rdms", "tables"):
+        shutil.rmtree(out / sub, ignore_errors=True)  # inputs are valid: drop the last run
+        (out / sub).mkdir(parents=True)
+
     failures: list[dict] = []
     seed_rdms: dict[str, dict[int, dict[str, RDM]]] = {r: {} for r in config.rules}
     accuracy: dict[str, dict[int, float]] = {r: {} for r in config.rules}
@@ -376,11 +378,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for seed in config.seeds:
             cell = f"{rule}_seed{seed}"
             try:
-                metrics_path = out / "metrics" / f"{cell}.csv"
-                if metrics_path.exists():
-                    metrics_path.unlink()
-                state = train(config.rule_config(rule), train_set, seed,
-                              eval_set=test_set, metrics_path=metrics_path,
+                state = train(config.rule_config(rule), train_set, seed, eval_set=test_set,
+                              metrics_path=out / "metrics" / f"{cell}.csv",
                               channels=config.channels,
                               num_classes=config.num_classes)
                 ckpt = out / "checkpoints" / f"{cell}.ckpt"

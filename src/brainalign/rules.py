@@ -332,23 +332,16 @@ def _pair_kernel_table(cfg: LearningRuleConfig) -> np.ndarray:
 
 def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: LearningRuleConfig) -> np.ndarray:
     """Per-kernel-weight timing update, averaged over batch items and all
-    shared spatial positions (never-spiked pairs contribute zero)."""
-    B, O, Ho, Wo = t_post.shape
-    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    shared spatial positions (never-spiked pairs contribute zero): one conv
+    weight-grad of table[t_post, tau] against the pre-units that first spike
+    at tau, per step tau. Zero padding never spikes."""
+    B, _, Ho, Wo = t_post.shape
     table = _pair_kernel_table(cfg)
-    if p:
-        t_pre = np.pad(t_pre, ((0, 0), (0, 0), (p, p), (p, p)),
-                       constant_values=cfg.stdp_t)  # padding never spikes
     total = np.zeros(spec.weight_shape)
-    # chunk the batch so the [b,O,C,Ho,Wo] lookup stays small
-    chunk = max(1, int(4e6) // max(1, O * spec.in_channels * Ho * Wo))
-    for ki in range(k):
-        for kj in range(k):
-            for b0 in range(0, B, chunk):
-                post = t_post[b0 : b0 + chunk]
-                pre = t_pre[b0 : b0 + chunk, :, ki : ki + s * Ho : s, kj : kj + s * Wo : s]
-                vals = table[post[:, :, None, :, :], pre[:, None, :, :, :]]
-                total[:, :, ki, kj] += vals.sum(axis=(0, 3, 4))
+    for tau in range(cfg.stdp_t):
+        # [B,O,Ho,Wo] x [B,C,Ho,Wo,k,k] summed over B,Ho,Wo -> [O,C,k,k]
+        total += np.tensordot(table[t_post, tau], ops.conv_windows(t_pre == tau, spec),
+                              axes=([0, 2, 3], [0, 2, 3]))
     return total / (B * Ho * Wo)
 
 

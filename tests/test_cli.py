@@ -115,6 +115,14 @@ class TestExitCodes:
                      "--out-scores", str(tmp_path / "s.csv"),
                      "--out-grid", str(tmp_path / "g.csv")]) == 3
 
+    def test_truncated_checkpoint_manifest_is_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b'PLRSA-CKPT-v1\n{"arrays": [{"name": "conv1.w", "sha')
+        assert main(["filters", "--ckpt", str(bad),
+                     "--out-scores", str(tmp_path / "s.csv"),
+                     "--out-grid", str(tmp_path / "g.csv")]) == 3
+        assert "bad checkpoint manifest" in capsys.readouterr().err
+
     def test_ragged_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "data" / "brain" / "sub-01_V1.csv").read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0]  # data row 2 loses its last value

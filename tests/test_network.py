@@ -1,6 +1,8 @@
 """Network-level tests: init statistics, determinism, tap shapes, feature
 extraction against brute-force oracles, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -175,4 +177,60 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 100])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit_manifest=None, arrays=None, tail=b""):
+        """Re-encode a saved checkpoint with an edited manifest and body."""
+        _, manifest, body = path.read_bytes().split(b"\n", 2)
+        manifest = json.loads(manifest)
+        if edit_manifest:
+            edit_manifest(manifest)
+        if arrays is not None:
+            body = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+        path.write_bytes(b"PLRSA-CKPT-v1\n" + json.dumps(manifest).encode() + b"\n"
+                         + body + tail)
+
+    def test_missing_array_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        arrays = list(state.parameter_arrays().values())
+        self._rewrite(path, lambda m: m["arrays"].pop(), arrays[:-1])  # drops fc2.b
+        with pytest.raises(DataFormatError, match="fc2.b"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        self._rewrite(path, tail=bytes(8))
+        with pytest.raises(DataFormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, state, tmp_path):
+        # a [1] bias would otherwise broadcast across all conv1 channels
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        arrays = dict(state.parameter_arrays())
+        arrays["conv1.b"] = arrays["conv1.b"][:1]
+
+        def shrink(m):
+            next(e for e in m["arrays"] if e["name"] == "conv1.b")["shape"] = [1]
+
+        self._rewrite(path, shrink, arrays.values())
+        with pytest.raises(DataFormatError, match="conv1.b"):
+            load_checkpoint(path)
+
+    def test_missing_manifest_key_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        self._rewrite(path, lambda m: m.pop("channels"))
+        with pytest.raises(DataFormatError, match="manifest.*channels"):
+            load_checkpoint(path)
+
+    def test_truncated_manifest_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        manifest = path.read_bytes().split(b"\n")[1]
+        path.write_bytes(b"PLRSA-CKPT-v1\n" + manifest[:40])
+        with pytest.raises(DataFormatError, match="manifest"):
             load_checkpoint(path)

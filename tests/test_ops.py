@@ -89,6 +89,7 @@ class TestConvBackward:
         (ConvSpec(4, 3, 3, stride=1, padding=1), (5, 5)),
         (ConvSpec(2, 2, 3, stride=2, padding=1), (7, 7)),
         (ConvSpec(1, 2, 2, stride=2, padding=0), (6, 6)),
+        (ConvSpec(2, 3, 3, stride=2, padding=1), (7, 4)),
     ])
     def test_matches_finite_differences(self, rng, spec, in_hw):
         x = rng.normal(size=(2, spec.in_channels) + in_hw)
@@ -102,6 +103,43 @@ class TestConvBackward:
             lambda v: float(np.sum(ops.conv2d_forward(x, v, b, spec) * proj)), w)) < 1e-4
         assert relerr(gb, numeric_grad(
             lambda v: float(np.sum(ops.conv2d_forward(x, w, v, spec) * proj)), b)) < 1e-4
+
+
+def direct_conv(x, w, b, spec, grad_out):
+    """Direct-sum reference: each output position sums over its own padded
+    window; the gradients scatter back through the same windows."""
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    Ho, Wo = grad_out.shape[2:]
+    out = np.empty(grad_out.shape)
+    gxp, gw = np.zeros(xp.shape), np.zeros(w.shape)
+    for i in range(Ho):
+        for j in range(Wo):
+            rows, cols = slice(i * s, i * s + k), slice(j * s, j * s + k)
+            out[:, :, i, j] = np.einsum("bcuv,ocuv->bo", xp[:, :, rows, cols], w) + b
+            gxp[:, :, rows, cols] += np.einsum("bo,ocuv->bcuv", grad_out[:, :, i, j], w)
+            gw += np.einsum("bo,bcuv->ocuv", grad_out[:, :, i, j], xp[:, :, rows, cols])
+    return out, gxp[:, :, p : p + x.shape[2], p : p + x.shape[3]], gw
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize("spec,shape", [
+        (ConvSpec(3, 4, 3, padding=1), (2, 3, 7, 5)),             # H != W
+        (ConvSpec(2, 3, 3, stride=2), (2, 2, 8, 7)),              # trailing row 7 unused
+        (ConvSpec(2, 3, 2, padding=3), (1, 2, 4, 3)),             # padding >= k
+        (ConvSpec(4, 6, 3, padding=1), (13, 4, 5, 6)),            # 7 chunks of 2, last of 1
+    ])
+    def test_matches_direct_sum(self, rng, spec, shape):
+        x = rng.normal(size=shape)
+        w = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=spec.out_channels)
+        Ho, Wo = spec.out_size(shape[2]), spec.out_size(shape[3])
+        g = rng.normal(size=(shape[0], spec.out_channels, Ho, Wo))
+        out, gx, gw = direct_conv(x, w, b, spec, g)
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, b, spec), out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ops.conv2d_input_grad(g, w, spec, shape[2:]), gx,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ops.conv2d_weight_grad(g, x, spec), gw, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

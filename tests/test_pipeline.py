@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from brainalign.data import BrainRdmFile, SynthSpec, synth_dataset, write_synth_dataset
-from brainalign.errors import ConfigurationError
+from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import extract_all_taps, init_he_normal
 from brainalign.pipeline import (
     ExperimentConfig,
@@ -102,6 +102,20 @@ class TestRunExperiment:
         h1 = treehash(tmp_path / "run")
         run_experiment(cfg)
         assert treehash(tmp_path / "run") == h1
+
+    def test_rerun_with_fewer_rules_leaves_no_stale_artifacts(self, tmp_path):
+        run_experiment(tiny_config(tmp_path, rules=("random", "bp"), seeds=(0,)))
+        run_experiment(tiny_config(tmp_path, rules=("random",), seeds=(0,)))
+        out = tmp_path / "run"
+        assert not list(out.rglob("*bp*"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not [a for a in manifest["artifacts"] if "bp" in a]
+        # a run whose inputs fail to load leaves the last run's directory as it was
+        h = treehash(out)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(DataFormatError, match="no brain RDM"):
+            run_experiment(tiny_config(tmp_path, brain_rdm_dir=str(tmp_path / "empty")))
+        assert treehash(out) == h
 
     def test_seed_mean_equals_reported_rho(self, tmp_path):
         cfg = tiny_config(tmp_path)
