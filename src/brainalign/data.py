@@ -286,7 +286,7 @@ def _parse_subject_roi(path):
 def read_rdm_csv(path) -> RDM:
     """Read and validate one RDM CSV.
 
-    Validation: square, unique ids, row ids matching header order,
+    Validation: square, unique ids, row ids matching header order, finite,
     symmetric and zero-diagonal (warn past 1e-9, hard error past 1e-6).
     The stored matrix is exactly symmetrized with a zero diagonal.
     """
@@ -315,6 +315,11 @@ def read_rdm_csv(path) -> RDM:
             values[i] = [float(c) for c in cells[1:]]
         except ValueError as e:
             raise DataFormatError(f"{path}: row {i} ({ids[i]}): {e}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {float(values[i, j])!r} at ({ids[i]}, {ids[j]})")
     asym = np.abs(values - values.T)
     worst = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[worst] > ASYM_ERROR:

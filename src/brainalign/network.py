@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,7 @@ class NetworkState:
     rng_seed: int
     in_channels: int = 3
     num_classes: int = 10
+    _warned_fresh_eval: bool = field(default=False, repr=False, compare=False)
 
     @property
     def channels(self) -> tuple[int, int, int]:
@@ -181,8 +182,16 @@ def _block_forward(block: ConvBlock, x, mode: str) -> BlockCache:
 
 
 def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCache:
-    """Full forward pass keeping every intermediate needed for a backward."""
+    """Full forward pass keeping every intermediate needed for a backward.
+
+    An eval pass through a network with an untrained BN block logs one
+    warning per network, not one per block or batch.
+    """
     _check_batch(state, batch)
+    if (mode == "eval" and not state._warned_fresh_eval
+            and any(b.stats.batches_seen == 0 for b in state.conv_blocks())):
+        log.warning("batchnorm eval before any train step: using init stats (mean 0, var 1)")
+        state._warned_fresh_eval = True
     x = batch
     caches = []
     for block in state.conv_blocks():

@@ -13,16 +13,13 @@ a trailing odd row or column. Batch norm: eps 1e-5, running-stat momentum 0.1.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-
-log = logging.getLogger(__name__)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -222,7 +219,6 @@ class RunningStats:
     mean: np.ndarray
     var: np.ndarray
     batches_seen: int = 0
-    _warned_fresh_eval: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, channels: int) -> "RunningStats":
@@ -268,9 +264,6 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         out = gamma.reshape(1, C, 1, 1) * xhat + beta.reshape(1, C, 1, 1)
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
-        if stats.batches_seen == 0 and not stats._warned_fresh_eval:
-            log.warning("batchnorm eval before any train step: using init stats (mean 0, var 1)")
-            stats._warned_fresh_eval = True
         inv_std = 1.0 / np.sqrt(stats.var + eps)
         xhat = (x - stats.mean.reshape(1, C, 1, 1)) * inv_std.reshape(1, C, 1, 1)
         out = gamma.reshape(1, C, 1, 1) * xhat + beta.reshape(1, C, 1, 1)

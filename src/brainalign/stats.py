@@ -8,7 +8,12 @@ Conventions shared by everything here:
 * Ties get average (fractional) ranks.
 * Permutation p-values use the (b + 1) / (N + 1) estimator, so the
   smallest representable p at N permutations is 1 / (N + 1).
-* Bootstrap CIs are percentile intervals with linear interpolation.
+* Bootstrap CIs are percentile intervals with linear interpolation. No
+  resample is sorted: each vector is ranked once, and a resample's ranks
+  come from a cumulative sum of its per-pair draw counts in that fixed
+  sort order. Below about 2e5 pairs every CI is bit for bit the one that
+  ranking each resample gives.
+* Inputs must be finite: ranks assume a total order, which NaN breaks.
 * Every stochastic routine is deterministic given its seed and does not
   depend on thread count (there is none).
 """
@@ -30,6 +35,10 @@ from .rdm import upper_triangle
 log = logging.getLogger(__name__)
 
 _BOOT_CHUNK = 256
+# Resample draws scored at a time, so that a block's float64 temporaries
+# (256 KiB each) stay in a core's L2 cache: whole-chunk blocks were 1.7x
+# slower at 4950 pairs and 2.8x at 19900.
+_BOOT_BLOCK_CELLS = 1 << 15
 _PERM_CHUNK = 128
 
 
@@ -69,6 +78,11 @@ def _check_vector_pair(x, y, min_len=3):
         raise ConfigurationError(f"vectors must be 1D and matched, got {x.shape}/{y.shape}")
     if x.shape[0] < min_len:
         raise ConfigurationError(f"need at least {min_len} entries, got {x.shape[0]}")
+    for name, v in (("first", x), ("second", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ConfigurationError(
+                f"{name} vector has a non-finite value at index {bad[0]}: {v[bad[0]]!r}")
     return x, y
 
 
@@ -92,12 +106,63 @@ def spearman(x, y) -> float:
 # Bootstrap confidence interval
 # ---------------------------------------------------------------------------
 
-def _pearson_rows(a, b):
-    a = a - a.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=1, keepdims=True)
-    num = np.einsum("ij,ij->i", a, b)
-    den = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
-    return num / den
+def _tie_layout(v):
+    """(order, below, through): the stable sort order of v and, per element,
+    how many elements sort strictly below its tie group and how many sort
+    below or in it."""
+    ranks = rank_rows(v[None, :])[0]
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks = ranks[order]
+    return (order, np.searchsorted(sorted_ranks, ranks, "left"),
+            np.searchsorted(sorted_ranks, ranks, "right"))
+
+
+def _constant_rows(v, idx) -> np.ndarray:
+    """np.ptp(v[idx], axis=1) == 0. A row whose first two draws differ
+    varies, so only rows whose first two draws tie are scanned in full."""
+    constant = v[idx[:, 0]] == v[idx[:, 1]]
+    suspects = np.flatnonzero(constant)
+    constant[suspects] = np.ptp(v[idx[suspects]], axis=1) == 0
+    return constant
+
+
+def _resample_ranks(counts, layout) -> np.ndarray:
+    """Doubled, centered average ranks 2 * rank - (n + 1) of every pair in
+    every resample, from the resamples' per-pair counts [rows, n].
+
+    The draws of one tie group fill resample positions below + 1 .. through
+    (counted in draws), so their average rank is (below + through + 1) / 2.
+    """
+    order, below, through = layout
+    rows, n = counts.shape
+    cum = np.zeros((rows, n + 1))
+    np.cumsum(np.take(counts, order, axis=1), axis=1, out=cum[:, 1:])
+    ranks = np.take(cum, below, axis=1)
+    ranks += np.take(cum, through, axis=1)
+    ranks -= n
+    return ranks
+
+
+def _count_spearman(draws, x_layout, y_layout) -> np.ndarray:
+    """Spearman rho of x[row], y[row] for each row of resample indices,
+    as the count-weighted Pearson correlation of their resample ranks.
+
+    Every term is an integer and every sum is below n**3, so up to about
+    2e5 pairs (n**3 < 2**53) the sums are exact and rho is bit for bit that
+    of ranking the expanded resample: doubling the ranks scales the
+    numerator and the denominator by exactly 4.
+    """
+    rows, n = draws.shape
+    counts = np.bincount((draws + np.arange(0, rows * n, n)[:, None]).ravel(),
+                         minlength=rows * n).reshape(rows, n).astype(np.float64)
+    a = _resample_ranks(counts, x_layout)
+    b = _resample_ranks(counts, y_layout)
+    ca = counts * a
+    num = np.einsum("ij,ij->i", ca, b)
+    aa = np.einsum("ij,ij->i", ca, a)
+    b *= b
+    bb = np.einsum("ij,ij->i", counts, b)
+    return num / np.sqrt(aa * bb)
 
 
 def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
@@ -109,28 +174,35 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
     time. Degenerate resamples (either vector constant) are skipped and
     redrawn; more than 1% of n_boot degenerates is an error. Returns
     (lo, hi), deterministic per seed.
+
+    No resample is sorted. A resample changes only how many times each
+    pair appears, never the order of the values, so x and y are ranked
+    once; each resample's ranks then come from a cumulative sum of its
+    per-pair counts in that fixed order, and rho is the count-weighted
+    Pearson correlation of those ranks (see _count_spearman).
     """
     x, y = _check_vector_pair(model_vec, brain_vec)
     if not 0 < level < 1:
         raise ConfigurationError(f"level must be in (0,1), got {level}")
     rng = np.random.default_rng(seed)
     n = x.shape[0]
+    x_layout, y_layout = _tie_layout(x), _tie_layout(y)
+    block = max(1, _BOOT_BLOCK_CELLS // n)
     cap = max(1, int(0.01 * n_boot))
     rhos = np.empty(n_boot)
     filled = degenerate = 0
     while filled < n_boot:
         idx = rng.integers(0, n, size=(_BOOT_CHUNK, n))
-        xb, yb = x[idx], y[idx]
-        ok = (np.ptp(xb, axis=1) > 0) & (np.ptp(yb, axis=1) > 0)
+        ok = ~(_constant_rows(x, idx) | _constant_rows(y, idx))
         degenerate += int(np.count_nonzero(~ok))
         if degenerate > cap:
             raise UndefinedStatisticError(
                 f"more than {cap} degenerate bootstrap resamples; data too close to constant")
-        take = min(int(np.count_nonzero(ok)), n_boot - filled)
-        if take:
-            r = _pearson_rows(rank_rows(xb[ok][:take]), rank_rows(yb[ok][:take]))
-            rhos[filled : filled + take] = r
-            filled += take
+        kept = np.flatnonzero(ok)[: n_boot - filled]
+        for start in range(0, kept.size, block):
+            rows = kept[start : start + block]
+            rhos[filled : filled + rows.size] = _count_spearman(idx[rows], x_layout, y_layout)
+            filled += rows.size
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(rhos, [100 * alpha, 100 * (1 - alpha)], method="linear")
     return float(lo), float(hi)

@@ -133,6 +133,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "row 2 ('stim-0002') has 15 values" in capsys.readouterr().err
 
+    def test_nan_brain_rdm_is_3(self, synth_dir, tmp_path, capsys):
+        brain = tmp_path / "brain"
+        shutil.copytree(synth_dir / "data" / "brain", brain)
+        rdm = read_rdm_csv(brain / "sub-01_V1.csv")
+        values = rdm.values.copy()
+        values[1, 4] = values[4, 1] = np.nan
+        write_rdm_csv(RDM(values=values, ids=rdm.ids), brain / "sub-01_V1.csv")
+        assert main(["rsa", "--model-rdm", str(synth_dir / "data" / "brain" / "sub-02_V1.csv"),
+                     "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "non-finite value nan at (stim-0001, stim-0004)" in capsys.readouterr().err
+
     def test_reordered_model_rdm_is_3(self, synth_dir, tmp_path):
         # a model RDM keyed to another stimulus order is an error, never scored
         brain = synth_dir / "data" / "brain"

@@ -229,6 +229,15 @@ class TestRdmCsv:
         assert bf.rdm.values[0, 1] == bf.rdm.values[1, 0]
         assert "symmetriz" in caplog.text
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        # NaN also slips past the asymmetry check: NaN > ASYM_ERROR is False
+        m = np.zeros((3, 3))
+        m[0, 2] = m[2, 0] = float(cell)
+        write_matrix_csv(tmp_path / "sub-01_V1.csv", ("x", "y", "z"), m)
+        with pytest.raises(DataFormatError, match=r"non-finite value .* at \(x, z\)"):
+            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+
     def test_nonzero_diagonal_rejected(self, tmp_path):
         m = np.zeros((2, 2))
         m[1, 1] = 0.01

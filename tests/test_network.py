@@ -139,6 +139,13 @@ class TestFeatureExtraction:
             cat = np.concatenate([fa[t].matrix, fb[t].matrix])
             assert np.abs(both[t].matrix - cat).max() < 1e-12
 
+    def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog):
+        # three fresh BN blocks and two batches, but one network
+        with caplog.at_level("WARNING"):
+            extract_all_taps(state, rng.random(size=(3, 3, 32, 32)), batch_size=2)
+            forward(state, rng.random(size=(1, 3, 32, 32)))
+        assert caplog.text.count("batchnorm eval before any train step") == 1
+
     def test_unknown_tap_rejected(self, state, rng):
         with pytest.raises(ConfigurationError, match="unknown tap"):
             extract_features(state, rng.random(size=(1, 3, 32, 32)), "conv9")

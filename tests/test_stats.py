@@ -59,6 +59,15 @@ class TestSpearman:
         with pytest.raises(ConfigurationError):
             stats.spearman([1.0, 2.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.arange(6.0)
+        x[2] = bad
+        with pytest.raises(ConfigurationError, match="non-finite value at index 2"):
+            stats.spearman(x, np.arange(6.0))
+        with pytest.raises(ConfigurationError, match="second vector"):
+            stats.spearman(np.arange(6.0), x)
+
     def test_rank_rows_matches_scipy_rankdata(self, rng):
         m = rng.integers(0, 5, size=(40, 25)).astype(float)
         mine = stats.rank_rows(m)
@@ -70,7 +79,68 @@ class TestSpearman:
 # Bootstrap
 # ---------------------------------------------------------------------------
 
+def _bootstrap_oracle(x, y, n_boot, seed, level=0.95):
+    """Replays bootstrap_ci's draws, scoring each kept resample with scipy.
+    Returns the percentile CI and the number of degenerate rows drawn."""
+    rng = np.random.default_rng(seed)
+    n = len(x)
+    rhos, degenerate = [], 0
+    while len(rhos) < n_boot:
+        for row in rng.integers(0, n, size=(stats._BOOT_CHUNK, n)):
+            if np.ptp(x[row]) == 0 or np.ptp(y[row]) == 0:
+                degenerate += 1
+            elif len(rhos) < n_boot:
+                rhos.append(ss.spearmanr(x[row], y[row]).statistic)
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.percentile(rhos, [100 * alpha, 100 * (1 - alpha)])
+    return (lo, hi), degenerate
+
+
+def _tied_pair(n, seed):
+    r = np.random.default_rng(seed)
+    return np.round(r.normal(size=n), 1), np.round(r.normal(size=n), 1)
+
+
+def _integer_pair(n, seed):
+    r = np.random.default_rng(seed)
+    return r.integers(0, 4, n).astype(float), r.integers(0, 3, n).astype(float)
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("make, n_boot, seed", [
+        (lambda: np.random.default_rng(1).normal(size=(2, 45)), 300, 0),
+        (lambda: np.random.default_rng(2).normal(size=(2, 30)), 100, 1),
+        (lambda: _tied_pair(60, 3), 300, 2),
+        (lambda: _tied_pair(25, 4), 100, 3),
+        (lambda: _integer_pair(50, 5), 300, 4),
+        (lambda: _integer_pair(20, 6), 100, 5),
+    ], ids=["free-2chunks", "free-partial", "tied-2chunks", "tied-partial",
+            "integer-2chunks", "integer-partial"])
+    def test_matches_scipy_replay(self, make, n_boot, seed):
+        # n_boot 300 draws two chunks; n_boot 100 keeps part of one
+        x, y = make()
+        (lo, hi), degenerate = _bootstrap_oracle(x, y, n_boot, seed)
+        assert degenerate <= max(1, int(0.01 * n_boot))
+        assert stats.bootstrap_ci(x, y, n_boot=n_boot, seed=seed) == \
+            pytest.approx((lo, hi), abs=1e-12, rel=0)
+
+    def test_matches_scipy_replay_with_degenerate_rows(self):
+        # one x value in 8: about 1 resample in 200 draws only zeros
+        x = np.zeros(40)
+        x[[3, 11, 19, 27, 35]] = 1.0
+        y = (np.arange(40) % 5).astype(float)
+        (lo, hi), degenerate = _bootstrap_oracle(x, y, 1000, seed=1)
+        assert 0 < degenerate <= 10
+        assert stats.bootstrap_ci(x, y, n_boot=1000, seed=1) == \
+            pytest.approx((lo, hi), abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        y = np.arange(8.0)
+        y[5] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            stats.bootstrap_ci(np.arange(8.0), y, n_boot=10)
+
     def test_self_correlation_ci_near_one(self, rng):
         x = rng.normal(size=300)
         lo, hi = stats.bootstrap_ci(x, x, n_boot=400, seed=0)
