@@ -326,7 +326,7 @@ def read_rdm_csv(path) -> RDM:
         i, j = worst
         raise DataFormatError(
             f"{path}: asymmetric at ({ids[i]}, {ids[j]}): "
-            f"{values[i, j]!r} vs {values[j, i]!r}")
+            f"{float(values[i, j])!r} vs {float(values[j, i])!r}")
     if asym[worst] > ASYM_WARN:
         log.warning("%s: asymmetry up to %.3g at (%s, %s); symmetrizing",
                     path, asym[worst], ids[worst[0]], ids[worst[1]])
@@ -334,7 +334,7 @@ def read_rdm_csv(path) -> RDM:
     d = int(np.argmax(diag))
     if diag[d] > ASYM_ERROR:
         raise DataFormatError(
-            f"{path}: nonzero diagonal at ({ids[d]}, {ids[d]}): {values[d, d]!r}")
+            f"{path}: nonzero diagonal at ({ids[d]}, {ids[d]}): {float(values[d, d])!r}")
     if diag[d] > ASYM_WARN:
         log.warning("%s: diagonal up to %.3g at %s; zeroing", path, diag[d], ids[d])
     sym = (values + values.T) / 2.0

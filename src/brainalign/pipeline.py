@@ -23,8 +23,8 @@ import json
 import logging
 import shutil
 import zlib
-from dataclasses import dataclass, fields
-from itertools import combinations
+from dataclasses import asdict, dataclass, fields
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,8 @@ class ExperimentConfig:
     noise_ceiling_splits: int = 100
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be one or more integers >= 0, got {self.seeds}")
         if len(set(self.rules)) != len(self.rules):
             raise ConfigurationError(f"duplicate rules in {self.rules}")
         for r in self.rules:
@@ -118,6 +118,10 @@ class ExperimentConfig:
         if not 0 < self.alpha < 1 or not 0 < self.ci_level < 1:
             raise ConfigurationError(
                 f"alpha/ci_level must be in (0,1), got {self.alpha}/{self.ci_level}")
+        for name in ("train_limit", "num_classes", "n_boot", "n_perm", "noise_ceiling_splits"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self.rule_config("random")  # LearningRuleConfig checks the rule hyperparameters
 
     @property
     def roi_map_dict(self) -> dict[str, str]:
@@ -337,8 +341,18 @@ def load_features_dir(directory) -> tuple[dict[str, LayerFeatures], tuple[str, .
     feats = {}
     for tap in TAPS:
         p = directory / f"features_{tap}.npy"
-        if p.exists():
-            feats[tap] = LayerFeatures(tap=tap, matrix=np.load(p))
+        if not p.exists():
+            continue
+        try:
+            matrix = np.load(p)
+        except (OSError, ValueError, EOFError) as e:
+            raise DataFormatError(f"{p}: unreadable feature matrix: {e}") from None
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids) or matrix.dtype.kind != "f":
+            raise DataFormatError(f"{p}: expected a float matrix with {len(ids)} rows, one "
+                                  f"per stimulus id, got {matrix.dtype} {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise DataFormatError(f"{p}: non-finite feature value")
+        feats[tap] = LayerFeatures(tap=tap, matrix=matrix)
     if not feats:
         raise DataFormatError(f"{directory}: no features_<tap>.npy files")
     return feats, ids
@@ -369,9 +383,26 @@ def run_experiment(config: ExperimentConfig) -> dict:
         shutil.rmtree(out / sub, ignore_errors=True)  # inputs are valid: drop the last run
         (out / sub).mkdir(parents=True)
 
-    failures: list[dict] = []
+    # The run's one record: each result goes in as it is computed, and
+    # report.json and every table are rendered from it.
+    report = {
+        "config_hash": config.config_hash(),
+        "seeds": list(config.seeds),
+        "notes": [
+            "rho is the mean of per-seed scores; seed_std is their sample std",
+            "bootstrap CIs, pairwise permutation tests, per-subject scores, "
+            "sweeps and partial RSA are computed on the seed-averaged model RDM",
+            "permutation tests at one ROI share a single permutation stream",
+        ],
+        "rois": {},
+        "pairwise_tests": [],
+        "cohens_d": [],
+        "best_layer": {},
+        "accuracy": {},
+        "filters": {},
+        "failures": [],
+    }
     seed_rdms: dict[str, dict[int, dict[str, RDM]]] = {r: {} for r in config.rules}
-    accuracy: dict[str, dict[int, float]] = {r: {} for r in config.rules}
     states_path: dict[str, Path] = {}
 
     for rule in config.rules:
@@ -386,7 +417,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 save_checkpoint(state, ckpt, rule=rule)
                 states_path.setdefault(rule, ckpt)
                 if test_set is not None:
-                    accuracy[rule][seed] = evaluate_accuracy(
+                    report["accuracy"].setdefault(rule, {})[str(seed)] = evaluate_accuracy(
                         state, test_set.images, test_set.labels)
                 feats = extract_all_taps(state, stimuli)
                 save_features(feats, stimuli.ids, out / "features" / cell)
@@ -397,78 +428,58 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 seed_rdms[rule][seed] = rdms
             except Exception as e:  # flagged, not fatal: the run continues
                 log.exception("cell %s failed", cell)
-                failures.append({"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
+                report["failures"].append(
+                    {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
 
     # Seed-averaged model RDMs per condition
-    mean_rdms: dict[str, dict[str, RDM]] = {}
-    for rule in config.rules:
-        if not seed_rdms[rule]:
-            continue
-        mean_rdms[rule] = {}
-        for tap in TAPS:
-            mean_rdms[rule][tap] = average_rdms(
-                [seed_rdms[rule][s][tap] for s in sorted(seed_rdms[rule])])
-            write_rdm_csv(mean_rdms[rule][tap], out / "rdms" / f"{rule}_mean_{tap}.csv")
+    conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
+    mean_rdms: dict[str, dict[str, RDM]] = {rule: {} for rule in conditions}
+    for rule, tap in product(conditions, TAPS):
+        mean_rdms[rule][tap] = average_rdms(
+            [seed_rdms[rule][s][tap] for s in sorted(seed_rdms[rule])])
+        write_rdm_csv(mean_rdms[rule][tap], out / "rdms" / f"{rule}_mean_{tap}.csv")
 
-    conditions = [r for r in config.rules if r in mean_rdms]
-
-    # Per-seed RSA then seed aggregation (headline scores)
-    per_seed_rho: dict[str, dict[str, dict[int, float]]] = {}
-    for rule in conditions:
-        per_seed_rho[rule] = {}
-        for roi, tap in roi_map.items():
-            brain_vec = upper_triangle(mean_brain[roi])
-            per_seed_rho[rule][roi] = {
-                seed: stats.spearman(upper_triangle(seed_rdms[rule][seed][tap]), brain_vec)
-                for seed in sorted(seed_rdms[rule])
-            }
-
-    # Bootstrap CIs on the seed-averaged RDM
-    ci: dict[str, dict[str, tuple[float, float]]] = {}
-    for rule in conditions:
-        ci[rule] = {}
-        for roi, tap in roi_map.items():
-            ci[rule][roi] = stats.bootstrap_ci(
-                upper_triangle(mean_rdms[rule][tap]), upper_triangle(mean_brain[roi]),
-                n_boot=config.n_boot, level=config.ci_level,
-                seed=bootstrap_seed(config.stats_seed, rule, roi))
-
-    # Pairwise permutation tests; one shared permutation stream per ROI
-    pairwise: list[dict] = []
-    tests: list[stats.PairwiseTest] = []
+    # Per ROI: noise ceiling, per-seed RSA and its seed mean (headline scores),
+    # bootstrap CIs, then pairwise permutation tests on one shared stream
     for roi, tap in roi_map.items():
         brain_vec = upper_triangle(mean_brain[roi])
+        ceiling = stats.noise_ceiling(by_roi[roi], n_splits=config.noise_ceiling_splits,
+                                      seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
+        entry = report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
+                                       "conditions": {}}
+        for rule in conditions:
+            rhos = [stats.spearman(upper_triangle(seed_rdms[rule][seed][tap]), brain_vec)
+                    for seed in sorted(seed_rdms[rule])]
+            entry["conditions"][rule] = {
+                "rho": float(np.mean(rhos)),
+                "seed_std": float(np.std(rhos, ddof=1)) if len(rhos) > 1 else 0.0,
+                "per_seed": rhos,
+                "ci": list(stats.bootstrap_ci(
+                    upper_triangle(mean_rdms[rule][tap]), brain_vec, n_boot=config.n_boot,
+                    level=config.ci_level, seed=bootstrap_seed(config.stats_seed, rule, roi))),
+                "p_vs_random": None,
+                "fdr_significant_vs_random": None,
+            }
         roi_seed = _derived_seed(config.stats_seed, f"perm|{roi}")
         for a, b in combinations(conditions, 2):
             t = stats.permutation_test(
                 upper_triangle(mean_rdms[a][tap]), upper_triangle(mean_rdms[b][tap]),
                 brain_vec, n_perm=config.n_perm, seed=roi_seed, pair=(a, b))
-            tests.append(t)
-            pairwise.append({"roi": roi, "a": a, "b": b, "rho_a": t.rho_a,
-                             "rho_b": t.rho_b, "delta_rho": t.delta_rho,
-                             "p_value": t.p_value})
+            report["pairwise_tests"].append(
+                {"roi": roi, "a": a, "b": b, "rho_a": t.rho_a, "rho_b": t.rho_b,
+                 "delta_rho": t.delta_rho, "p_value": t.p_value})
+
+    pairwise = report["pairwise_tests"]
     flags = stats.fdr_bh([t["p_value"] for t in pairwise], alpha=config.alpha) if pairwise else []
     for row, flag in zip(pairwise, flags):
         row["fdr_significant"] = bool(flag)
-
-    p_vs_random: dict[str, dict[str, float]] = {}
-    fdr_vs_random: dict[str, dict[str, bool]] = {}
-    for row in pairwise:
         if "random" in (row["a"], row["b"]):
             other = row["b"] if row["a"] == "random" else row["a"]
-            p_vs_random.setdefault(other, {})[row["roi"]] = row["p_value"]
-            fdr_vs_random.setdefault(other, {})[row["roi"]] = row["fdr_significant"]
-
-    # Noise ceilings
-    ceilings = {
-        roi: stats.noise_ceiling(files, n_splits=config.noise_ceiling_splits,
-                                 seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
-        for roi, files in by_roi.items()
-    }
+            report["rois"][row["roi"]]["conditions"][other].update(
+                p_vs_random=row["p_value"], fdr_significant_vs_random=row["fdr_significant"])
 
     # Per-subject scores and paired Cohen's d
-    subject_rows = per_subject_analysis(mean_rdms, brain_files, roi_map)
-    cohen_rows = []
+    subject_rows = report["per_subject"] = per_subject_analysis(mean_rdms, brain_files, roi_map)
     for roi in roi_map:
         subjects = sorted({b.subject for b in by_roi[roi]})
         if len(subjects) < 2:
@@ -478,126 +489,73 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for a, b in combinations(conditions, 2):
             d = stats.cohens_d_paired([score[(a, s)] for s in subjects],
                                       [score[(b, s)] for s in subjects])
-            cohen_rows.append({"roi": roi, "a": a, "b": b, "d": d.d,
-                               "degenerate": d.degenerate})
+            report["cohens_d"].append({"roi": roi, "a": a, "b": b, "d": d.d,
+                                       "degenerate": d.degenerate})
 
     # Best-layer sweep per condition
-    sweeps = {rule: best_layer_sweep(mean_rdms[rule], mean_brain) for rule in conditions}
+    for rule in conditions:
+        sweep = best_layer_sweep(mean_rdms[rule], mean_brain)
+        report["best_layer"][rule] = {"matrix": sweep.matrix.tolist(), "taps": list(sweep.taps),
+                                      "rois": list(sweep.rois), "best_tap": sweep.best_tap}
 
-    # Partial RSA per ROI
-    partial = partial_rsa_report(mean_rdms, mean_brain, stimuli, roi_map)
+    report["partial_rsa"] = partial_rsa_report(mean_rdms, mean_brain, stimuli, roi_map)
 
     # Conv1 filter summaries (first available seed's checkpoint per rule)
-    filter_summaries = {}
     for rule in conditions:
         state, _ = load_checkpoint(states_path[rule])
         summary = summarize_filters(state, rule=rule)
         write_filter_scores_csv(summary, out / "tables" / f"filters_{rule}.csv")
         write_filter_grid_csv(summary, out / "tables" / f"filter_grid_{rule}.csv")
-        filter_summaries[rule] = {"mean": summary.mean, "std": summary.std}
+        report["filters"][rule] = {"mean": summary.mean, "std": summary.std}
 
-    report = _assemble_report(config, roi_map, conditions, per_seed_rho, ci,
-                              pairwise, ceilings, subject_rows, cohen_rows,
-                              sweeps, partial, accuracy, filter_summaries,
-                              p_vs_random, fdr_vs_random, failures)
-    _write_tables(out, config, roi_map, report, pairwise, subject_rows,
-                  cohen_rows, sweeps, partial, ceilings)
+    _write_tables(out / "tables", report)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     config.to_file(out / "config.cfg")
     _write_manifest(out, config)
     return report
 
 
-def _assemble_report(config, roi_map, conditions, per_seed_rho, ci, pairwise,
-                     ceilings, subject_rows, cohen_rows, sweeps, partial,
-                     accuracy, filter_summaries, p_vs_random, fdr_vs_random,
-                     failures) -> dict:
-    rois = {}
-    for roi, tap in roi_map.items():
-        entry = {"layer": tap,
-                 "noise_ceiling": {"lower": ceilings[roi].lower,
-                                   "upper": ceilings[roi].upper},
-                 "conditions": {}}
-        for rule in conditions:
-            rhos = [per_seed_rho[rule][roi][s] for s in sorted(per_seed_rho[rule][roi])]
-            entry["conditions"][rule] = {
-                "rho": float(np.mean(rhos)),
-                "seed_std": float(np.std(rhos, ddof=1)) if len(rhos) > 1 else 0.0,
-                "per_seed": rhos,
-                "ci": list(ci[rule][roi]),
-                "p_vs_random": p_vs_random.get(rule, {}).get(roi),
-                "fdr_significant_vs_random": fdr_vs_random.get(rule, {}).get(roi),
-            }
-        rois[roi] = entry
-    return {
-        "config_hash": config.config_hash(),
-        "conditions": list(conditions),
-        "seeds": list(config.seeds),
-        "notes": [
-            "rho is the mean of per-seed scores; seed_std is their sample std",
-            "bootstrap CIs, pairwise permutation tests, per-subject scores, "
-            "sweeps and partial RSA are computed on the seed-averaged model RDM",
-            "permutation tests at one ROI share a single permutation stream",
-        ],
-        "rois": rois,
-        "pairwise_tests": pairwise,
-        "per_subject": subject_rows,
-        "cohens_d": cohen_rows,
-        "best_layer": {rule: {"matrix": s.matrix.tolist(), "taps": list(s.taps),
-                              "rois": list(s.rois), "best_tap": s.best_tap}
-                       for rule, s in sweeps.items()},
-        "partial_rsa": partial,
-        "accuracy": {rule: {str(seed): acc for seed, acc in sorted(by.items())}
-                     for rule, by in accuracy.items() if by},
-        "filters": filter_summaries,
-        "failures": failures,
-    }
-
-
-def _write_tables(out, config, roi_map, report, pairwise, subject_rows,
-                  cohen_rows, sweeps, partial, ceilings):
-    tables = out / "tables"
-    rows = []
-    for roi, tap in roi_map.items():
-        for rule, entry in report["rois"][roi]["conditions"].items():
-            p = entry["p_vs_random"]
-            f = entry["fdr_significant_vs_random"]
-            rows.append([rule, roi, tap, entry["rho"], entry["seed_std"],
-                         entry["ci"][0], entry["ci"][1],
-                         "" if p is None else repr(p),
-                         "" if f is None else int(f),
-                         len(entry["per_seed"])])
+def _write_tables(tables: Path, report: dict) -> None:
+    """Render the result tables from the report alone, so each CSV is a
+    view of report.json: ROIs in roi_map order, conditions in rule order."""
+    rois = report["rois"]
     _write_csv(tables / "rsa_results.csv",
                ["condition", "roi", "tap", "rho", "seed_std", "ci_low", "ci_high",
-                "p_vs_random", "fdr_significant", "n_seeds"], rows)
+                "p_vs_random", "fdr_significant", "n_seeds"],
+               [[rule, roi, entry["layer"], c["rho"], c["seed_std"], *c["ci"], c["p_vs_random"],
+                 "" if c["fdr_significant_vs_random"] is None
+                 else int(c["fdr_significant_vs_random"]),
+                 len(c["per_seed"])]
+                for roi, entry in rois.items() for rule, c in entry["conditions"].items()])
 
     _write_csv(tables / "pairwise_tests.csv",
                ["roi", "condition_a", "condition_b", "rho_a", "rho_b",
                 "delta_rho", "p_value", "fdr_significant"],
                [[r["roi"], r["a"], r["b"], r["rho_a"], r["rho_b"], r["delta_rho"],
-                 r["p_value"], int(r["fdr_significant"])] for r in pairwise])
+                 r["p_value"], int(r["fdr_significant"])] for r in report["pairwise_tests"]])
 
     _write_csv(tables / "per_subject.csv", ["condition", "subject", "roi", "rho"],
-               [[r["condition"], r["subject"], r["roi"], r["rho"]] for r in subject_rows])
+               [[r["condition"], r["subject"], r["roi"], r["rho"]]
+                for r in report["per_subject"]])
 
     _write_csv(tables / "cohens_d.csv",
                ["roi", "condition_a", "condition_b", "d", "degenerate"],
                [[r["roi"], r["a"], r["b"], r["d"], int(r["degenerate"])]
-                for r in cohen_rows])
+                for r in report["cohens_d"]])
 
     _write_csv(tables / "noise_ceiling.csv", ["roi", "lower", "upper"],
-               [[roi, c.lower, c.upper] for roi, c in ceilings.items()])
+               [[roi, entry["noise_ceiling"]["lower"], entry["noise_ceiling"]["upper"]]
+                for roi, entry in rois.items()])
 
-    for rule, s in sweeps.items():
-        _write_csv(tables / f"sweep_{rule}.csv",
-                   ["tap"] + list(s.rois),
-                   [[tap] + [float(v) for v in s.matrix[i]] for i, tap in enumerate(s.taps)])
+    for rule, sweep in report["best_layer"].items():
+        _write_csv(tables / f"sweep_{rule}.csv", ["tap"] + sweep["rois"],
+                   [[tap] + row for tap, row in zip(sweep["taps"], sweep["matrix"])])
 
-    for roi, rows_p in partial.items():
+    for roi, rows in report["partial_rsa"].items():
         _write_csv(tables / f"partial_rsa_{roi}.csv",
                    ["condition", "rho_std", "rho_partial", "delta"],
                    [[r["condition"], r["rho_std"], r["rho_partial"], r["delta"]]
-                    for r in rows_p])
+                    for r in rows])
 
 
 def _write_manifest(out: Path, config: ExperimentConfig) -> None:

@@ -184,6 +184,8 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
     x, y = _check_vector_pair(model_vec, brain_vec)
     if not 0 < level < 1:
         raise ConfigurationError(f"level must be in (0,1), got {level}")
+    if n_boot < 1:
+        raise ConfigurationError(f"n_boot must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     x_layout, y_layout = _tie_layout(x), _tie_layout(y)
@@ -259,6 +261,8 @@ def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
     """
     a, brain = _check_vector_pair(model_a_vec, brain_vec)
     b, _ = _check_vector_pair(model_b_vec, brain_vec)
+    if n_perm < 1:
+        raise ConfigurationError(f"n_perm must be >= 1, got {n_perm}")
     za, zb, zbr = _zranks(a), _zranks(b), _zranks(brain)
     rho_a = float(za @ zbr)
     rho_b = float(zb @ zbr)
@@ -392,6 +396,8 @@ def noise_ceiling(subject_rdms, n_splits: int = 100, seed: int = 0) -> NoiseCeil
     s = len(vecs)
     if s < 2:
         raise UndefinedStatisticError("noise ceiling needs at least 2 subjects")
+    if n_splits < 1:
+        raise ConfigurationError(f"n_splits must be >= 1, got {n_splits}")
     rng = np.random.default_rng(seed)
     rs, rs_sb = [], []
     for half in _split_halves(s, n_splits, rng):

@@ -9,6 +9,8 @@ import pytest
 
 from brainalign.cli import main
 from brainalign.data import read_rdm_csv, write_rdm_csv
+from brainalign.network import LayerFeatures
+from brainalign.pipeline import save_features
 from brainalign.rdm import RDM
 
 from helpers import treehash
@@ -104,6 +106,16 @@ class TestExitCodes:
         cfg = str(synth_dir / "data" / "synth.cfg")
         assert main(["train", "--config", cfg, "--rule", "adamw", "--seed", "0"]) == 2
 
+    def test_zero_bootstrap_resamples_is_2(self, synth_dir, tmp_path, capsys):
+        text = (synth_dir / "data" / "synth.cfg").read_text()
+        assert "n_boot = 10000" in text
+        (tmp_path / "bad.cfg").write_text(text.replace("n_boot = 10000", "n_boot = 0"))
+        assert main(["rsa", "--config", str(tmp_path / "bad.cfg"),
+                     "--model-rdm", str(synth_dir / "data" / "brain" / "sub-01_V1.csv"),
+                     "--brain-dir", str(synth_dir / "data" / "brain"),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "n_boot must be >= 1, got 0" in capsys.readouterr().err
+
     def test_missing_data_is_3(self, tmp_path):
         assert main(["rsa", "--model-rdm", "/no/such.csv", "--brain-dir", "/no",
                      "--out", str(tmp_path / "x.csv")]) == 3
@@ -161,3 +173,34 @@ class TestExitCodes:
             for verb, flag in (("rsa", "--model-rdm"), ("sweep", "--rdm-dir")):
                 assert main([verb, flag, str(model_dir), "--brain-dir", str(brain),
                              "--out", str(tmp_path / f"{verb}.csv")]) == 3, (verb, model_dir)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _drop_a_row(path):
+    np.save(path, np.load(path)[1:])
+
+
+def _nan_value(path):
+    m = np.load(path)
+    m[2, 1] = np.nan
+    np.save(path, m)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "unreadable feature matrix"),
+    (_drop_a_row, "expected a float matrix with 6 rows"),
+    (_nan_value, "non-finite feature value"),
+])
+def test_corrupt_feature_dir_is_3(tmp_path, capsys, corrupt, message):
+    ids = tuple(f"stim-{i}" for i in range(6))
+    feats = {tap: LayerFeatures(tap=tap, matrix=np.random.default_rng(0).normal(size=(6, 5)))
+             for tap in ("conv1", "fc1")}
+    save_features(feats, ids, tmp_path / "feats")
+    corrupt(tmp_path / "feats" / "features_fc1.npy")
+    assert main(["rdm", "--features", str(tmp_path / "feats"),
+                 "--out", str(tmp_path / "rdms")]) == 3
+    err = capsys.readouterr().err
+    assert "features_fc1.npy" in err and message in err

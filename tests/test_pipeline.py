@@ -2,6 +2,7 @@
 (report structure, pairwise-test count, failure flagging, byte-identical
 reruns), and the standalone sweep / per-subject / partial analyses."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -68,6 +69,15 @@ class TestConfig:
     def test_roi_map_validated(self):
         with pytest.raises(ConfigurationError, match="unknown tap"):
             ExperimentConfig(roi_map=(("V1", "conv9"),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_boot", 0), ("n_perm", 0), ("noise_ceiling_splits", 0), ("train_limit", 0),
+        ("num_classes", 0), ("seeds", (0, -1)),
+        ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**{field: value})
 
     def test_config_hash_stable(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -153,6 +163,57 @@ class TestRunExperiment:
                                        "error": "RuntimeError: boom"}]
         assert report["conditions"] == ["random"]
         assert set(report["rois"]["V1"]["conditions"]) == {"random"}
+
+    def test_every_table_is_a_view_of_report_json(self, tmp_path):
+        # ROIs mapped out of the brain files' filename order (IT LOC V1 V2), LOC unmapped
+        roi_map = (("V2", "conv2"), ("IT", "fc1"), ("V1", "conv1"))
+        cfg = tiny_config(tmp_path, rules=("bp", "random", "fa"), seeds=(0, 1),
+                          n_boot=50, n_perm=50, roi_map=roi_map)
+        run_experiment(cfg)
+        out = tmp_path / "run"
+        report = json.loads((out / "report.json").read_text())
+        rois = [roi for roi, _ in roi_map]
+        assert sorted(report["rois"]) == sorted(rois)
+
+        def cell(v):
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return str(int(v))
+            return repr(v) if isinstance(v, float) else str(v)
+
+        expected = {
+            "rsa_results": [[c, roi, report["rois"][roi]["layer"], e["rho"], e["seed_std"],
+                             *e["ci"], e["p_vs_random"], e["fdr_significant_vs_random"],
+                             len(e["per_seed"])]
+                            for roi in rois for c in report["conditions"]
+                            for e in [report["rois"][roi]["conditions"][c]]],
+            "pairwise_tests": [[t["roi"], t["a"], t["b"], t["rho_a"], t["rho_b"],
+                                t["delta_rho"], t["p_value"], t["fdr_significant"]]
+                               for t in report["pairwise_tests"]],
+            "per_subject": [[r["condition"], r["subject"], r["roi"], r["rho"]]
+                            for r in report["per_subject"]],
+            "cohens_d": [[r["roi"], r["a"], r["b"], r["d"], r["degenerate"]]
+                         for r in report["cohens_d"]],
+            "noise_ceiling": [[roi, report["rois"][roi]["noise_ceiling"]["lower"],
+                               report["rois"][roi]["noise_ceiling"]["upper"]] for roi in rois],
+        }
+        for c in report["conditions"]:
+            sweep = report["best_layer"][c]
+            expected[f"sweep_{c}"] = [[tap, *row] for tap, row in
+                                      zip(sweep["taps"], sweep["matrix"])]
+        for roi in rois:
+            expected[f"partial_rsa_{roi}"] = [
+                [r["condition"], r["rho_std"], r["rho_partial"], r["delta"]]
+                for r in report["partial_rsa"][roi]]
+        # the conv1 filter tables come from the checkpoints, not the report
+        tables = {p.stem for p in (out / "tables").glob("*.csv")
+                  if not p.stem.startswith("filter")}
+        assert tables == set(expected)
+        for name, rows in expected.items():
+            with open(out / "tables" / f"{name}.csv", newline="") as f:
+                got = list(csv.reader(f))[1:]
+            assert got == [[cell(v) for v in row] for row in rows], name
 
     def test_report_json_matches_returned_report(self, tmp_path):
         cfg = tiny_config(tmp_path, rules=("random",), seeds=(0,), n_boot=50, n_perm=50)

@@ -386,3 +386,13 @@ class TestCohensD:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             stats.cohens_d_paired([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: stats.bootstrap_ci(v, v[::-1], n_boot=0),
+    lambda v: stats.permutation_test(v, v[::-1], v, n_perm=0),
+    lambda v: stats.noise_ceiling([v, v[::-1], v], n_splits=0),
+], ids=["bootstrap_ci", "permutation_test", "noise_ceiling"])
+def test_count_below_one_rejected(call):
+    with pytest.raises(ConfigurationError, match=">= 1, got 0"):
+        call(np.arange(10.0))
