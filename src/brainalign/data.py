@@ -158,6 +158,8 @@ def resize_bilinear(image, target: int = 224) -> np.ndarray:
     """Separable bilinear resize of the trailing two axes (half-pixel
     centers, the corner-aligned=False convention). Idempotent at the
     target size."""
+    if target < 1:
+        raise ConfigurationError(f"resize target must be >= 1 pixel, got {target}")
     img = np.asarray(image, dtype=np.float64)
     if img.shape[-2] < 1 or img.shape[-1] < 1:
         raise ConfigurationError(f"cannot resize empty image {img.shape}")

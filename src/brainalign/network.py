@@ -145,8 +145,7 @@ def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
 class BlockCache(NamedTuple):
     x: np.ndarray             # block input
     bn_cache: ops.BnCache | None
-    pre_relu: np.ndarray      # post-BN, pre-ReLU
-    post_relu: np.ndarray     # post-ReLU, pre-pool
+    post_relu: np.ndarray     # post-BN, post-ReLU, pre-pool; > 0 is the ReLU mask
     pool_idx: ops.PoolIndices
     out: np.ndarray           # post-pool block output
 
@@ -173,12 +172,13 @@ def _check_batch(state: NetworkState, batch):
 
 
 def _block_forward(block: ConvBlock, x, mode: str) -> BlockCache:
-    conv = ops.conv2d_forward(x, block.w, block.b, block.spec)
-    bn, bn_cache = ops.batchnorm_forward(conv, block.gamma, block.beta, block.stats, mode)
-    act = ops.relu_forward(bn)
+    """conv -> BN -> ReLU -> pool, keeping one full-size map: the BN
+    output, a fresh array in both modes, is rectified in place."""
+    act, bn_cache = ops.batchnorm_forward(ops.conv2d_forward(x, block.w, block.b, block.spec),
+                                          block.gamma, block.beta, block.stats, mode)
+    np.maximum(act, 0.0, out=act)
     out, pool_idx = ops.maxpool2x2_forward(act)
-    return BlockCache(x=x, bn_cache=bn_cache, pre_relu=bn, post_relu=act,
-                      pool_idx=pool_idx, out=out)
+    return BlockCache(x=x, bn_cache=bn_cache, post_relu=act, pool_idx=pool_idx, out=out)
 
 
 def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCache:
@@ -210,16 +210,6 @@ def fc_forward(state: NetworkState, gap) -> ForwardCache:
                         logits=logits)
 
 
-def taps_from_cache(cache: ForwardCache) -> dict[str, np.ndarray]:
-    return {
-        "conv1": cache.blocks[0].out,
-        "conv2": cache.blocks[1].out,
-        "conv3": cache.blocks[2].out,
-        "fc1": cache.fc1_act,
-        "fc2": cache.logits,
-    }
-
-
 def forward(state: NetworkState, batch, mode: str = "eval"):
     """Forward pass returning (logits, tap activations).
 
@@ -227,7 +217,8 @@ def forward(state: NetworkState, batch, mode: str = "eval"):
     the raw logits. Eval mode is a pure function of (state, batch).
     """
     cache = forward_cached(state, batch, mode)
-    return cache.logits, taps_from_cache(cache)
+    taps = dict(zip(CONV_TAPS, (c.out for c in cache.blocks)))
+    return cache.logits, {**taps, "fc1": cache.fc1_act, "fc2": cache.logits}
 
 
 @dataclass
@@ -263,7 +254,7 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
         block = state.conv_blocks()[i]
         c = cache.blocks[i]
         delta = ops.maxpool2x2_backward(delta, c.pool_idx)
-        delta = ops.relu_backward(delta, c.pre_relu)
+        delta = ops.relu_backward(delta, c.post_relu)
         delta, g_gamma, g_beta = ops.batchnorm_backward(delta, c.bn_cache)
         g_w = ops.conv2d_weight_grad(delta, c.x, block.spec)
         g_b = delta.sum(axis=(0, 2, 3))
@@ -315,7 +306,10 @@ class LayerFeatures:
 
 
 def _extraction_batch_size(resolution: int) -> int:
-    # forward() caches each block's maps, 12.8 MB per image for conv1 at 224 px.
+    # At 224 px forward_cached keeps, per image, each block's rectified map,
+    # pool argmax and pooled output: 12.8 + 3.2 + 3.2 MB for conv1 and
+    # 35 MB in all. The sizes stay as they are because the benchmark's
+    # reference pins the forward_cached and conv call counts they produce.
     return 64 if resolution <= 32 else 8
 
 

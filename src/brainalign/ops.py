@@ -6,9 +6,10 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention), always one GEMM against conv_windows. Max pooling breaks
-ties towards the first element in row-major window order and truncates
-a trailing odd row or column. Batch norm: eps 1e-5, running-stat momentum 0.1.
+convention), always one GEMM against conv_windows. Max pooling works on
+four strided corner views of the input, breaks ties towards the first
+corner in row-major window order and truncates a trailing odd row or
+column. Batch norm: eps 1e-5, running-stat momentum 0.1.
 """
 
 from __future__ import annotations
@@ -160,51 +161,41 @@ def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):
 class PoolIndices(NamedTuple):
     """Argmax bookkeeping from maxpool2x2_forward, consumed by the backward."""
 
-    argmax: np.ndarray           # [B,C,Ho,Wo] int, position 0..3 in row-major window order
+    argmax: np.ndarray           # [B,C,Ho,Wo] int, corner 0..3 in row-major window order
     in_shape: tuple[int, ...]    # original input shape (before odd-edge truncation)
 
 
-def _pool_windows(x):
-    B, C, H, W = x.shape
-    Ho, Wo = H // 2, W // 2
-    trimmed = x[:, :, : 2 * Ho, : 2 * Wo]
-    win = trimmed.reshape(B, C, Ho, 2, Wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    return win.reshape(B, C, Ho, Wo, 4), Ho, Wo
+def _pool_corners(x):
+    """The four strided [B,C,Ho,Wo] views of the 2x2 windows' corners, in
+    row-major window order; a trailing odd row or column is in none."""
+    Ho, Wo = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, i : 2 * Ho : 2, j : 2 * Wo : 2] for i in (0, 1) for j in (0, 1)]
 
 
 def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
-    Returns (output, PoolIndices). np.argmax picks the first maximum, which
-    is exactly the row-major tie-break this package guarantees.
+    Returns (output, PoolIndices). The output is an elementwise max of the
+    four corner views; the argmax is the first corner equal to it, which is
+    the row-major first-max tie-break this package guarantees.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
-    win, Ho, Wo = _pool_windows(x)
-    idx = np.argmax(win, axis=-1)
-    out = np.max(win, axis=-1)
+    c0, c1, c2, c3 = _pool_corners(x)
+    out = np.maximum(np.maximum(np.maximum(c0, c1), c2), c3)
+    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
     return out, PoolIndices(argmax=idx, in_shape=x.shape)
 
 
 def maxpool2x2_backward(grad_out, indices: PoolIndices):
-    """Route each window's gradient to its argmax position; zeros elsewhere."""
-    B, C, H, W = indices.in_shape
-    Ho, Wo = H // 2, W // 2
-    if grad_out.shape != (B, C, Ho, Wo):
-        raise ConfigurationError(
-            f"maxpool backward grad {grad_out.shape} does not match pooled shape {(B, C, Ho, Wo)}"
-        )
-    scattered = np.zeros((B, C, Ho, Wo, 4))
-    np.put_along_axis(scattered, indices.argmax[..., None], grad_out[..., None], axis=-1)
-    grad_trim = (
-        scattered.reshape(B, C, Ho, Wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(B, C, 2 * Ho, 2 * Wo)
-    )
-    if (H, W) == (2 * Ho, 2 * Wo):
-        return grad_trim
+    """Route each window's gradient to its argmax corner; zeros elsewhere,
+    the dropped odd edge included."""
+    if grad_out.shape != indices.argmax.shape:
+        raise ConfigurationError(f"maxpool backward grad {grad_out.shape} does not match "
+                                 f"pooled shape {indices.argmax.shape}")
     grad_x = np.zeros(indices.in_shape)
-    grad_x[:, :, : 2 * Ho, : 2 * Wo] = grad_trim
+    for k, corner in enumerate(_pool_corners(grad_x)):
+        np.copyto(corner, grad_out, where=indices.argmax == k)
     return grad_x
 
 

@@ -43,6 +43,7 @@ from .errors import ConfigurationError, DataFormatError
 from .filters import summarize_filters, write_filter_grid_csv, write_filter_scores_csv
 from .network import (
     DEFAULT_CHANNELS,
+    SUPPORTED_RESOLUTIONS,
     TAPS,
     LayerFeatures,
     extract_all_taps,
@@ -121,6 +122,11 @@ class ExperimentConfig:
         for name in ("train_limit", "num_classes", "n_boot", "n_perm", "noise_ceiling_splits"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.channels) != 3 or any(c != int(c) or c < 1 for c in self.channels):
+            raise ConfigurationError(f"channels must be three integers >= 1, got {self.channels}")
+        if self.resolution not in SUPPORTED_RESOLUTIONS:
+            raise ConfigurationError(
+                f"resolution must be one of {SUPPORTED_RESOLUTIONS}, got {self.resolution}")
         self.rule_config("random")  # LearningRuleConfig checks the rule hyperparameters
 
     @property

@@ -131,7 +131,7 @@ def test_criterion_01_gradient_correctness():
         sig = []
         for bc in cache.blocks:
             sig.append(bc.pool_idx.argmax)
-            sig.append(bc.pre_relu > 0)
+            sig.append(bc.post_relu > 0)
         sig.append(cache.fc1_pre > 0)
         return sig
 

@@ -92,10 +92,11 @@ class TestVerbs:
         cfg = str(synth_dir / "data" / "synth.cfg")
         main(["train", "--config", cfg, "--rule", "random", "--seed", "1",
               "--ckpt", str(tmp_path / "r.ckpt")])
-        rc = main(["extract", "--ckpt", str(tmp_path / "r.ckpt"),
-                   "--stimuli", str(synth_dir / "data" / "stimuli"),
-                   "--resolution", "48", "--out", str(tmp_path / "f")])
-        assert rc == 2
+        for resolution in ("48", "0"):
+            rc = main(["extract", "--ckpt", str(tmp_path / "r.ckpt"),
+                       "--stimuli", str(synth_dir / "data" / "stimuli"),
+                       "--resolution", resolution, "--out", str(tmp_path / "f")])
+            assert rc == 2, resolution
 
 
 class TestExitCodes:

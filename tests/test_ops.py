@@ -186,6 +186,27 @@ class TestMaxPool:
         num = numeric_grad(lambda v: float(np.sum(ops.maxpool2x2_forward(v)[0] * proj)), x)
         assert relerr(g, num) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["integer_ties", "relu_zeros"])
+    def test_matches_per_window_loop(self, rng, kind):
+        shape = (2, 3, 7, 9)
+        if kind == "integer_ties":
+            x = rng.integers(0, 3, shape).astype(float)
+        else:
+            x = np.maximum(rng.normal(size=shape), 0.0)
+        out, idx = ops.maxpool2x2_forward(x)
+        g_out = rng.normal(size=out.shape)
+        g_in = ops.maxpool2x2_backward(g_out, idx)
+        want_out, want_idx = np.zeros(out.shape), np.zeros(out.shape, dtype=int)
+        want_g = np.zeros(shape)
+        for b, c, i, j in np.ndindex(out.shape):
+            window = [x[b, c, 2 * i + di, 2 * j + dj] for di in (0, 1) for dj in (0, 1)]
+            k = window.index(max(window))  # the first maximum in row-major order
+            want_out[b, c, i, j], want_idx[b, c, i, j] = window[k], k
+            want_g[b, c, 2 * i + k // 2, 2 * j + k % 2] = g_out[b, c, i, j]
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(idx.argmax, want_idx)
+        assert np.array_equal(g_in, want_g)
+
 
 # ---------------------------------------------------------------------------
 # batchnorm

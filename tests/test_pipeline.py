@@ -74,6 +74,7 @@ class TestConfig:
         ("n_boot", 0), ("n_perm", 0), ("noise_ceiling_splits", 0), ("train_limit", 0),
         ("num_classes", 0), ("seeds", (0, -1)),
         ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
+        ("channels", (4, 6)), ("channels", (4, 0, 8)), ("resolution", 0), ("resolution", 64),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
