@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -307,9 +308,10 @@ class LayerFeatures:
 
 def _extraction_batch_size(resolution: int) -> int:
     # At 224 px forward_cached keeps, per image, each block's rectified map,
-    # pool argmax and pooled output: 12.8 + 3.2 + 3.2 MB for conv1 and
-    # 35 MB in all. The sizes stay as they are because the benchmark's
-    # reference pins the forward_cached and conv call counts they produce.
+    # int8 pool argmax and pooled output: 12.8 + 0.4 + 3.2 MB for conv1 and
+    # 30 MB in all, the input image included. The sizes stay as they are
+    # because the benchmark's reference pins the forward_cached and conv
+    # call counts they produce.
     return 64 if resolution <= 32 else 8
 
 
@@ -346,7 +348,11 @@ def extract_features(state: NetworkState, stimuli, tap: str,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
-    """Write a versioned binary checkpoint: header, JSON manifest, raw float64."""
+    """Write a versioned binary checkpoint: header, JSON manifest, raw float64.
+
+    The file is written to `<path>.tmp` and renamed onto `path`, so a save
+    that fails leaves any checkpoint already at `path` as it was.
+    """
     arrays = state.parameter_arrays()
     manifest = {
         "rule": rule,
@@ -357,11 +363,18 @@ def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
         "bn_batches_seen": [b.stats.batches_seen for b in state.conv_blocks()],
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
-    with open(path, "wb") as f:
-        f.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
-        f.write((json.dumps(manifest, sort_keys=True) + "\n").encode("ascii"))
-        for v in arrays.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
+            f.write((json.dumps(manifest, sort_keys=True) + "\n").encode("ascii"))
+            for v in arrays.values():
+                f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -6,10 +6,13 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention), always one GEMM against conv_windows. Max pooling works on
-four strided corner views of the input, breaks ties towards the first
-corner in row-major window order and truncates a trailing odd row or
-column. Batch norm: eps 1e-5, running-stat momentum 0.1.
+convention), always one GEMM against conv_windows, with the bias added as
+each GEMM chunk is copied into the output. Max pooling takes the max of
+four strided corner views of the input into one array, keeps its argmax
+as an int8 corner index, breaks ties towards the first corner in
+row-major window order and truncates a trailing odd row or column. Batch
+norm (eps 1e-5, running-stat momentum 0.1) allocates one full-size output
+in eval mode, and in train mode that output plus the cached xhat.
 """
 
 from __future__ import annotations
@@ -101,12 +104,12 @@ def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
     B, _, Ho, Wo = windows.shape[:4]
     O, C, k = spec.out_channels, spec.in_channels, spec.kernel_size
     out = np.empty((B, O, Ho, Wo))
+    bias = np.asarray(b).reshape(-1, 1, 1)
     chunk = max(1, B * O // (C * k * k))
     for b0 in range(0, B, chunk):
         # [O,C,k,k] x [b,C,Ho,Wo,k,k] summed over C,k,k -> [O,b,Ho,Wo]
         cols = np.tensordot(w, windows[b0 : b0 + chunk], axes=([1, 2, 3], [1, 4, 5]))
-        out[b0 : b0 + chunk] = cols.transpose(1, 0, 2, 3)
-    out += np.asarray(b).reshape(1, -1, 1, 1)
+        np.add(cols.transpose(1, 0, 2, 3), bias, out=out[b0 : b0 + chunk])
     return out
 
 
@@ -161,7 +164,7 @@ def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):
 class PoolIndices(NamedTuple):
     """Argmax bookkeeping from maxpool2x2_forward, consumed by the backward."""
 
-    argmax: np.ndarray           # [B,C,Ho,Wo] int, corner 0..3 in row-major window order
+    argmax: np.ndarray           # [B,C,Ho,Wo] int8, corner 0..3 in row-major window order
     in_shape: tuple[int, ...]    # original input shape (before odd-edge truncation)
 
 
@@ -176,14 +179,22 @@ def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
     Returns (output, PoolIndices). The output is an elementwise max of the
-    four corner views; the argmax is the first corner equal to it, which is
-    the row-major first-max tie-break this package guarantees.
+    four corner views, taken into one array; the int8 argmax counts the
+    leading corners that differ from it, so it is the first corner equal to
+    the max (the row-major first-max tie-break this package guarantees),
+    and 3 for a window whose max is NaN.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
     c0, c1, c2, c3 = _pool_corners(x)
-    out = np.maximum(np.maximum(np.maximum(c0, c1), c2), c3)
-    idx = np.where(c0 == out, 0, np.where(c1 == out, 1, np.where(c2 == out, 2, 3)))
+    out = np.maximum(c0, c1)
+    np.maximum(out, c2, out=out)
+    np.maximum(out, c3, out=out)
+    run = c0 != out   # True while every corner so far differs from the max
+    idx = run.view(np.int8).copy()
+    for corner in (c1, c2):
+        run &= corner != out
+        idx += run.view(np.int8)
     return out, PoolIndices(argmax=idx, in_shape=x.shape)
 
 
@@ -242,22 +253,32 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         raise ConfigurationError(
             f"batchnorm params gamma {gamma.shape} / beta {beta.shape} do not match {C} channels"
         )
+    # Each branch fills fresh arrays with in-place ufuncs, in the order of
+    # (x - mean) * inv_std * gamma + beta, so no full-size temporary is made.
     if mode == "train":
         n = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        xhat = x - mu.reshape(1, C, 1, 1)
+        # np.var's own steps: the squared deviations from the mean, summed, / n
+        out = np.square(xhat)
+        var = out.sum(axis=(0, 2, 3)) / n
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu.reshape(1, C, 1, 1)) * inv_std.reshape(1, C, 1, 1)
+        xhat *= inv_std.reshape(1, C, 1, 1)
         var_unbiased = var * (n / (n - 1)) if n > 1 else var
         stats.mean += momentum * (mu - stats.mean)
         stats.var += momentum * (var_unbiased - stats.var)
         stats.batches_seen += 1
-        out = gamma.reshape(1, C, 1, 1) * xhat + beta.reshape(1, C, 1, 1)
+        # `out` reuses the squares' buffer; it must never alias the cached
+        # xhat, because callers rectify it in place before the backward.
+        np.multiply(xhat, gamma.reshape(1, C, 1, 1), out=out)
+        out += beta.reshape(1, C, 1, 1)
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(stats.var + eps)
-        xhat = (x - stats.mean.reshape(1, C, 1, 1)) * inv_std.reshape(1, C, 1, 1)
-        out = gamma.reshape(1, C, 1, 1) * xhat + beta.reshape(1, C, 1, 1)
+        out = x - stats.mean.reshape(1, C, 1, 1)
+        out *= inv_std.reshape(1, C, 1, 1)
+        out *= gamma.reshape(1, C, 1, 1)
+        out += beta.reshape(1, C, 1, 1)
         return out, None
     raise ConfigurationError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 

@@ -172,6 +172,21 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         assert path.read_bytes().startswith(b"PLRSA-CKPT-v1\n")
 
+    def test_failed_save_keeps_earlier_checkpoint(self, state, tmp_path, monkeypatch):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path, rule="bp")
+        before = path.read_bytes()
+        # the third array cannot become float64, so the save fails after
+        # writing the header, the manifest and two arrays
+        arrays = list(state.parameter_arrays().items())
+        broken = dict(arrays[:2] + [("boom", np.array([object()]))] + arrays[2:])
+        monkeypatch.setattr(state, "parameter_arrays", lambda: broken)
+        with pytest.raises(TypeError):
+            save_checkpoint(state, path, rule="fa")
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == "bp"
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOT-A-CKPT\n{}\n")

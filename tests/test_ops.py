@@ -208,6 +208,18 @@ class TestMaxPool:
         assert np.array_equal(g_in, want_g)
 
 
+    def test_argmax_int8_nan_and_neg_inf_windows(self):
+        nan, inf = np.nan, np.inf
+        windows = [[nan, 1, 2, 3], [1, nan, 5, 0], [0, 0, 0, nan], [nan] * 4,
+                   [-inf] * 4, [-inf, 2, -inf, 2]]
+        # window k, corners in row-major order, at columns 2k, 2k+1
+        x = np.array(windows).reshape(-1, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, -1)
+        out, idx = ops.maxpool2x2_forward(x)
+        assert idx.argmax.dtype == np.int8
+        assert idx.argmax.ravel().tolist() == [3, 3, 3, 3, 0, 1]
+        assert np.array_equal(out.ravel(), [nan, nan, nan, nan, -inf, 2], equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm
 # ---------------------------------------------------------------------------
@@ -244,6 +256,49 @@ class TestBatchNorm:
                                        RunningStats.fresh(2), "eval")
         assert np.allclose(out, x / np.sqrt(1 + ops.BN_EPS))
 
+    @pytest.mark.parametrize("layout", ["contiguous", "reversed_rows"])
+    def test_train_matches_reference_expressions(self, rng, layout):
+        x = rng.normal(1.5, 2.0, size=(6, 3, 5, 7))
+        if layout == "reversed_rows":
+            x = x[:, :, ::-1]
+        gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+        stats, want_stats = (RunningStats(np.full(3, 0.2), np.full(3, 1.5)) for _ in range(2))
+        out, cache = ops.batchnorm_forward(x, gamma, beta, stats, "train")
+        c = (1, 3, 1, 1)
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + ops.BN_EPS)
+        xhat = (x - mu.reshape(c)) * inv_std.reshape(c)
+        want_stats.mean += ops.BN_MOMENTUM * (mu - want_stats.mean)
+        want_stats.var += ops.BN_MOMENTUM * (var * (n / (n - 1)) - want_stats.var)
+        assert np.array_equal(cache.inv_std, inv_std)
+        assert np.array_equal(cache.xhat, xhat)
+        assert np.array_equal(out, gamma.reshape(c) * xhat + beta.reshape(c))
+        assert np.array_equal(stats.mean, want_stats.mean)
+        assert np.array_equal(stats.var, want_stats.var)
+
+    def test_eval_matches_reference_expression(self, rng):
+        x = rng.normal(1.5, 2.0, size=(4, 3, 5, 5))
+        gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+        stats = RunningStats(mean=rng.normal(size=3), var=rng.uniform(0.5, 2, size=3),
+                             batches_seen=3)
+        out, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval")
+        c = (1, 3, 1, 1)
+        inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
+        want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
+        assert np.array_equal(out, want)
+
+    def test_train_output_does_not_alias_cached_xhat(self, rng):
+        # _block_forward rectifies the output in place, and the backward
+        # then reads xhat
+        x = rng.normal(size=(4, 2, 5, 5))
+        out, cache = ops.batchnorm_forward(x, np.ones(2), np.zeros(2),
+                                           RunningStats.fresh(2), "train")
+        xhat = cache.xhat.copy()
+        assert not np.shares_memory(out, cache.xhat)
+        np.maximum(out, 0.0, out=out)
+        assert np.array_equal(cache.xhat, xhat)
+
     def test_backward_matches_finite_differences(self, rng):
         x = rng.normal(size=(5, 3, 4, 4))
         gamma = rng.normal(1.0, 0.3, size=3)
@@ -259,6 +314,25 @@ class TestBatchNorm:
         assert relerr(gx, numeric_grad(fwd, x)) < 1e-4
         assert relerr(gg, numeric_grad(lambda v: fwd(x, g=v), gamma)) < 1e-4
         assert relerr(gb, numeric_grad(lambda v: fwd(x, b=v), beta)) < 1e-4
+
+
+@pytest.mark.parametrize("op", ["conv", "bn_train", "bn_eval", "pool"])
+def test_forward_leaves_input_unchanged_and_unshared(rng, op):
+    x = rng.normal(size=(2, 3, 6, 6))
+    before = x.tobytes()
+    if op == "conv":
+        results = [ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4),
+                                      ConvSpec(3, 4, 3, padding=1))]
+    elif op == "pool":
+        out, idx = ops.maxpool2x2_forward(x)
+        results = [out, idx.argmax]
+    else:
+        out, cache = ops.batchnorm_forward(x, np.ones(3), np.zeros(3), RunningStats.fresh(3),
+                                           op.removeprefix("bn_"))
+        results = [out] + ([cache.xhat] if cache else [])
+    assert x.tobytes() == before
+    for r in results:
+        assert not np.shares_memory(r, x)
 
 
 # ---------------------------------------------------------------------------
