@@ -4,8 +4,9 @@ Verbs: synth, train, extract, rdm, rsa, sweep, filters, report. Each runs
 independently on intermediate artifacts so desk-scale partial runs are
 cheap; `report` executes the whole pipeline from a config file.
 
-Exit codes: 0 success, 2 configuration error, 3 data error. Flags given
-on the command line override values from --config.
+Exit codes: 0 success, 2 configuration error, 3 data error (which covers
+a statistic the data leave undefined). Flags given on the command line
+override values from --config.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from .data import (
     write_rdm_csv,
     write_synth_dataset,
 )
-from .errors import ConfigurationError, DataFormatError, TrainingDivergedError
+from .errors import (
+    ConfigurationError,
+    DataFormatError,
+    TrainingDivergedError,
+    UndefinedStatisticError,
+)
 from .filters import summarize_filters, write_filter_grid_csv, write_filter_scores_csv
 from .network import TAPS, extract_all_taps, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -259,7 +265,8 @@ def main(argv=None) -> int:
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, TrainingDivergedError) as e:
+    except (DataFormatError, FileNotFoundError, TrainingDivergedError,
+            UndefinedStatisticError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

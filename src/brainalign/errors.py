@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes (configuration errors -> 2, data
-errors -> 3), so raise the most specific type that applies.
+The CLI maps these onto exit codes (configuration errors -> 2; data
+errors, diverged training and undefined statistics -> 3), so raise the
+most specific type that applies.
 """
 
 

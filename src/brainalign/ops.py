@@ -12,7 +12,8 @@ four strided corner views of the input into one array, keeps its argmax
 as an int8 corner index, breaks ties towards the first corner in
 row-major window order and truncates a trailing odd row or column. Batch
 norm (eps 1e-5, running-stat momentum 0.1) allocates one full-size output
-in eval mode, and in train mode that output plus the cached xhat.
+in eval mode, and in train mode that output plus the cached xhat; its
+backward allocates two full-size buffers, one of which it returns.
 """
 
 from __future__ import annotations
@@ -284,17 +285,28 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
 
 
 def batchnorm_backward(grad_out, cache: BnCache):
-    """Gradients of train-mode batchnorm: (grad_input, grad_gamma, grad_beta)."""
+    """Gradients of train-mode batchnorm: (grad_input, grad_gamma, grad_beta).
+
+    grad_x = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    dxhat = grad_out * gamma. In-place ufuncs run those operations in that
+    order in two full-size buffers, so the result is bit for bit the plain
+    expression's: `prod` holds each product in turn and `dxhat` becomes
+    grad_x. Neither grad_out nor the cached xhat is written.
+    """
     xhat, inv_std, gamma = cache
     C = xhat.shape[1]
-    n = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    prod = grad_out * xhat
+    grad_gamma = prod.sum(axis=(0, 2, 3))
     dxhat = grad_out * gamma.reshape(1, C, 1, 1)
     mean_dxhat = dxhat.mean(axis=(0, 2, 3)).reshape(1, C, 1, 1)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3)).reshape(1, C, 1, 1)
-    grad_x = inv_std.reshape(1, C, 1, 1) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return grad_x, grad_gamma, grad_beta
+    np.multiply(dxhat, xhat, out=prod)
+    mean_dxhat_xhat = prod.mean(axis=(0, 2, 3)).reshape(1, C, 1, 1)
+    np.multiply(xhat, mean_dxhat_xhat, out=prod)
+    dxhat -= mean_dxhat
+    dxhat -= prod
+    dxhat *= inv_std.reshape(1, C, 1, 1)
+    return dxhat, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------

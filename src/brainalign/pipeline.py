@@ -380,6 +380,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for roi in config.roi_map_dict:
         if roi not in by_roi:
             log.warning("no brain RDMs for ROI %s; skipping it", roi)
+        elif len(by_roi[roi]) < 2:
+            raise DataFormatError(
+                f"{config.brain_rdm_dir}: ROI {roi} has 1 subject RDM; its noise "
+                "ceiling needs at least 2 subjects")
 
     mean_brain = {roi: average_rdms([b.rdm for b in files])
                   for roi, files in by_roi.items()}

@@ -5,7 +5,9 @@ paired Cohen's d.
 
 Conventions shared by everything here:
 
-* Ties get average (fractional) ranks.
+* Ties get average (fractional) ranks. A vector is ranked with one
+  unstable sort: a tie run's average rank does not depend on the order
+  inside it, so the ranks are bit for bit those of a stable sort.
 * Permutation p-values use the (b + 1) / (N + 1) estimator, so the
   smallest representable p at N permutations is 1 / (N + 1).
 * Bootstrap CIs are percentile intervals with linear interpolation. No
@@ -13,7 +15,8 @@ Conventions shared by everything here:
   come from a cumulative sum of its per-pair draw counts in that fixed
   sort order. Below about 2e5 pairs every CI is bit for bit the one that
   ranking each resample gives.
-* Inputs must be finite: ranks assume a total order, which NaN breaks.
+* Inputs must be finite: ranks assume a total order, which NaN breaks
+  (and an unstable sort would place NaNs arbitrarily among themselves).
 * Every stochastic routine is deterministic given its seed and does not
   depend on thread count (there is none).
 """
@@ -46,23 +49,32 @@ _PERM_CHUNK = 128
 # Ranks and Spearman
 # ---------------------------------------------------------------------------
 
+def _sorted_runs(row):
+    """(order, bounds): a sort order of a 1D row and the sorted positions
+    where its tie runs start, followed by len(row). Run k fills sorted
+    positions bounds[k] .. bounds[k + 1] - 1."""
+    order = np.argsort(row)
+    s = row[order]
+    n = s.shape[0]
+    starts = np.ones(n + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=starts[1:n])
+    return order, np.flatnonzero(starts)
+
+
 def rank_rows(m: np.ndarray) -> np.ndarray:
-    """Average (fractional) 1-based ranks along axis 1, vectorized over rows."""
+    """Average (fractional) 1-based ranks along axis 1 of a 2D array.
+
+    Each row is sorted once, by numpy's default (unstable) argsort. The
+    ranks are bit-identical to those of a stable sort: a tie run at sorted
+    positions start .. stop - 1 gets (start + stop + 1) / 2 whatever the
+    order inside it, and 0.0 ties -0.0 because the runs split on `!=`.
+    Values must be finite: NaN has no place in the order.
+    """
     m = np.asarray(m, dtype=np.float64)
-    rows, n = m.shape
-    order = np.argsort(m, axis=1, kind="stable")
-    s = np.take_along_axis(m, order, axis=1)
-    pos = np.broadcast_to(np.arange(n), (rows, n))
-    new_group = np.ones((rows, n), dtype=bool)
-    new_group[:, 1:] = s[:, 1:] != s[:, :-1]
-    start = np.maximum.accumulate(np.where(new_group, pos, 0), axis=1)
-    # end of each tie group = (next group's start) - 1, found from the right
-    nxt = np.where(new_group, pos, n)
-    nxt = np.concatenate([nxt[:, 1:], np.full((rows, 1), n)], axis=1)
-    end = np.flip(np.minimum.accumulate(np.flip(nxt, axis=1), axis=1), axis=1) - 1
-    avg = (start + end) / 2.0 + 1.0
-    ranks = np.empty_like(avg)
-    np.put_along_axis(ranks, order, avg, axis=1)
+    ranks = np.empty_like(m)
+    for row, out in zip(m, ranks):
+        order, bounds = _sorted_runs(row)
+        out[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return ranks
 
 
@@ -107,14 +119,16 @@ def spearman(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 def _tie_layout(v):
-    """(order, below, through): the stable sort order of v and, per element,
-    how many elements sort strictly below its tie group and how many sort
-    below or in it."""
-    ranks = rank_rows(v[None, :])[0]
-    order = np.argsort(ranks, kind="stable")
-    sorted_ranks = ranks[order]
-    return (order, np.searchsorted(sorted_ranks, ranks, "left"),
-            np.searchsorted(sorted_ranks, ranks, "right"))
+    """(order, below, through): a sort order of v and, per element, how many
+    elements sort strictly below its tie group and how many sort below or
+    in it, i.e. the bounds of its tie run."""
+    order, bounds = _sorted_runs(rank_rows(v[None, :])[0])
+    size = np.diff(bounds)
+    below = np.empty(order.shape, dtype=np.intp)
+    below[order] = np.repeat(bounds[:-1], size)
+    through = np.empty_like(below)
+    through[order] = np.repeat(bounds[1:], size)
+    return order, below, through
 
 
 def _constant_rows(v, idx) -> np.ndarray:

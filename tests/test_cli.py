@@ -157,6 +157,34 @@ class TestExitCodes:
                      "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
         assert "non-finite value nan at (stim-0001, stim-0004)" in capsys.readouterr().err
 
+    def test_one_subject_report_is_3_and_keeps_last_run(self, synth_dir, tmp_path, capsys):
+        brain = synth_dir / "data" / "brain"
+        one = tmp_path / "one_subject"
+        one.mkdir()
+        for path in brain.glob("sub-01_*.csv"):
+            shutil.copy(path, one / path.name)
+        cfg = (synth_dir / "data" / "synth.cfg").read_text()
+        assert f"brain_rdm_dir = {brain}\n" in cfg
+        (tmp_path / "one.cfg").write_text(cfg.replace(f"brain_rdm_dir = {brain}\n",
+                                                      f"brain_rdm_dir = {one}\n"))
+        run = ["--out", str(tmp_path / "run"), "--rules", "random", "--seeds", "0"]
+        assert main(["report", "--config", str(synth_dir / "data" / "synth.cfg")] + run) == 0
+        before = treehash(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["report", "--config", str(tmp_path / "one.cfg")] + run) == 3
+        assert "ROI V1 has 1 subject RDM" in capsys.readouterr().err
+        assert treehash(tmp_path / "run") == before
+
+    def test_constant_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
+        ids = read_rdm_csv(synth_dir / "data" / "brain" / "sub-01_V1.csv").ids
+        values = np.ones((len(ids), len(ids)))
+        np.fill_diagonal(values, 0.0)
+        write_rdm_csv(RDM(values=values, ids=ids), tmp_path / "flat.csv")
+        assert main(["rsa", "--model-rdm", str(tmp_path / "flat.csv"),
+                     "--brain-dir", str(synth_dir / "data" / "brain"),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "correlation undefined for a constant vector" in capsys.readouterr().err
+
     def test_reordered_model_rdm_is_3(self, synth_dir, tmp_path):
         # a model RDM keyed to another stimulus order is an error, never scored
         brain = synth_dir / "data" / "brain"

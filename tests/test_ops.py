@@ -315,6 +315,29 @@ class TestBatchNorm:
         assert relerr(gg, numeric_grad(lambda v: fwd(x, g=v), gamma)) < 1e-4
         assert relerr(gb, numeric_grad(lambda v: fwd(x, b=v), beta)) < 1e-4
 
+    @pytest.mark.parametrize("layout", ["contiguous", "reversed_rows"])
+    def test_backward_matches_reference_expression(self, rng, layout):
+        x = rng.normal(1.5, 2.0, size=(6, 3, 5, 7))
+        gamma = rng.normal(1.0, 0.3, size=3)
+        _, cache = ops.batchnorm_forward(x, gamma, rng.normal(size=3),
+                                         RunningStats.fresh(3), "train")
+        grad_out = rng.normal(size=x.shape)
+        if layout == "reversed_rows":
+            grad_out = grad_out[:, :, ::-1]
+        before = grad_out.tobytes(), cache.xhat.tobytes(), cache.inv_std.tobytes()
+        gx, gg, gb = ops.batchnorm_backward(grad_out, cache)
+        assert (grad_out.tobytes(), cache.xhat.tobytes(), cache.inv_std.tobytes()) == before
+        c, xhat, axes = (1, 3, 1, 1), cache.xhat, (0, 2, 3)
+        dxhat = grad_out * gamma.reshape(c)
+        want = cache.inv_std.reshape(c) * (
+            dxhat - dxhat.mean(axis=axes).reshape(c)
+            - xhat * (dxhat * xhat).mean(axis=axes).reshape(c))
+        assert np.array_equal(gx, want)
+        assert np.array_equal(gg, (grad_out * xhat).sum(axis=axes))
+        assert np.array_equal(gb, grad_out.sum(axis=axes))
+        assert not any(np.shares_memory(g, a) for g in (gx, gg, gb)
+                       for a in (grad_out, xhat))
+
 
 @pytest.mark.parametrize("op", ["conv", "bn_train", "bn_eval", "pool"])
 def test_forward_leaves_input_unchanged_and_unshared(rng, op):

@@ -75,6 +75,66 @@ class TestSpearman:
         assert np.array_equal(mine, ref)
 
 
+def _stable_rank_rows(m):
+    """The stable-argsort ranking rank_rows replaced, kept as a reference:
+    each element's tie group start and end from running max/min scans."""
+    m = np.asarray(m, dtype=np.float64)
+    rows, n = m.shape
+    order = np.argsort(m, axis=1, kind="stable")
+    s = np.take_along_axis(m, order, axis=1)
+    pos = np.broadcast_to(np.arange(n), (rows, n))
+    new_group = np.ones((rows, n), dtype=bool)
+    new_group[:, 1:] = s[:, 1:] != s[:, :-1]
+    start = np.maximum.accumulate(np.where(new_group, pos, 0), axis=1)
+    nxt = np.where(new_group, pos, n)
+    nxt = np.concatenate([nxt[:, 1:], np.full((rows, 1), n)], axis=1)
+    end = np.flip(np.minimum.accumulate(np.flip(nxt, axis=1), axis=1), axis=1) - 1
+    avg = (start + end) / 2.0 + 1.0
+    ranks = np.empty_like(avg)
+    np.put_along_axis(ranks, order, avg, axis=1)
+    return ranks
+
+
+_RANK_CASES = {
+    "integer_ties": [[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0]],
+    "all_equal": [[2.5] * 9],
+    "signed_zeros": [[0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0]],
+    "infinities": [[np.inf, -1.0, -np.inf, np.inf, 0.0, -np.inf, np.inf, 2.0]],
+    "n1": [[7.0]],
+    "n2_tied": [[7.0, 7.0]],
+    "n2": [[8.0, 7.0]],
+    "rows_with_different_ties": [[1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
+                                 [5.0, 4.0, 3.0, 2.0, 1.0, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                                 [9.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+                                 [2.0, 1.0, 2.0, 1.0, 2.0, 1.0]],
+}
+
+
+class TestRankRows:
+    @pytest.mark.parametrize("case", sorted(_RANK_CASES))
+    def test_matches_rankdata_and_stable_reference(self, case):
+        m = np.array(_RANK_CASES[case])
+        ranks = stats.rank_rows(m)
+        assert np.array_equal(ranks, _stable_rank_rows(m))
+        assert np.array_equal(ranks, np.vstack([ss.rankdata(row) for row in m]))
+
+    def test_long_tied_row(self):
+        # the pair count of 720 stimuli, in about 400 tie runs
+        m = np.round(np.random.default_rng(3).normal(size=(1, 258840)), 2)
+        ranks = stats.rank_rows(m)
+        assert np.array_equal(ranks, _stable_rank_rows(m))
+        assert np.array_equal(ranks[0], ss.rankdata(m[0]))
+
+    def test_permuting_columns_permutes_ranks(self, rng):
+        m = np.vstack([rng.integers(0, 6, 200).astype(float), rng.normal(size=200),
+                       np.round(rng.normal(size=200), 1)])
+        ranks = stats.rank_rows(m)
+        for _ in range(5):
+            perm = rng.permutation(200)
+            assert np.array_equal(stats.rank_rows(m[:, perm]), ranks[:, perm])
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap
 # ---------------------------------------------------------------------------
@@ -107,6 +167,17 @@ def _integer_pair(n, seed):
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("make", [_tied_pair, _integer_pair])
+    def test_tie_layout_bounds_match_searchsorted(self, make):
+        for v in make(500, 4):
+            order, below, through = stats._tie_layout(v)
+            ranks = stats.rank_average(v)
+            assert np.array_equal(np.sort(order), np.arange(v.size))
+            assert np.all(np.diff(v[order]) >= 0)
+            sorted_ranks = np.sort(ranks)
+            assert np.array_equal(below, np.searchsorted(sorted_ranks, ranks, "left"))
+            assert np.array_equal(through, np.searchsorted(sorted_ranks, ranks, "right"))
+
     @pytest.mark.parametrize("make, n_boot, seed", [
         (lambda: np.random.default_rng(1).normal(size=(2, 45)), 300, 0),
         (lambda: np.random.default_rng(2).normal(size=(2, 30)), 100, 1),
