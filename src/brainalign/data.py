@@ -271,7 +271,7 @@ def write_rdm_csv(rdm: RDM, path) -> None:
     with open(path, "w", newline="") as f:
         f.write("id," + ",".join(rdm.ids) + "\n")
         for sid, row in zip(rdm.ids, rdm.values):
-            f.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            f.write(sid + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def _parse_subject_roi(path):
@@ -363,7 +363,9 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
     """Brain RDMs grouped by ROI, each group sorted by subject.
 
     Every brain RDM must be keyed to exactly `ids`, in that order: a
-    mismatch is an error, never silently reordered.
+    mismatch is an error, never silently reordered. A subject may have one
+    RDM per ROI: "sub-01_V1.csv" and "sub-01_v1.csv" together are an error,
+    not a subject counted twice.
     """
     by_roi: dict[str, list[BrainRdmFile]] = {}
     for b in brain_files:
@@ -371,7 +373,11 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
             raise DataFormatError(
                 f"brain RDM {b.subject}/{b.roi} stimulus ids do not match the "
                 f"expected stimulus ordering")
-        by_roi.setdefault(b.roi, []).append(b)
+        group = by_roi.setdefault(b.roi, [])
+        if any(other.subject == b.subject for other in group):
+            raise DataFormatError(f"subject {b.subject} has more than one brain RDM "
+                                  f"for ROI {b.roi}")
+        group.append(b)
     for roi in by_roi:
         by_roi[roi].sort(key=lambda b: b.subject)
     return by_roi

@@ -144,11 +144,14 @@ def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
 # ---------------------------------------------------------------------------
 
 class BlockCache(NamedTuple):
-    x: np.ndarray             # block input
+    """One conv block's forward record. An eval-mode record keeps only
+    `out`; the other fields, which only a backward reads, are None."""
+
+    x: np.ndarray | None          # block input
     bn_cache: ops.BnCache | None
-    post_relu: np.ndarray     # post-BN, post-ReLU, pre-pool; > 0 is the ReLU mask
-    pool_idx: ops.PoolIndices
-    out: np.ndarray           # post-pool block output
+    post_relu: np.ndarray | None  # post-BN, post-ReLU, pre-pool; > 0 is the ReLU mask
+    pool_idx: ops.PoolIndices | None  # holds post_relu and out, read by the pool backward
+    out: np.ndarray               # post-pool block output
 
 
 class ForwardCache(NamedTuple):
@@ -174,19 +177,29 @@ def _check_batch(state: NetworkState, batch):
 
 def _block_forward(block: ConvBlock, x, mode: str) -> BlockCache:
     """conv -> BN -> ReLU -> pool, keeping one full-size map: the BN
-    output, a fresh array in both modes, is rectified in place."""
-    act, bn_cache = ops.batchnorm_forward(ops.conv2d_forward(x, block.w, block.b, block.spec),
-                                          block.gamma, block.beta, block.stats, mode)
+    output is rectified in place. Train mode's BN output is a fresh array;
+    eval mode's BN overwrites the conv output, and its record keeps only
+    the pooled output, so the full-size map is freed when this returns."""
+    z = ops.conv2d_forward(x, block.w, block.b, block.spec)
+    act, bn_cache = ops.batchnorm_forward(z, block.gamma, block.beta, block.stats, mode,
+                                          out=z if mode == "eval" else None)
+    del z
     np.maximum(act, 0.0, out=act)
     out, pool_idx = ops.maxpool2x2_forward(act)
+    if mode == "eval":
+        return BlockCache(x=None, bn_cache=None, post_relu=None, pool_idx=None, out=out)
     return BlockCache(x=x, bn_cache=bn_cache, post_relu=act, pool_idx=pool_idx, out=out)
 
 
 def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCache:
-    """Full forward pass keeping every intermediate needed for a backward.
+    """Full forward pass; in train mode it keeps every intermediate a
+    backward needs.
 
-    An eval pass through a network with an untrained BN block logs one
-    warning per network, not one per block or batch.
+    An eval-mode cache keeps only each block's `out`, the rest of every
+    BlockCache is None: `forward` reads nothing else, and every backward
+    caller (bp, fa, pc, stdp) runs a train-mode pass. An eval pass through
+    a network with an untrained BN block logs one warning per network, not
+    one per block or batch.
     """
     _check_batch(state, batch)
     if (mode == "eval" and not state._warned_fresh_eval
@@ -307,11 +320,11 @@ class LayerFeatures:
 
 
 def _extraction_batch_size(resolution: int) -> int:
-    # At 224 px forward_cached keeps, per image, each block's rectified map,
-    # int8 pool argmax and pooled output: 12.8 + 0.4 + 3.2 MB for conv1 and
-    # 30 MB in all, the input image included. The sizes stay as they are
-    # because the benchmark's reference pins the forward_cached and conv
-    # call counts they produce.
+    # An eval forward_cached keeps only the pooled block outputs, 4.2 MB per
+    # image at 224 px with the input, and frees each block's full-size map
+    # (12.8 MB per image for conv1) as the block returns. The batch sizes
+    # stay as they are because the benchmark's reference pins the
+    # forward_cached and conv call counts they produce.
     return 64 if resolution <= 32 else 8
 
 

@@ -6,14 +6,16 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention), always one GEMM against conv_windows, with the bias added as
-each GEMM chunk is copied into the output. Max pooling takes the max of
-four strided corner views of the input into one array, keeps its argmax
-as an int8 corner index, breaks ties towards the first corner in
+convention), one GEMM per bounded batch chunk against conv_windows, with
+the bias added as each GEMM chunk is copied into the output. Max pooling
+takes the max of four strided corner views of the input into one array
+and keeps the input and output; the backward derives the argmax from
+them as an int8 corner index, breaks ties towards the first corner in
 row-major window order and truncates a trailing odd row or column. Batch
-norm (eps 1e-5, running-stat momentum 0.1) allocates one full-size output
-in eval mode, and in train mode that output plus the cached xhat; its
-backward allocates two full-size buffers, one of which it returns.
+norm (eps 1e-5, running-stat momentum 0.1) writes eval mode into a given
+`out` (the input itself, say) or one fresh full-size output, and train
+mode allocates that output plus the cached xhat; its backward allocates
+two full-size buffers, one of which it returns.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .errors import ConfigurationError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Cells of one conv GEMM chunk's result: 16 MiB of float64. At 224 px it
+# bounds conv1 to one image per GEMM; at 32 px it never binds for the
+# default channels at batch sizes up to 64.
+_CONV_CHUNK_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +103,10 @@ def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
 
     One GEMM per batch chunk, weights on the left: a windows-on-the-left
     GEMM makes OpenBLAS pack large panels of the long B*Ho*Wo side. The
-    chunk holds max(1, B*O // (C*k^2)) images, so the im2col copy that
-    tensordot makes is never larger than the output.
+    chunk holds at most B*O // (C*k^2) images, so the im2col copy that
+    tensordot makes is never larger than the output, and at most
+    _CONV_CHUNK_CELLS // (O*Ho*Wo), so one GEMM result stays within
+    16 MiB; it holds at least one image.
     """
     _check_weights(w, spec)
     windows = conv_windows(x, spec)
@@ -106,7 +114,7 @@ def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
     O, C, k = spec.out_channels, spec.in_channels, spec.kernel_size
     out = np.empty((B, O, Ho, Wo))
     bias = np.asarray(b).reshape(-1, 1, 1)
-    chunk = max(1, B * O // (C * k * k))
+    chunk = max(1, min(B * O // (C * k * k), _CONV_CHUNK_CELLS // (O * Ho * Wo)))
     for b0 in range(0, B, chunk):
         # [O,C,k,k] x [b,C,Ho,Wo,k,k] summed over C,k,k -> [O,b,Ho,Wo]
         cols = np.tensordot(w, windows[b0 : b0 + chunk], axes=([1, 2, 3], [1, 4, 5]))
@@ -162,13 +170,6 @@ def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):
 # 2x2 max pooling
 # ---------------------------------------------------------------------------
 
-class PoolIndices(NamedTuple):
-    """Argmax bookkeeping from maxpool2x2_forward, consumed by the backward."""
-
-    argmax: np.ndarray           # [B,C,Ho,Wo] int8, corner 0..3 in row-major window order
-    in_shape: tuple[int, ...]    # original input shape (before odd-edge truncation)
-
-
 def _pool_corners(x):
     """The four strided [B,C,Ho,Wo] views of the 2x2 windows' corners, in
     row-major window order; a trailing odd row or column is in none."""
@@ -176,14 +177,42 @@ def _pool_corners(x):
     return [x[:, :, i : 2 * Ho : 2, j : 2 * Wo : 2] for i in (0, 1) for j in (0, 1)]
 
 
+class PoolIndices(NamedTuple):
+    """What maxpool2x2_backward needs from the forward: the pooled input and
+    output themselves, not copies. Nobody may write either of them between
+    the forward and the backward, or the argmax read from them is wrong:
+    network.backward only reads the block maps, and pc_inference moves
+    copies of the block outputs."""
+
+    x: np.ndarray     # pooled input [B,C,H,W] (before odd-edge truncation)
+    out: np.ndarray   # pooled output [B,C,Ho,Wo]
+
+    @property
+    def in_shape(self) -> tuple[int, ...]:
+        return self.x.shape
+
+    @property
+    def argmax(self) -> np.ndarray:
+        """[B,C,Ho,Wo] int8 corner 0..3 in row-major window order: the count
+        of leading corners that differ from the max, so the first corner
+        equal to it (the row-major first-max tie-break this package
+        guarantees), and 3 for a window whose max is NaN. Computed anew on
+        each read."""
+        c0, c1, c2, _ = _pool_corners(self.x)
+        run = c0 != self.out   # True while every corner so far differs from the max
+        idx = run.view(np.int8).copy()
+        for corner in (c1, c2):
+            run &= corner != self.out
+            idx += run.view(np.int8)
+        return idx
+
+
 def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
     Returns (output, PoolIndices). The output is an elementwise max of the
-    four corner views, taken into one array; the int8 argmax counts the
-    leading corners that differ from it, so it is the first corner equal to
-    the max (the row-major first-max tie-break this package guarantees),
-    and 3 for a window whose max is NaN.
+    four corner views, taken into one array. No argmax is computed here:
+    the PoolIndices keep `x` and the output, and the backward derives it.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
@@ -191,23 +220,19 @@ def maxpool2x2_forward(x):
     out = np.maximum(c0, c1)
     np.maximum(out, c2, out=out)
     np.maximum(out, c3, out=out)
-    run = c0 != out   # True while every corner so far differs from the max
-    idx = run.view(np.int8).copy()
-    for corner in (c1, c2):
-        run &= corner != out
-        idx += run.view(np.int8)
-    return out, PoolIndices(argmax=idx, in_shape=x.shape)
+    return out, PoolIndices(x=x, out=out)
 
 
 def maxpool2x2_backward(grad_out, indices: PoolIndices):
     """Route each window's gradient to its argmax corner; zeros elsewhere,
-    the dropped odd edge included."""
-    if grad_out.shape != indices.argmax.shape:
+    the dropped odd edge included. The argmax is derived once per call."""
+    if grad_out.shape != indices.out.shape:
         raise ConfigurationError(f"maxpool backward grad {grad_out.shape} does not match "
-                                 f"pooled shape {indices.argmax.shape}")
+                                 f"pooled shape {indices.out.shape}")
+    argmax = indices.argmax
     grad_x = np.zeros(indices.in_shape)
     for k, corner in enumerate(_pool_corners(grad_x)):
-        np.copyto(corner, grad_out, where=indices.argmax == k)
+        np.copyto(corner, grad_out, where=argmax == k)
     return grad_x
 
 
@@ -238,12 +263,16 @@ class BnCache(NamedTuple):
 
 
 def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
-                      eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
+                      eps: float = BN_EPS, momentum: float = BN_MOMENTUM, out=None):
     """Per-channel batch norm over a [B,C,H,W] tensor.
 
     Train mode normalises by batch statistics and updates `stats` in place
     (momentum 0.1, unbiased variance for the running estimate, matching the
     common framework default). Eval mode normalises by the running stats.
+
+    `out` follows numpy's convention, in eval mode only: the result is
+    written into it, and it may be `x` itself. Without `out` the input is
+    never written. Train mode raises ConfigurationError if given `out`.
 
     Returns (output, BnCache) in train mode and (output, None) in eval mode.
     """
@@ -254,9 +283,12 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         raise ConfigurationError(
             f"batchnorm params gamma {gamma.shape} / beta {beta.shape} do not match {C} channels"
         )
-    # Each branch fills fresh arrays with in-place ufuncs, in the order of
+    # Each branch fills one array with in-place ufuncs, in the order of
     # (x - mean) * inv_std * gamma + beta, so no full-size temporary is made.
     if mode == "train":
+        if out is not None:
+            raise ConfigurationError("batchnorm train mode takes no `out`: its output "
+                                     "must not alias the input or the cached xhat")
         n = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
         xhat = x - mu.reshape(1, C, 1, 1)
@@ -276,7 +308,7 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(stats.var + eps)
-        out = x - stats.mean.reshape(1, C, 1, 1)
+        out = np.subtract(x, stats.mean.reshape(1, C, 1, 1), out=out)
         out *= inv_std.reshape(1, C, 1, 1)
         out *= gamma.reshape(1, C, 1, 1)
         out += beta.reshape(1, C, 1, 1)

@@ -175,6 +175,24 @@ class TestExitCodes:
         assert "ROI V1 has 1 subject RDM" in capsys.readouterr().err
         assert treehash(tmp_path / "run") == before
 
+    def test_duplicate_subject_report_is_3_and_keeps_last_run(self, synth_dir, tmp_path,
+                                                               capsys):
+        brain = synth_dir / "data" / "brain"
+        dup = tmp_path / "dup_subject"
+        shutil.copytree(brain, dup)
+        shutil.copy(dup / "sub-01_V1.csv", dup / "sub-01_v1.csv")
+        cfg = (synth_dir / "data" / "synth.cfg").read_text()
+        assert f"brain_rdm_dir = {brain}\n" in cfg
+        (tmp_path / "dup.cfg").write_text(cfg.replace(f"brain_rdm_dir = {brain}\n",
+                                                      f"brain_rdm_dir = {dup}\n"))
+        run = ["--out", str(tmp_path / "run"), "--rules", "random", "--seeds", "0"]
+        assert main(["report", "--config", str(synth_dir / "data" / "synth.cfg")] + run) == 0
+        before = treehash(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["report", "--config", str(tmp_path / "dup.cfg")] + run) == 3
+        assert "subject sub-01 has more than one brain RDM for ROI V1" in capsys.readouterr().err
+        assert treehash(tmp_path / "run") == before
+
     def test_constant_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
         ids = read_rdm_csv(synth_dir / "data" / "brain" / "sub-01_V1.csv").ids
         values = np.ones((len(ids), len(ids)))

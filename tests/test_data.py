@@ -212,6 +212,18 @@ class TestRdmCsv:
         assert np.array_equal(back.rdm.values, m)
         assert back.rdm.ids == ids
 
+    def test_write_matches_per_scalar_repr(self, tmp_path):
+        # the bytes of the per-numpy-scalar writer, on signed zero, the
+        # smallest subnormal and a huge value
+        m = np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, 1e300], [5e-324, 1e300, 0.0]])
+        ids = ("a", "b", "c")
+        D.write_rdm_csv(RDM(values=m, ids=ids), tmp_path / "new.csv")
+        want = "id,a,b,c\n" + "".join(
+            sid + "," + ",".join(repr(float(v)) for v in row) + "\n"
+            for sid, row in zip(ids, m))
+        assert (tmp_path / "new.csv").read_bytes() == want.encode()
+        assert "-0.0" in want and "5e-324" in want and "1e+300" in want
+
     def test_asymmetric_names_cell(self, tmp_path):
         m = np.zeros((3, 3))
         m[0, 1], m[1, 0] = 0.2, 0.3
@@ -258,6 +270,25 @@ class TestRdmCsv:
         write_matrix_csv(tmp_path / "whatever.csv", ("a", "b"), np.zeros((2, 2)))
         with pytest.raises(DataFormatError, match="subject/ROI"):
             D.read_brain_rdm_csv(tmp_path / "whatever.csv")
+
+
+class TestGroupByRoi:
+    def test_groups_sorted_by_subject(self, tmp_path):
+        ids = ("a", "b")
+        for name in ("sub-02_V1", "sub-01_V1", "sub-01_IT"):
+            write_matrix_csv(tmp_path / f"{name}.csv", ids, np.zeros((2, 2)))
+        by_roi = D.group_by_roi(D.load_brain_rdm_dir(tmp_path), ids)
+        assert {roi: [b.subject for b in g] for roi, g in by_roi.items()} == {
+            "V1": ["sub-01", "sub-02"], "IT": ["sub-01"]}
+
+    def test_duplicate_subject_roi_rejected(self, tmp_path):
+        # both names parse to sub-01 / V1: that subject must not count twice
+        ids = ("a", "b")
+        for name in ("sub-01_V1", "sub-01_v1", "sub-02_V1"):
+            write_matrix_csv(tmp_path / f"{name}.csv", ids, np.zeros((2, 2)))
+        with pytest.raises(DataFormatError,
+                           match="subject sub-01 has more than one brain RDM for ROI V1"):
+            D.group_by_roi(D.load_brain_rdm_dir(tmp_path), ids)
 
 
 # ---------------------------------------------------------------------------

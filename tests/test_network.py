@@ -2,6 +2,7 @@
 extraction against brute-force oracles, and checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from brainalign import ops
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import (
+    CONV_TAPS,
     TAPS,
     extract_all_taps,
     extract_features,
     forward,
+    forward_cached,
     init_he_normal,
     load_checkpoint,
     save_checkpoint,
@@ -101,6 +104,41 @@ class TestForward:
         assert np.array_equal(l1, l2)
         for t in TAPS:
             assert np.array_equal(t1[t], t2[t])
+
+    @pytest.mark.parametrize("resolution", [32, 224])
+    def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution):
+        for block in state.conv_blocks():
+            c = block.spec.out_channels
+            block.stats.mean[:] = rng.normal(size=c)
+            block.stats.var[:] = rng.uniform(0.5, 2.0, size=c)
+            block.stats.batches_seen = 1
+        batch = rng.random(size=(2, 3, resolution, resolution))
+        cache = forward_cached(state, batch, mode="eval")
+        _, taps = forward(state, batch, mode="eval")
+        x = batch
+        for name, block, c in zip(CONV_TAPS, state.conv_blocks(), cache.blocks):
+            assert all(f is None for f in (c.x, c.bn_cache, c.post_relu, c.pool_idx))
+            z = ops.conv2d_forward(x, block.w, block.b, block.spec)
+            act, _ = ops.batchnorm_forward(z, block.gamma, block.beta, block.stats, "eval")
+            x, _ = ops.maxpool2x2_forward(ops.relu_forward(act))
+            assert np.array_equal(c.out, x)
+            assert np.array_equal(taps[name], x)
+
+    def test_eval_forward_at_224_holds_one_map_per_block(self):
+        # Default channels, two 224 px images: conv1's output is 25.7 MB.
+        # Keeping every block's rectified map beside the next block's conv
+        # and BN outputs, and one GEMM over the whole batch, peaked at
+        # 94 MB; one map at a time and capped conv chunks peak near 68 MB.
+        state = init_he_normal(0)
+        batch = np.random.default_rng(3).random(size=(2, 3, 224, 224))
+        forward(state, batch)  # the BN warning and first-call setup happen here
+        tracemalloc.start()
+        try:
+            forward(state, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
 
     def test_roi_map_resolves_in_tap_registry(self):
         for tap in ("conv1", "conv1", "conv3", "fc1"):

@@ -64,6 +64,16 @@ class TestConvForward:
                                np.zeros(2), spec)
         assert "(1, 4, 5, 5)" in str(e.value)
 
+    def test_capped_chunks_match_whole_batch_gemm(self, rng):
+        # conv1 at 224 px: the 16 MiB result cap gives one image per GEMM
+        spec = ConvSpec(3, 32, 3, padding=1)
+        assert ops._CONV_CHUNK_CELLS // (32 * 224 * 224) == 1
+        x = rng.random(size=(2, 3, 224, 224))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=32)
+        whole = np.tensordot(w, ops.conv_windows(x, spec), axes=([1, 2, 3], [1, 4, 5]))
+        assert np.array_equal(ops.conv2d_forward(x, w, b, spec),
+                              whole.transpose(1, 0, 2, 3) + b.reshape(-1, 1, 1))
+
 
 class TestConvBackward:
     def test_zero_grad_out(self, rng):
@@ -207,6 +217,13 @@ class TestMaxPool:
         assert np.array_equal(idx.argmax, want_idx)
         assert np.array_equal(g_in, want_g)
 
+    def test_indices_keep_input_and_output_uncopied(self, rng):
+        # the argmax is derived from them in the backward, so neither may be
+        # written in between
+        x = rng.normal(size=(2, 3, 5, 4))
+        out, idx = ops.maxpool2x2_forward(x)
+        assert idx.x is x and idx.out is out
+        assert idx.in_shape == x.shape
 
     def test_argmax_int8_nan_and_neg_inf_windows(self):
         nan, inf = np.nan, np.inf
@@ -287,6 +304,22 @@ class TestBatchNorm:
         inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
         want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
         assert np.array_equal(out, want)
+
+    def test_eval_out_is_filled_in_place(self, rng):
+        x = rng.normal(1.5, 2.0, size=(4, 3, 5, 5))
+        gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+        stats = RunningStats(mean=rng.normal(size=3), var=rng.uniform(0.5, 2, size=3),
+                             batches_seen=3)
+        fresh, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval")
+        out, cache = ops.batchnorm_forward(x, gamma, beta, stats, "eval", out=x)
+        assert out is x and cache is None
+        assert np.array_equal(x, fresh)
+
+    def test_train_rejects_out(self, rng):
+        x = rng.normal(size=(4, 2, 3, 3))
+        with pytest.raises(ConfigurationError, match="train mode takes no `out`"):
+            ops.batchnorm_forward(x, np.ones(2), np.zeros(2), RunningStats.fresh(2), "train",
+                                  out=np.empty_like(x))
 
     def test_train_output_does_not_alias_cached_xhat(self, rng):
         # _block_forward rectifies the output in place, and the backward

@@ -260,7 +260,34 @@ class TestBootstrap:
 # Permutation test
 # ---------------------------------------------------------------------------
 
+def _gather_permutation_p(a, b, brain, n_perm, seed):
+    """The permutation p-value as it was computed before the rows of z-ranks
+    were shuffled directly: index permutations, then a gather."""
+    za, zb, zbr = stats._zranks(a), stats._zranks(b), stats._zranks(brain)
+    delta_obs = float(za @ zbr) - float(zb @ zbr)
+    rng = np.random.default_rng(seed)
+    base = np.broadcast_to(np.arange(brain.shape[0]), (stats._PERM_CHUNK, brain.shape[0]))
+    exceed = done = 0
+    while done < n_perm:
+        take = min(stats._PERM_CHUNK, n_perm - done)
+        null = zbr[rng.permuted(base[:take], axis=1)] @ (za - zb)
+        exceed += int(np.count_nonzero(np.abs(null) >= abs(delta_obs)))
+        done += take
+    return (exceed + 1) / (n_perm + 1)
+
+
 class TestPermutation:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("n_perm", [1, 129, 300])
+    def test_matches_gather_reference(self, tied, n_perm):
+        for seed in (0, 1, 2, 3):
+            r = np.random.default_rng(100 + seed)
+            a, b, brain = r.normal(size=(3, 45))
+            if tied:
+                a, b, brain = np.round(a), np.round(b, 1), np.round(brain)
+            t = stats.permutation_test(a, b, brain, n_perm=n_perm, seed=seed)
+            assert t.p_value == _gather_permutation_p(a, b, brain, n_perm, seed)
+
     def test_identical_models_give_p_one(self, rng):
         x = rng.normal(size=100)
         b = rng.normal(size=100)
