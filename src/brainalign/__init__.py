@@ -13,7 +13,6 @@ from .network import (
     NetworkState,
     TAPS,
     extract_all_taps,
-    extract_features,
     forward,
     init_he_normal,
     load_checkpoint,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrainalignError", "ConfigurationError", "DataFormatError",
     "TrainingDivergedError", "UndefinedStatisticError",
-    "NetworkState", "TAPS", "extract_all_taps", "extract_features", "forward",
+    "NetworkState", "TAPS", "extract_all_taps", "forward",
     "init_he_normal", "load_checkpoint", "save_checkpoint",
     "ExperimentConfig", "best_layer_sweep", "partial_rsa_report",
     "per_subject_analysis", "run_experiment",

@@ -6,7 +6,9 @@ cheap; `report` executes the whole pipeline from a config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (which covers
 a statistic the data leave undefined). Flags given on the command line
-override values from --config.
+override values from --config; a flag that sets a config or SynthSpec
+field has that field's name as its dest, and a comma list parses as it
+does in a config file.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from pathlib import Path
 from . import stats
 from .data import (
     SynthSpec,
-    group_by_roi,
-    load_brain_rdm_dir,
+    load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
     read_rdm_csv,
@@ -45,43 +46,43 @@ from .pipeline import (
     save_features,
     _write_csv,
 )
-from .rdm import average_rdms, rdm_from_features, upper_triangle
+from .rdm import rdm_from_features, upper_triangle
 from .rules import train as train_rule
 
 log = logging.getLogger(__name__)
 
 
+def _config_value(key: str):
+    """An argparse type= that reads a flag as a config file reads field `key`."""
+    def parse(raw):
+        try:
+            return ExperimentConfig.parse_value(key, raw)
+        except ConfigurationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
+
+
+def _given(args, cls) -> dict:
+    """The flags given on the command line whose dest names a field of `cls`."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = (ExperimentConfig.from_file(args.config) if getattr(args, "config", None)
            else ExperimentConfig())
-    overrides = {}
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "rules", None):
-        overrides["rules"] = tuple(args.rules.split(","))
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = args.epochs
-    if getattr(args, "resolution", None) is not None:
-        overrides["resolution"] = args.resolution
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return dataclasses.replace(cfg, **_given(args, ExperimentConfig))
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        num_train=args.train, num_test=args.test, num_classes=args.classes,
-        num_stimuli=args.stimuli, stimulus_size=args.stim_size,
-        extraction_resolution=args.resolution, noise_amplitude=args.noise,
-        channels=tuple(int(c) for c in args.channels.split(",")),
-    )
+    spec = SynthSpec(**_given(args, SynthSpec))
     paths = write_synth_dataset(spec, args.seed, args.out)
     cfg = ExperimentConfig(
         train_data=(str(paths["train"]),), test_data=(str(paths["test"]),),
         stimuli_dir=str(paths["stimuli"]), brain_rdm_dir=str(paths["brain"]),
-        out_dir=str(Path(args.out) / "run"), resolution=args.resolution,
-        channels=spec.channels, num_classes=args.classes,
-        train_limit=args.train,
+        out_dir=str(Path(args.out) / "run"), resolution=spec.extraction_resolution,
+        channels=spec.channels, num_classes=spec.num_classes,
+        train_limit=spec.num_train,
     )
     cfg.to_file(Path(args.out) / "synth.cfg")
     print(f"synthetic dataset written under {args.out} (config: synth.cfg)")
@@ -136,9 +137,8 @@ def _load_model_rdms(path):
 def _cmd_rsa(args) -> int:
     cfg = _load_config(args)
     models, ids = _load_model_rdms(args.model_rdm)
-    by_roi = group_by_roi(load_brain_rdm_dir(args.brain_dir), ids)
-    brain_vecs = {roi: upper_triangle(average_rdms([b.rdm for b in files]))
-                  for roi, files in sorted(by_roi.items())}
+    _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
+    brain_vecs = {roi: upper_triangle(mean_brain[roi]) for roi in sorted(mean_brain)}
     rows = []
     for name, model in sorted(models.items()):
         vec = upper_triangle(model)
@@ -157,8 +157,7 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise ConfigurationError(
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
-    by_roi = group_by_roi(load_brain_rdm_dir(args.brain_dir), ids)
-    mean_brain = {roi: average_rdms([b.rdm for b in files]) for roi, files in by_roi.items()}
+    _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
     sweep = best_layer_sweep(models, mean_brain)
     rows = [[tap] + [float(v) for v in sweep.matrix[i]]
             for i, tap in enumerate(sweep.taps)]
@@ -195,14 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth", help="generate a synthetic desk-scale dataset")
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--train", type=int, default=512)
-    s.add_argument("--test", type=int, default=128)
-    s.add_argument("--classes", type=int, default=10)
-    s.add_argument("--stimuli", type=int, default=100)
-    s.add_argument("--stim-size", type=int, default=64)
-    s.add_argument("--resolution", type=int, default=32)
-    s.add_argument("--noise", type=float, default=0.1)
-    s.add_argument("--channels", default="32,64,128")
+    # dests are SynthSpec fields, which supply the defaults
+    s.add_argument("--train", dest="num_train", type=int)
+    s.add_argument("--test", dest="num_test", type=int)
+    s.add_argument("--classes", dest="num_classes", type=int)
+    s.add_argument("--stimuli", dest="num_stimuli", type=int)
+    s.add_argument("--stim-size", dest="stimulus_size", type=int)
+    s.add_argument("--resolution", dest="extraction_resolution", type=int)
+    s.add_argument("--noise", dest="noise_amplitude", type=float)
+    s.add_argument("--channels", type=_config_value("channels"))
     s.set_defaults(func=_cmd_synth)
 
     s = sub.add_parser("train", help="train one rule x seed cell")
@@ -247,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("report", help="run the full experiment from a config")
     s.add_argument("--config", required=True)
-    s.add_argument("--out", help="override the run directory")
-    s.add_argument("--seeds", help="override seeds, e.g. 0,1")
-    s.add_argument("--rules", help="override rules, e.g. random,bp")
+    s.add_argument("--out", dest="out_dir", help="override the run directory")
+    s.add_argument("--seeds", type=_config_value("seeds"), help="override seeds, e.g. 0,1")
+    s.add_argument("--rules", type=_config_value("rules"), help="override rules, e.g. random,bp")
     s.add_argument("--epochs", type=int)
     s.add_argument("--resolution", type=int)
     s.set_defaults(func=_cmd_report)

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
-from .rdm import RDM, rdm_from_features
+from .network import DEFAULT_CHANNELS, extract_all_taps, init_he_normal
+from .rdm import RDM, average_rdms, rdm_from_features
 from .seeding import named_rng
 
 log = logging.getLogger(__name__)
@@ -383,6 +384,13 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
     return by_roi
 
 
+def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[BrainRdmFile]], dict[str, RDM]]:
+    """The brain RDMs under `directory` grouped by ROI (see group_by_roi),
+    and each ROI's mean RDM over its subjects, in the same ROI order."""
+    by_roi = group_by_roi(load_brain_rdm_dir(directory), ids)
+    return by_roi, {roi: average_rdms([b.rdm for b in files]) for roi, files in by_roi.items()}
+
+
 # ---------------------------------------------------------------------------
 # Synthetic desk-scale data
 # ---------------------------------------------------------------------------
@@ -394,7 +402,9 @@ class SynthSpec:
     The labeled set holds num_train + num_test images (first num_train are
     the train split). Brain RDMs are the reference network's RDM at the
     ROI-mapped tap plus symmetric per-subject noise; amplitude 0 makes
-    them exactly equal to the reference RDM.
+    them exactly equal to the reference RDM. Counts the written files
+    could not hold are rejected at construction: labels are CIFAR bytes
+    below 10, and 3 stimuli are the fewest that give Spearman 3 pairs.
     """
 
     num_train: int = 512
@@ -407,8 +417,18 @@ class SynthSpec:
     noise_amplitude: float = 0.1
     subjects: tuple[str, ...] = ("sub-01", "sub-02", "sub-03")
     roi_map: dict | None = None          # ROI -> tap; default DEFAULT_ROI_MAP
-    channels: tuple[int, int, int] = (32, 64, 128)
+    channels: tuple[int, int, int] = DEFAULT_CHANNELS
     reference_seed: int | None = None    # defaults to seed + 1000
+
+    def __post_init__(self):
+        for name, low in (("num_train", 1), ("num_test", 0), ("num_stimuli", 3),
+                          ("stimulus_size", 1), ("noise_amplitude", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 1 <= self.num_classes <= 10:
+            raise ConfigurationError(f"num_classes must be in 1..10, got {self.num_classes}")
+        if not self.subjects:
+            raise ConfigurationError("subjects must name at least one subject")
 
 
 def _blob(rng, size, n_blobs):
@@ -455,8 +475,6 @@ def synth_dataset(spec: SynthSpec, seed: int):
     """Deterministic synthetic substrate: a classifiable labeled blob set,
     a stimulus set, and per-subject brain RDMs derived from a reference
     network's features. Returns (LabeledImageSet, StimulusSet, [BrainRdmFile])."""
-    from .network import extract_all_taps, init_he_normal  # avoid import cycle
-
     roi_map = spec.roi_map or dict(DEFAULT_ROI_MAP)
     labeled = _labeled_blobs(spec, named_rng(seed, "synth-train"))
 
@@ -485,11 +503,11 @@ def synth_dataset(spec: SynthSpec, seed: int):
 def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     """Materialize a synthetic dataset on disk in the formats the pipeline
     reads: CIFAR-style .bin train/test splits, PPM stimuli, RDM CSVs.
-    Returns the path map."""
+    Returns the path map. Nothing is written unless generation succeeds."""
+    labeled, stimuli, brain = synth_dataset(spec, seed)
     out = Path(out_dir)
     (out / "stimuli").mkdir(parents=True, exist_ok=True)
     (out / "brain").mkdir(parents=True, exist_ok=True)
-    labeled, stimuli, brain = synth_dataset(spec, seed)
     train = labeled.subset(slice(0, spec.num_train), note=" [train]")
     test = labeled.subset(slice(spec.num_train, None), note=" [test]")
     write_cifar10_binary(train, out / "train.bin")

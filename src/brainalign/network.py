@@ -348,14 +348,6 @@ def extract_all_taps(state: NetworkState, stimuli, batch_size: int | None = None
             for t in TAPS}
 
 
-def extract_features(state: NetworkState, stimuli, tap: str,
-                     batch_size: int | None = None) -> LayerFeatures:
-    """Eval-mode features at one named tap."""
-    if tap not in TAPS:
-        raise ConfigurationError(f"unknown tap {tap!r}; known taps: {TAPS}")
-    return extract_all_taps(state, stimuli, batch_size)[tap]
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -24,8 +25,9 @@ import logging
 import shutil
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .data import (
     DEFAULT_ROI_MAP,
     ROIS,
     group_by_roi,
-    load_brain_rdm_dir,
+    load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
     write_rdm_csv,
@@ -51,7 +53,7 @@ from .network import (
     save_checkpoint,
 )
 from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
-from .rules import RULES, LearningRuleConfig, evaluate_accuracy, train
+from .rules import RULES, LearningRuleConfig, RuleParams, evaluate_accuracy, train
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +63,10 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a run needs. Round-trips losslessly through the flat
-    sectioned key=value file format (see to_text/from_text)."""
+class ExperimentConfig(RuleParams):
+    """Everything a run needs: the RuleParams every cell trains with, plus
+    the fields below. Round-trips losslessly through the flat sectioned
+    key=value file format (see to_text/from_text)."""
 
     # data
     train_data: tuple[str, ...] = ()
@@ -74,25 +77,11 @@ class ExperimentConfig:
     # experiment
     rules: tuple[str, ...] = RULES
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    epochs: int = 40
-    batch_size: int = 64
     train_limit: int = 8000
     resolution: int = 224
     # network
     channels: tuple[int, int, int] = DEFAULT_CHANNELS
     num_classes: int = 10
-    # learning-rule hyperparameters
-    lr: float = 0.01
-    pc_t_inf: int = 10
-    pc_alpha: float = 0.02
-    pc_eta_w: float = 1e-4
-    stdp_t: int = 10
-    stdp_tau_plus_ms: float = 20.0
-    stdp_tau_minus_ms: float = 20.0
-    stdp_a_plus: float = 0.003
-    stdp_a_minus: float = 0.003
-    stdp_lr: float = 5e-4
-    stdp_timestep_ms: float = 2.0
     # layer-to-ROI mapping
     roi_map: tuple[tuple[str, str], ...] = DEFAULT_ROI_MAP
     # statistics
@@ -127,16 +116,15 @@ class ExperimentConfig:
         if self.resolution not in SUPPORTED_RESOLUTIONS:
             raise ConfigurationError(
                 f"resolution must be one of {SUPPORTED_RESOLUTIONS}, got {self.resolution}")
-        self.rule_config("random")  # LearningRuleConfig checks the rule hyperparameters
+        super().__post_init__()
 
     @property
     def roi_map_dict(self) -> dict[str, str]:
         return dict(self.roi_map)
 
     def rule_config(self, rule: str) -> LearningRuleConfig:
-        params = {f.name: getattr(self, f.name)
-                  for f in fields(LearningRuleConfig) if f.name != "rule"}
-        return LearningRuleConfig(rule=rule, **params)
+        return LearningRuleConfig(
+            rule=rule, **{f.name: getattr(self, f.name) for f in fields(RuleParams)})
 
     # -- serialization ------------------------------------------------------
 
@@ -174,7 +162,6 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
         parser.read_string(text)
-        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for section in parser.sections():
             if section == "roi_map":
@@ -187,8 +174,23 @@ class ExperimentConfig:
             for key, raw in parser.items(section):
                 if key not in cls._SECTIONS[section]:
                     raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-                kwargs[key] = _parse_field(key, raw, types[key])
+                kwargs[key] = cls.parse_value(key, raw)
         return cls(**kwargs)
+
+    @classmethod
+    def parse_value(cls, key: str, raw: str):
+        """Field `key`'s value from its text, parsed by the field's declared
+        type: a tuple of ints or strs is a comma list with empty items
+        dropped, an int or float parses as one, anything else is a string.
+        Config files and CLI flags both read values through here."""
+        hint = _field_types(cls)[key]
+        try:
+            if get_origin(hint) is tuple and get_args(hint)[0] in (int, str):
+                item = get_args(hint)[0]
+                return tuple(item(x.strip()) for x in raw.split(",") if x.strip())
+            return hint(raw.strip()) if hint in (int, float) else raw.strip()
+        except ValueError as e:
+            raise ConfigurationError(f"config key {key!r}: {e}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -202,24 +204,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def _parse_field(key, raw, ftype):
-    raw = raw.strip()
-    try:
-        if ftype in ("int", int):
-            return int(raw)
-        if ftype in ("float", float):
-            return float(raw)
-        if key in ("seeds",):
-            return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-        if key in ("channels",):
-            vals = tuple(int(x) for x in raw.split(","))
-            return vals
-        # string tuples (paths, rules)
-        if key in ("train_data", "test_data", "rules"):
-            return tuple(x.strip() for x in raw.split(",") if x.strip() != "")
-        return raw
-    except ValueError as e:
-        raise ConfigurationError(f"config key {key!r}: {e}") from None
+@functools.cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)  # evaluates the annotation strings once
 
 
 def _derived_seed(stats_seed: int, purpose: str) -> int:
@@ -374,8 +361,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     test_set = (read_cifar10_binary(list(config.test_data))
                 if config.test_data else None)
     stimuli = load_stimulus_dir(config.stimuli_dir, resolution=config.resolution)
-    brain_files = load_brain_rdm_dir(config.brain_rdm_dir)
-    by_roi = group_by_roi(brain_files, stimuli.ids)
+    by_roi, mean_brain = load_brain_by_roi(config.brain_rdm_dir, stimuli.ids)
     roi_map = {roi: tap for roi, tap in config.roi_map if roi in by_roi}
     for roi in config.roi_map_dict:
         if roi not in by_roi:
@@ -384,9 +370,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
             raise DataFormatError(
                 f"{config.brain_rdm_dir}: ROI {roi} has 1 subject RDM; its noise "
                 "ceiling needs at least 2 subjects")
-
-    mean_brain = {roi: average_rdms([b.rdm for b in files])
-                  for roi, files in by_roi.items()}
 
     out = Path(config.out_dir)
     for sub in ("checkpoints", "metrics", "features", "rdms", "tables"):
@@ -489,7 +472,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 p_vs_random=row["p_value"], fdr_significant_vs_random=row["fdr_significant"])
 
     # Per-subject scores and paired Cohen's d
-    subject_rows = report["per_subject"] = per_subject_analysis(mean_rdms, brain_files, roi_map)
+    subject_rows = report["per_subject"] = per_subject_analysis(
+        mean_rdms, list(chain.from_iterable(by_roi.values())), roi_map)
     for roi in roi_map:
         subjects = sorted({b.subject for b in by_roi[roi]})
         if len(subjects) < 2:

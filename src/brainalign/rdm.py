@@ -102,15 +102,3 @@ def upper_triangle(rdm) -> np.ndarray:
     iu = np.triu_indices(v.shape[0], k=1)
     return v[iu].copy()
 
-
-def rdm_from_vector(vec, ids) -> RDM:
-    """Inverse of upper_triangle: rebuild the symmetric matrix."""
-    n = len(ids)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (n * (n - 1) // 2,):
-        raise ConfigurationError(
-            f"vector length {vec.shape} does not match {n} ids "
-            f"(expected {n * (n - 1) // 2})")
-    values = np.zeros((n, n))
-    values[np.triu_indices(n, k=1)] = vec
-    return RDM(values=_finalize(values + values.T), ids=tuple(ids))

@@ -60,11 +60,12 @@ log = logging.getLogger(__name__)
 RULES = ("random", "bp", "fa", "pc", "stdp")
 
 
-@dataclass
-class LearningRuleConfig:
-    """One training condition plus its hyperparameters."""
+@dataclass(frozen=True)
+class RuleParams:
+    """Training length and the hyperparameters of every rule, declared once:
+    ExperimentConfig inherits them for a run, LearningRuleConfig for one
+    condition."""
 
-    rule: str
     epochs: int = 40
     batch_size: int = 64
     lr: float = 0.01            # BP/FA steps and every BP-trained readout
@@ -80,8 +81,6 @@ class LearningRuleConfig:
     stdp_timestep_ms: float = 2.0
 
     def __post_init__(self):
-        if self.rule not in RULES:
-            raise ConfigurationError(f"unknown rule {self.rule!r}; known rules: {RULES}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError(
                 f"epochs must be >= 0 and batch_size >= 1, got {self.epochs}/{self.batch_size}"
@@ -94,6 +93,18 @@ class LearningRuleConfig:
                      "stdp_a_plus", "stdp_a_minus", "stdp_lr", "stdp_timestep_ms"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LearningRuleConfig(RuleParams):
+    """One training condition plus its hyperparameters."""
+
+    rule: str
+
+    def __post_init__(self):
+        if self.rule not in RULES:
+            raise ConfigurationError(f"unknown rule {self.rule!r}; known rules: {RULES}")
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,9 @@ def pc_infer_and_learn(state: NetworkState, pc: PcState, batch, labels,
 # STDP
 # ---------------------------------------------------------------------------
 
-def stdp_kernel(dt_ms, a_plus=0.003, a_minus=0.003, tau_plus_ms=20.0, tau_minus_ms=20.0):
+def stdp_kernel(dt_ms, a_plus=RuleParams.stdp_a_plus, a_minus=RuleParams.stdp_a_minus,
+                tau_plus_ms=RuleParams.stdp_tau_plus_ms,
+                tau_minus_ms=RuleParams.stdp_tau_minus_ms):
     """Exponential LTP/LTD kernel of the timing difference dt = t_post - t_pre.
 
     dt > 0 -> +a_plus * exp(-dt/tau_plus); dt < 0 -> -a_minus * exp(dt/tau_minus);

@@ -43,6 +43,7 @@ _BOOT_CHUNK = 256
 # slower at 4950 pairs and 2.8x at 19900.
 _BOOT_BLOCK_CELLS = 1 << 15
 _PERM_CHUNK = 128
+_PERM_CHUNK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +286,14 @@ def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
     rng = np.random.default_rng(seed)
     # Each row is shuffled in place from one copy of the brain's z-ranks:
     # the same draws as shuffling indices and gathering, without the gather.
-    rows = np.broadcast_to(zbr, (_PERM_CHUNK, brain.shape[0]))
+    # permuted shuffles row by row, so the chunk size (at most 8 MiB of
+    # rows) does not change the stream.
+    chunk = max(1, min(_PERM_CHUNK, _PERM_CHUNK_CELLS // brain.shape[0]))
+    rows = np.broadcast_to(zbr, (chunk, brain.shape[0]))
     exceed = 0
     done = 0
     while done < n_perm:
-        take = min(_PERM_CHUNK, n_perm - done)
+        take = min(chunk, n_perm - done)
         null = rng.permuted(rows[:take], axis=1) @ contrast
         exceed += int(np.count_nonzero(np.abs(null) >= abs(delta_obs)))
         done += take

@@ -7,13 +7,21 @@ import shutil
 import numpy as np
 import pytest
 
-from brainalign.cli import main
+from brainalign.cli import build_parser, main
 from brainalign.data import read_rdm_csv, write_rdm_csv
 from brainalign.network import LayerFeatures
 from brainalign.pipeline import save_features
 from brainalign.rdm import RDM
 
 from helpers import treehash
+
+
+def exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +110,23 @@ class TestVerbs:
 class TestExitCodes:
     def test_missing_config_is_2(self):
         assert main(["report", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_bad_seeds_flag_is_2(self, synth_dir, capsys):
+        cfg = str(synth_dir / "data" / "synth.cfg")
+        assert exit_code(["report", "--config", cfg, "--seeds", "0,x"]) == 2
+        assert "argument --seeds: config key 'seeds'" in capsys.readouterr().err
+
+    def test_flags_parse_as_config_values(self):
+        args = build_parser().parse_args(["report", "--config", "c.cfg", "--out", "r",
+                                          "--rules", "bp,,fa", "--seeds", "0, 2"])
+        assert (args.out_dir, args.rules, args.seeds) == ("r", ("bp", "fa"), (0, 2))
+
+    @pytest.mark.parametrize("flags", [("--channels", "4,x"), ("--stimuli", "0"),
+                                       ("--classes", "0"), ("--classes", "11"),
+                                       ("--channels", "4,6"), ("--resolution", "64")])
+    def test_bad_synth_flag_is_2_and_writes_nothing(self, tmp_path, flags):
+        assert exit_code(["synth", "--out", str(tmp_path / "s"), *flags]) == 2
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_rule_is_2(self, synth_dir):
         cfg = str(synth_dir / "data" / "synth.cfg")

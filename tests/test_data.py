@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brainalign import data as D
-from brainalign.errors import DataFormatError
+from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.rdm import RDM, rdm_from_features, upper_triangle
 from brainalign.stats import spearman
 
@@ -301,6 +301,14 @@ SPEC = D.SynthSpec(num_train=60, num_test=20, num_classes=3, num_stimuli=12,
 
 
 class TestSynth:
+    @pytest.mark.parametrize("field, value", [
+        ("num_train", 0), ("num_test", -1), ("num_classes", 0), ("num_classes", 11),
+        ("num_stimuli", 2), ("stimulus_size", 0), ("noise_amplitude", -0.1), ("subjects", ()),
+    ])
+    def test_spec_rejects_values_its_files_cannot_hold(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            D.SynthSpec(**{field: value})
+
     def test_zero_noise_brain_equals_reference_rdm(self):
         from brainalign.network import extract_all_taps, init_he_normal
 

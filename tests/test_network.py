@@ -13,7 +13,6 @@ from brainalign.network import (
     CONV_TAPS,
     TAPS,
     extract_all_taps,
-    extract_features,
     forward,
     forward_cached,
     init_he_normal,
@@ -159,7 +158,7 @@ class TestFeatureExtraction:
 
     def test_gap_matches_brute_force_mean(self, state, rng):
         stimuli = rng.random(size=(3, 3, 32, 32))
-        feats = extract_features(state, stimuli, "conv2")
+        feats = extract_all_taps(state, stimuli)["conv2"]
         _, taps = forward(state, stimuli, mode="eval")
         oracle = np.array([[taps["conv2"][n, c].mean() for c in range(6)]
                            for n in range(3)])
@@ -183,10 +182,6 @@ class TestFeatureExtraction:
             extract_all_taps(state, rng.random(size=(3, 3, 32, 32)), batch_size=2)
             forward(state, rng.random(size=(1, 3, 32, 32)))
         assert caplog.text.count("batchnorm eval before any train step") == 1
-
-    def test_unknown_tap_rejected(self, state, rng):
-        with pytest.raises(ConfigurationError, match="unknown tap"):
-            extract_features(state, rng.random(size=(1, 3, 32, 32)), "conv9")
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@
 reruns), and the standalone sweep / per-subject / partial analyses."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from brainalign.pipeline import (
     run_experiment,
 )
 from brainalign.rdm import RDM, average_rdms, rdm_from_features, upper_triangle
+from brainalign.rules import RULES, LearningRuleConfig
 from brainalign.stats import spearman
 
 from helpers import treehash
@@ -75,6 +77,7 @@ class TestConfig:
         ("num_classes", 0), ("seeds", (0, -1)),
         ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
         ("channels", (4, 6)), ("channels", (4, 0, 8)), ("resolution", 0), ("resolution", 64),
+        ("stdp_t", 0), ("pc_alpha", 0.0), ("stdp_lr", -1.0),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -83,6 +86,32 @@ class TestConfig:
     def test_config_hash_stable(self, tmp_path):
         cfg = tiny_config(tmp_path)
         assert cfg.config_hash() == ExperimentConfig.from_text(cfg.to_text()).config_hash()
+
+    def test_default_text_pinned(self):
+        # config_hash of every run hashes this text: a field move must not change it
+        text = ExperimentConfig().to_text().encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "f6340d08294338f05a44a853aae8edcd47a59521aff3e51eb6f676ec5b3a06ce")
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_rule_config_defaults_are_the_rule_defaults(self, rule):
+        assert ExperimentConfig().rule_config(rule) == LearningRuleConfig(rule=rule)
+
+    @pytest.mark.parametrize("key, raw, value", [
+        ("rules", " bp,,fa, ", ("bp", "fa")), ("seeds", "0, 1,", (0, 1)),
+        ("channels", "4,6,8", (4, 6, 8)), ("train_data", "a.bin,b.bin", ("a.bin", "b.bin")),
+        ("epochs", " 3 ", 3), ("lr", "0.012345678901234567", 0.012345678901234567),
+        ("out_dir", " run ", "run"),
+    ])
+    def test_parse_value_by_declared_type(self, key, raw, value):
+        parsed = ExperimentConfig.parse_value(key, raw)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("key, raw", [("seeds", "0,x"), ("channels", "4,x,8"),
+                                          ("n_boot", "1.5"), ("alpha", "x")])
+    def test_parse_value_rejects_bad_text(self, key, raw):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig.parse_value(key, raw)
 
 
 class TestRunExperiment:

@@ -10,7 +10,6 @@ from brainalign.rdm import (
     average_rdms,
     pixel_rdm,
     rdm_from_features,
-    rdm_from_vector,
     upper_triangle,
 )
 
@@ -127,12 +126,3 @@ class TestUpperTriangle:
 
     def test_n720_length(self):
         assert upper_triangle(np.zeros((720, 720))).shape == (258840,)
-
-    def test_round_trip_through_vector(self, rng):
-        r = rdm_from_features(rng.normal(size=(6, 7)))
-        back = rdm_from_vector(upper_triangle(r), r.ids)
-        assert np.abs(back.values - r.values).max() < 1e-15
-
-    def test_vector_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            rdm_from_vector(np.zeros(4), ("a", "b", "c"))

@@ -260,20 +260,22 @@ class TestBootstrap:
 # Permutation test
 # ---------------------------------------------------------------------------
 
-def _gather_permutation_p(a, b, brain, n_perm, seed):
-    """The permutation p-value as it was computed before the rows of z-ranks
-    were shuffled directly: index permutations, then a gather."""
+def _gather_permutation(a, b, brain, n_perm, seed, chunk=stats._PERM_CHUNK):
+    """The permutation p-value as it was computed before the rows of
+    z-ranks were shuffled directly: index permutations drawn `chunk` rows at
+    a time, then a gather. Also returns the drawn permutations."""
     za, zb, zbr = stats._zranks(a), stats._zranks(b), stats._zranks(brain)
     delta_obs = float(za @ zbr) - float(zb @ zbr)
     rng = np.random.default_rng(seed)
-    base = np.broadcast_to(np.arange(brain.shape[0]), (stats._PERM_CHUNK, brain.shape[0]))
-    exceed = done = 0
+    base = np.broadcast_to(np.arange(brain.shape[0]), (chunk, brain.shape[0]))
+    perms, exceed, done = [], 0, 0
     while done < n_perm:
-        take = min(stats._PERM_CHUNK, n_perm - done)
-        null = zbr[rng.permuted(base[:take], axis=1)] @ (za - zb)
+        take = min(chunk, n_perm - done)
+        perms.append(rng.permuted(base[:take], axis=1))
+        null = zbr[perms[-1]] @ (za - zb)
         exceed += int(np.count_nonzero(np.abs(null) >= abs(delta_obs)))
         done += take
-    return (exceed + 1) / (n_perm + 1)
+    return (exceed + 1) / (n_perm + 1), np.concatenate(perms)
 
 
 class TestPermutation:
@@ -286,7 +288,32 @@ class TestPermutation:
             if tied:
                 a, b, brain = np.round(a), np.round(b, 1), np.round(brain)
             t = stats.permutation_test(a, b, brain, n_perm=n_perm, seed=seed)
-            assert t.p_value == _gather_permutation_p(a, b, brain, n_perm, seed)
+            assert t.p_value == _gather_permutation(a, b, brain, n_perm, seed)[0]
+
+    def test_cell_bound_keeps_the_stream(self, monkeypatch):
+        # 5-row chunks (the cell bound at 45 values) draw the same permutations
+        # as 128-row ones. Their null values may differ in the last bit, since
+        # the product with the contrast is blocked by the chunk's row count.
+        r = np.random.default_rng(104)
+        a, b, brain = r.normal(size=(3, 45))
+        p, perms = _gather_permutation(a, b, brain, 129, seed=5)
+        assert np.array_equal(_gather_permutation(a, b, brain, 129, seed=5, chunk=5)[1], perms)
+
+        shapes = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permuted(self, x, axis):
+                shapes.append(x.shape)
+                return self.rng.permuted(x, axis=axis)
+
+        monkeypatch.setattr(stats, "_PERM_CHUNK_CELLS", 45 * 5 + 4)
+        monkeypatch.setattr(stats.np.random, "default_rng", Spy)
+        assert stats.permutation_test(a, b, brain, n_perm=129, seed=5).p_value == p
+        assert shapes == [(5, 45)] * 25 + [(4, 45)]
 
     def test_identical_models_give_p_one(self, rng):
         x = rng.normal(size=100)
