@@ -28,8 +28,8 @@ CHANNELS = (8, 12, 16)
 spec = SynthSpec(num_train=240, num_test=80, num_classes=4, num_stimuli=8,
                  extraction_resolution=32, channels=CHANNELS)
 labeled, _, _ = synth_dataset(spec, seed=0)
-train_set = labeled.subset(slice(0, 240), note=" [train]")
-test_set = labeled.subset(slice(240, None), note=" [test]")
+train_set = labeled.subset(slice(0, 240))
+test_set = labeled.subset(slice(240, None))
 
 print(f"{'rule':<8} {'train acc':>10} {'test acc':>10}")
 for rule in ("random", "bp", "fa", "pc", "stdp"):

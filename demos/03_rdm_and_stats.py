@@ -32,9 +32,8 @@ spec = SynthSpec(num_train=8, num_test=0, num_classes=2, num_stimuli=40,
                  extraction_resolution=32, noise_amplitude=0.15,
                  channels=CHANNELS)
 _, stimuli, brain = synth_dataset(spec, seed=0)
-v1_subjects = [b for b in brain if b.roi == "V1"]
-mean_v1 = np.mean([b.rdm.values for b in v1_subjects], axis=0)
-brain_vec = upper_triangle(mean_v1)
+v1_subjects = [upper_triangle(b.rdm) for b in brain if b.roi == "V1"]
+brain_vec = np.mean(v1_subjects, axis=0)
 
 # Model RDMs: an untrained network vs a differently seeded one
 feats_a = extract_all_taps(init_he_normal(0, channels=CHANNELS), stimuli)
@@ -50,8 +49,7 @@ print(f"fc1   (net B) vs mean brain: rho = {rho_b:+.3f}")
 lo, hi = bootstrap_ci(vec_a, brain_vec, n_boot=1000, seed=0)
 print(f"bootstrap 95% CI for net A: [{lo:+.3f}, {hi:+.3f}]")
 
-test = permutation_test(vec_a, vec_b, brain_vec, n_perm=999, seed=0,
-                        pair=("netA-conv1", "netB-fc1"))
+test = permutation_test(vec_a, vec_b, brain_vec, n_perm=999, seed=0)
 print(f"difference {test.delta_rho:+.3f}, permutation p = {test.p_value:.4f}")
 
 flags = fdr_bh([test.p_value, 0.03, 0.2, 0.8], alpha=0.05)
@@ -65,7 +63,7 @@ part = partial_spearman(vec_a, brain_vec, control)
 print(f"partial rho after pixel control: {part.rho:+.3f} "
       f"(plain {rho_a:+.3f}, degenerate={part.degenerate})")
 
-per_subject_a = [spearman(vec_a, upper_triangle(b.rdm)) for b in v1_subjects]
-per_subject_b = [spearman(vec_b, upper_triangle(b.rdm)) for b in v1_subjects]
+per_subject_a = [spearman(vec_a, v) for v in v1_subjects]
+per_subject_b = [spearman(vec_b, v) for v in v1_subjects]
 d = cohens_d_paired(per_subject_a, per_subject_b)
 print(f"paired Cohen's d over subjects: {d.d:+.2f}")

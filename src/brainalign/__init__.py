@@ -30,10 +30,8 @@ from .rules import LearningRuleConfig, RULES, stdp_kernel, train
 from .stats import (
     NoiseCeiling,
     PairwiseTest,
-    RsaResult,
     bootstrap_ci,
     cohens_d_paired,
-    compute_rsa,
     fdr_bh,
     noise_ceiling,
     partial_spearman,
@@ -52,8 +50,8 @@ __all__ = [
     "per_subject_analysis", "run_experiment",
     "RDM", "average_rdms", "pixel_rdm", "rdm_from_features", "upper_triangle",
     "LearningRuleConfig", "RULES", "stdp_kernel", "train",
-    "NoiseCeiling", "PairwiseTest", "RsaResult", "bootstrap_ci",
-    "cohens_d_paired", "compute_rsa", "fdr_bh", "noise_ceiling",
+    "NoiseCeiling", "PairwiseTest", "bootstrap_ci",
+    "cohens_d_paired", "fdr_bh", "noise_ceiling",
     "partial_spearman", "permutation_test", "spearman",
     "__version__",
 ]

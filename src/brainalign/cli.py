@@ -26,6 +26,7 @@ from .data import (
     load_stimulus_dir,
     read_cifar10_binary,
     read_rdm_csv,
+    write_csv,
     write_rdm_csv,
     write_synth_dataset,
 )
@@ -44,7 +45,6 @@ from .pipeline import (
     load_features_dir,
     run_experiment,
     save_features,
-    _write_csv,
 )
 from .rdm import rdm_from_features, upper_triangle
 from .rules import train as train_rule
@@ -143,10 +143,11 @@ def _cmd_rsa(args) -> int:
     for name, model in sorted(models.items()):
         vec = upper_triangle(model)
         for roi, brain_vec in brain_vecs.items():
-            res = stats.compute_rsa(vec, brain_vec, n_boot=cfg.n_boot, level=cfg.ci_level,
-                                    seed=bootstrap_seed(cfg.stats_seed, name, roi))
-            rows.append([name, roi, res.rho, res.ci_low, res.ci_high, res.n_pairs])
-    _write_csv(args.out, ["model", "roi", "rho", "ci_low", "ci_high", "n_pairs"], rows)
+            rho = stats.spearman(vec, brain_vec)
+            lo, hi = stats.bootstrap_ci(vec, brain_vec, n_boot=cfg.n_boot, level=cfg.ci_level,
+                                        seed=bootstrap_seed(cfg.stats_seed, name, roi))
+            rows.append([name, roi, rho, lo, hi, len(vec)])
+    write_csv(args.out, ["model", "roi", "rho", "ci_low", "ci_high", "n_pairs"], rows)
     print(f"RSA table written to {args.out}")
     return 0
 
@@ -162,7 +163,7 @@ def _cmd_sweep(args) -> int:
     rows = [[tap] + [float(v) for v in sweep.matrix[i]]
             for i, tap in enumerate(sweep.taps)]
     rows.append(["best"] + [sweep.best_tap[r] for r in sweep.rois])
-    _write_csv(args.out, ["tap"] + list(sweep.rois), rows)
+    write_csv(args.out, ["tap"] + list(sweep.rois), rows)
     print(f"sweep matrix written to {args.out}")
     return 0
 

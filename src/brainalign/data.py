@@ -14,6 +14,7 @@ File conventions consumed here:
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,6 @@ CIFAR_RECORD_BYTES = 3073
 class LabeledImageSet:
     images: np.ndarray   # [N,3,H,W], values in [0,1]
     labels: np.ndarray   # [N] ints in [0, num_classes)
-    provenance: str = ""
     num_classes: int = 10
 
     def __post_init__(self):
@@ -48,10 +48,8 @@ class LabeledImageSet:
                 f"labels outside [0, {self.num_classes}): "
                 f"min {self.labels.min()} max {self.labels.max()}")
 
-    def subset(self, idx, note=""):
-        return LabeledImageSet(self.images[idx], self.labels[idx],
-                               provenance=self.provenance + note,
-                               num_classes=self.num_classes)
+    def subset(self, idx):
+        return LabeledImageSet(self.images[idx], self.labels[idx], num_classes=self.num_classes)
 
 
 @dataclass
@@ -123,8 +121,7 @@ def read_cifar10_binary(paths, limit=None) -> LabeledImageSet:
     bad = np.nonzero(lab >= 10)[0]
     if bad.size:
         raise DataFormatError(f"record {bad[0]}: label {lab[bad[0]]} out of range [0, 10)")
-    return LabeledImageSet(images, lab,
-                           provenance="cifar10:" + ";".join(str(p) for p in paths))
+    return LabeledImageSet(images, lab)
 
 
 def write_cifar10_binary(dataset: LabeledImageSet, path) -> None:
@@ -259,8 +256,18 @@ def load_stimulus_dir(directory, resolution: int = 224) -> StimulusSet:
 
 
 # ---------------------------------------------------------------------------
-# RDM CSV I/O
+# CSV tables and RDM CSV I/O
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write a table afresh: a header row, then one row per item. Floats
+    use repr(float), so every table value round-trips losslessly."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
 
 ASYM_WARN = 1e-9
 ASYM_ERROR = 1e-6
@@ -399,26 +406,24 @@ def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[BrainRdmFile]], di
 class SynthSpec:
     """Settings for the synthetic blob dataset.
 
-    The labeled set holds num_train + num_test images (first num_train are
-    the train split). Brain RDMs are the reference network's RDM at the
-    ROI-mapped tap plus symmetric per-subject noise; amplitude 0 makes
-    them exactly equal to the reference RDM. Counts the written files
-    could not hold are rejected at construction: labels are CIFAR bytes
-    below 10, and 3 stimuli are the fewest that give Spearman 3 pairs.
+    The labeled set holds num_train + num_test 32 px images (first
+    num_train are the train split). Brain RDMs are the RDM of a reference
+    network (He init at seed + 1000) at each ROI's DEFAULT_ROI_MAP tap plus
+    symmetric per-subject noise; amplitude 0 makes them exactly equal to
+    the reference RDM. Counts the written files could not hold are rejected
+    at construction: labels are CIFAR bytes below 10, and 3 stimuli are the
+    fewest that give Spearman 3 pairs.
     """
 
     num_train: int = 512
     num_test: int = 128
     num_classes: int = 10
-    image_size: int = 32
     num_stimuli: int = 100
     stimulus_size: int = 64
     extraction_resolution: int = 32
     noise_amplitude: float = 0.1
     subjects: tuple[str, ...] = ("sub-01", "sub-02", "sub-03")
-    roi_map: dict | None = None          # ROI -> tap; default DEFAULT_ROI_MAP
     channels: tuple[int, int, int] = DEFAULT_CHANNELS
-    reference_seed: int | None = None    # defaults to seed + 1000
 
     def __post_init__(self):
         for name, low in (("num_train", 1), ("num_test", 0), ("num_stimuli", 3),
@@ -444,19 +449,18 @@ def _blob(rng, size, n_blobs):
 
 
 def _labeled_blobs(spec: SynthSpec, rng):
-    templates = [_blob(rng, spec.image_size, 3) for _ in range(spec.num_classes)]
+    templates = [_blob(rng, 32, 3) for _ in range(spec.num_classes)]
     n = spec.num_train + spec.num_test
     labels = np.arange(n, dtype=np.int64) % spec.num_classes
     rng.shuffle(labels)
-    images = np.empty((n, 3, spec.image_size, spec.image_size))
+    images = np.empty((n, 3, 32, 32))
     for i, lab in enumerate(labels):
         img = templates[lab].copy()
         shift = rng.integers(-2, 3, size=2)
         img = np.roll(img, shift, axis=(1, 2))
         img += rng.normal(0.0, 0.08, size=img.shape)
         images[i] = np.clip(img, 0.0, 1.0)
-    return LabeledImageSet(images, labels, provenance="synthetic blobs",
-                           num_classes=spec.num_classes)
+    return LabeledImageSet(images, labels, num_classes=spec.num_classes)
 
 
 def synth_stimuli_raw(spec: SynthSpec, seed: int) -> np.ndarray:
@@ -475,21 +479,19 @@ def synth_dataset(spec: SynthSpec, seed: int):
     """Deterministic synthetic substrate: a classifiable labeled blob set,
     a stimulus set, and per-subject brain RDMs derived from a reference
     network's features. Returns (LabeledImageSet, StimulusSet, [BrainRdmFile])."""
-    roi_map = spec.roi_map or dict(DEFAULT_ROI_MAP)
     labeled = _labeled_blobs(spec, named_rng(seed, "synth-train"))
 
     raw = synth_stimuli_raw(spec, seed)
     ids = tuple(f"stim-{i:04d}" for i in range(spec.num_stimuli))
     stimuli = StimulusSet(images=resize_bilinear(raw, spec.extraction_resolution), ids=ids)
 
-    ref_seed = spec.reference_seed if spec.reference_seed is not None else seed + 1000
-    reference = init_he_normal(ref_seed, channels=spec.channels,
+    reference = init_he_normal(seed + 1000, channels=spec.channels,
                                num_classes=spec.num_classes)
     feats = extract_all_taps(reference, stimuli)
     brain_rng = named_rng(seed, "synth-brain")
     brain = []
-    for roi in ROIS:
-        base = rdm_from_features(feats[roi_map[roi]].matrix, ids).values
+    for roi, tap in DEFAULT_ROI_MAP:
+        base = rdm_from_features(feats[tap].matrix, ids).values
         for subject in spec.subjects:
             noise = brain_rng.normal(0.0, 1.0, size=base.shape)
             noise = spec.noise_amplitude * (noise + noise.T) / 2.0
@@ -508,8 +510,8 @@ def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     out = Path(out_dir)
     (out / "stimuli").mkdir(parents=True, exist_ok=True)
     (out / "brain").mkdir(parents=True, exist_ok=True)
-    train = labeled.subset(slice(0, spec.num_train), note=" [train]")
-    test = labeled.subset(slice(spec.num_train, None), note=" [test]")
+    train = labeled.subset(slice(0, spec.num_train))
+    test = labeled.subset(slice(spec.num_train, None))
     write_cifar10_binary(train, out / "train.bin")
     write_cifar10_binary(test, out / "test.bin")
     # stimuli are written at their native size; loaders resize on read

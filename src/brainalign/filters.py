@@ -8,12 +8,12 @@ unstructured noise scores in the low single digits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import write_csv
 from .errors import ConfigurationError
 
 
@@ -65,9 +65,9 @@ def _minmax_grid(filters: np.ndarray) -> np.ndarray:
 
 
 def summarize_filters(state, rule: str = "") -> FilterSummary:
-    """Score every conv1 filter and export the first 16 as a min-max
-    normalized grid for external plotting."""
-    weights = state.conv1.w if hasattr(state, "conv1") else np.asarray(state)
+    """Score every conv1 filter of a NetworkState and export the first 16
+    as a min-max normalized grid for external plotting."""
+    weights = state.conv1.w
     results = [gabor_peakedness(w) for w in weights]
     scores = np.array([r.score for r in results])
     degenerate = np.array([r.degenerate for r in results])
@@ -78,21 +78,15 @@ def summarize_filters(state, rule: str = "") -> FilterSummary:
 
 
 def write_filter_scores_csv(summary: FilterSummary, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["rule", "filter", "peakedness", "degenerate"])
-        for i, (s, d) in enumerate(zip(summary.scores, summary.degenerate)):
-            w.writerow([summary.rule, i, repr(float(s)), int(d)])
-        w.writerow([summary.rule, "mean", repr(summary.mean), ""])
-        w.writerow([summary.rule, "std", repr(summary.std), ""])
+    rows = [[summary.rule, i, s, int(d)]
+            for i, (s, d) in enumerate(zip(summary.scores, summary.degenerate))]
+    rows += [[summary.rule, "mean", summary.mean, ""], [summary.rule, "std", summary.std, ""]]
+    write_csv(path, ["rule", "filter", "peakedness", "degenerate"], rows)
 
 
 def write_filter_grid_csv(summary: FilterSummary, path) -> None:
     """One row per exported filter: index then the [C,k,k] values flattened
     row-major."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        c, k = summary.grid.shape[1], summary.grid.shape[2]
-        w.writerow(["filter"] + [f"v{j}" for j in range(c * k * k)])
-        for i, g in enumerate(summary.grid):
-            w.writerow([i] + [repr(float(v)) for v in g.ravel()])
+    c, k = summary.grid.shape[1], summary.grid.shape[2]
+    write_csv(path, ["filter"] + [f"v{j}" for j in range(c * k * k)],
+              [[i] + g.ravel().tolist() for i, g in enumerate(summary.grid)])

@@ -75,10 +75,6 @@ class NetworkState:
         return (self.conv1.spec.out_channels, self.conv2.spec.out_channels,
                 self.conv3.spec.out_channels)
 
-    @property
-    def taps(self) -> tuple[str, ...]:
-        return TAPS
-
     def conv_blocks(self) -> tuple[ConvBlock, ConvBlock, ConvBlock]:
         return (self.conv1, self.conv2, self.conv3)
 
@@ -330,12 +326,12 @@ def _extraction_batch_size(resolution: int) -> int:
 
 def extract_all_taps(state: NetworkState, stimuli, batch_size: int | None = None
                      ) -> dict[str, LayerFeatures]:
-    """Eval-mode features at every tap in one pass over the stimuli.
+    """Eval-mode features at every tap in one pass over a StimulusSet.
 
     Conv taps are averaged over spatial positions (global average pooling);
     fc taps are stored as-is. Rows follow the stimulus order.
     """
-    images = stimuli.images if hasattr(stimuli, "images") else np.asarray(stimuli)
+    images = stimuli.images
     if batch_size is None:
         batch_size = _extraction_batch_size(images.shape[-1])
     chunks: dict[str, list[np.ndarray]] = {t: [] for t in TAPS}

@@ -16,7 +16,6 @@ stream, so every pair at that ROI sees the same permutations.
 from __future__ import annotations
 
 import configparser
-import csv
 import functools
 import hashlib
 import io
@@ -39,6 +38,7 @@ from .data import (
     load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
+    write_csv,
     write_rdm_csv,
 )
 from .errors import ConfigurationError, DataFormatError
@@ -118,10 +118,6 @@ class ExperimentConfig(RuleParams):
                 f"resolution must be one of {SUPPORTED_RESOLUTIONS}, got {self.resolution}")
         super().__post_init__()
 
-    @property
-    def roi_map_dict(self) -> dict[str, str]:
-        return dict(self.roi_map)
-
     def rule_config(self, rule: str) -> LearningRuleConfig:
         return LearningRuleConfig(
             rule=rule, **{f.name: getattr(self, f.name) for f in fields(RuleParams)})
@@ -132,9 +128,8 @@ class ExperimentConfig(RuleParams):
         "data": ("train_data", "test_data", "stimuli_dir", "brain_rdm_dir", "out_dir"),
         "experiment": ("rules", "seeds", "epochs", "batch_size", "train_limit", "resolution"),
         "network": ("channels", "num_classes"),
-        "rule_params": ("lr", "pc_t_inf", "pc_alpha", "pc_eta_w", "stdp_t",
-                        "stdp_tau_plus_ms", "stdp_tau_minus_ms", "stdp_a_plus",
-                        "stdp_a_minus", "stdp_lr", "stdp_timestep_ms"),
+        "rule_params": tuple(f.name for f in fields(RuleParams)
+                             if f.name not in ("epochs", "batch_size")),
         "stats": ("n_boot", "n_perm", "alpha", "ci_level", "stats_seed",
                   "noise_ceiling_splits"),
     }
@@ -161,17 +156,20 @@ class ExperimentConfig(RuleParams):
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+            sections = {name: parser.items(name) for name in parser.sections()}
+        except configparser.Error as e:
+            raise ConfigurationError(f"malformed config: {e}") from None
         kwargs = {}
-        for section in parser.sections():
+        for section, items in sections.items():
             if section == "roi_map":
                 # configparser lowercases keys; ROI names are canonically upper
-                kwargs["roi_map"] = tuple(
-                    (roi.upper(), tap) for roi, tap in parser.items(section))
+                kwargs["roi_map"] = tuple((roi.upper(), tap) for roi, tap in items)
                 continue
             if section not in cls._SECTIONS:
                 raise ConfigurationError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in items:
                 if key not in cls._SECTIONS[section]:
                     raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
                 kwargs[key] = cls.parse_value(key, raw)
@@ -196,7 +194,7 @@ class ExperimentConfig(RuleParams):
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             text = Path(path).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigurationError(f"cannot read config {path}: {e}") from None
         return cls.from_text(text)
 
@@ -233,18 +231,13 @@ class SweepResult:
 
 def best_layer_sweep(model_by_tap, brain_by_roi) -> SweepResult:
     """Spearman rho for every tap x ROI combination plus the argmax tap per
-    ROI. `model_by_tap` maps tap -> RDM or LayerFeatures; `brain_by_roi`
-    maps ROI -> RDM."""
+    ROI. `model_by_tap` maps tap -> RDM; `brain_by_roi` maps ROI -> RDM."""
     taps = tuple(t for t in TAPS if t in model_by_tap)
     rois = tuple(r for r in ROIS if r in brain_by_roi)
     brain_vecs = {r: upper_triangle(brain_by_roi[r]) for r in rois}
     matrix = np.empty((len(taps), len(rois)))
     for i, tap in enumerate(taps):
-        model = model_by_tap[tap]
-        if isinstance(model, LayerFeatures):
-            ids = brain_by_roi[rois[0]].ids if rois else None
-            model = rdm_from_features(model.matrix, ids)
-        vec = upper_triangle(model)
+        vec = upper_triangle(model_by_tap[tap])
         for j, roi in enumerate(rois):
             matrix[i, j] = stats.spearman(vec, brain_vecs[roi])
     best = {roi: taps[int(np.argmax(matrix[:, j]))] for j, roi in enumerate(rois)}
@@ -309,14 +302,6 @@ def partial_rsa_report(model_rdms, brain_by_roi, stimuli, roi_map) -> dict[str, 
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
 def save_features(features: dict[str, LayerFeatures], ids, out_dir: Path) -> None:
     """Write a feature directory: features_<tap>.npy plus stimulus_ids.txt."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     stimuli = load_stimulus_dir(config.stimuli_dir, resolution=config.resolution)
     by_roi, mean_brain = load_brain_by_roi(config.brain_rdm_dir, stimuli.ids)
     roi_map = {roi: tap for roi, tap in config.roi_map if roi in by_roi}
-    for roi in config.roi_map_dict:
+    for roi, _ in config.roi_map:
         if roi not in by_roi:
             log.warning("no brain RDMs for ROI %s; skipping it", roi)
         elif len(by_roi[roi]) < 2:
@@ -436,7 +421,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # bootstrap CIs, then pairwise permutation tests on one shared stream
     for roi, tap in roi_map.items():
         brain_vec = upper_triangle(mean_brain[roi])
-        ceiling = stats.noise_ceiling(by_roi[roi], n_splits=config.noise_ceiling_splits,
+        ceiling = stats.noise_ceiling([upper_triangle(b.rdm) for b in by_roi[roi]],
+                                      n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
         entry = report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
                                        "conditions": {}}
@@ -457,7 +443,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for a, b in combinations(conditions, 2):
             t = stats.permutation_test(
                 upper_triangle(mean_rdms[a][tap]), upper_triangle(mean_rdms[b][tap]),
-                brain_vec, n_perm=config.n_perm, seed=roi_seed, pair=(a, b))
+                brain_vec, n_perm=config.n_perm, seed=roi_seed)
             report["pairwise_tests"].append(
                 {"roi": roi, "a": a, "b": b, "rho_a": t.rho_a, "rho_b": t.rho_b,
                  "delta_rho": t.delta_rho, "p_value": t.p_value})
@@ -513,43 +499,43 @@ def _write_tables(tables: Path, report: dict) -> None:
     """Render the result tables from the report alone, so each CSV is a
     view of report.json: ROIs in roi_map order, conditions in rule order."""
     rois = report["rois"]
-    _write_csv(tables / "rsa_results.csv",
-               ["condition", "roi", "tap", "rho", "seed_std", "ci_low", "ci_high",
-                "p_vs_random", "fdr_significant", "n_seeds"],
-               [[rule, roi, entry["layer"], c["rho"], c["seed_std"], *c["ci"], c["p_vs_random"],
-                 "" if c["fdr_significant_vs_random"] is None
-                 else int(c["fdr_significant_vs_random"]),
-                 len(c["per_seed"])]
-                for roi, entry in rois.items() for rule, c in entry["conditions"].items()])
+    write_csv(tables / "rsa_results.csv",
+              ["condition", "roi", "tap", "rho", "seed_std", "ci_low", "ci_high",
+               "p_vs_random", "fdr_significant", "n_seeds"],
+              [[rule, roi, entry["layer"], c["rho"], c["seed_std"], *c["ci"], c["p_vs_random"],
+                "" if c["fdr_significant_vs_random"] is None
+                else int(c["fdr_significant_vs_random"]),
+                len(c["per_seed"])]
+               for roi, entry in rois.items() for rule, c in entry["conditions"].items()])
 
-    _write_csv(tables / "pairwise_tests.csv",
-               ["roi", "condition_a", "condition_b", "rho_a", "rho_b",
-                "delta_rho", "p_value", "fdr_significant"],
-               [[r["roi"], r["a"], r["b"], r["rho_a"], r["rho_b"], r["delta_rho"],
-                 r["p_value"], int(r["fdr_significant"])] for r in report["pairwise_tests"]])
+    write_csv(tables / "pairwise_tests.csv",
+              ["roi", "condition_a", "condition_b", "rho_a", "rho_b",
+               "delta_rho", "p_value", "fdr_significant"],
+              [[r["roi"], r["a"], r["b"], r["rho_a"], r["rho_b"], r["delta_rho"],
+                r["p_value"], int(r["fdr_significant"])] for r in report["pairwise_tests"]])
 
-    _write_csv(tables / "per_subject.csv", ["condition", "subject", "roi", "rho"],
-               [[r["condition"], r["subject"], r["roi"], r["rho"]]
-                for r in report["per_subject"]])
+    write_csv(tables / "per_subject.csv", ["condition", "subject", "roi", "rho"],
+              [[r["condition"], r["subject"], r["roi"], r["rho"]]
+               for r in report["per_subject"]])
 
-    _write_csv(tables / "cohens_d.csv",
-               ["roi", "condition_a", "condition_b", "d", "degenerate"],
-               [[r["roi"], r["a"], r["b"], r["d"], int(r["degenerate"])]
-                for r in report["cohens_d"]])
+    write_csv(tables / "cohens_d.csv",
+              ["roi", "condition_a", "condition_b", "d", "degenerate"],
+              [[r["roi"], r["a"], r["b"], r["d"], int(r["degenerate"])]
+               for r in report["cohens_d"]])
 
-    _write_csv(tables / "noise_ceiling.csv", ["roi", "lower", "upper"],
-               [[roi, entry["noise_ceiling"]["lower"], entry["noise_ceiling"]["upper"]]
-                for roi, entry in rois.items()])
+    write_csv(tables / "noise_ceiling.csv", ["roi", "lower", "upper"],
+              [[roi, entry["noise_ceiling"]["lower"], entry["noise_ceiling"]["upper"]]
+               for roi, entry in rois.items()])
 
     for rule, sweep in report["best_layer"].items():
-        _write_csv(tables / f"sweep_{rule}.csv", ["tap"] + sweep["rois"],
-                   [[tap] + row for tap, row in zip(sweep["taps"], sweep["matrix"])])
+        write_csv(tables / f"sweep_{rule}.csv", ["tap"] + sweep["rois"],
+                  [[tap] + row for tap, row in zip(sweep["taps"], sweep["matrix"])])
 
     for roi, rows in report["partial_rsa"].items():
-        _write_csv(tables / f"partial_rsa_{roi}.csv",
-                   ["condition", "rho_std", "rho_partial", "delta"],
-                   [[r["condition"], r["rho_std"], r["rho_partial"], r["delta"]]
-                    for r in rows])
+        write_csv(tables / f"partial_rsa_{roi}.csv",
+                  ["condition", "rho_std", "rho_partial", "delta"],
+                  [[r["condition"], r["rho_std"], r["rho_partial"], r["delta"]]
+                   for r in rows])
 
 
 def _write_manifest(out: Path, config: ExperimentConfig) -> None:

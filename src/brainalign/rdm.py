@@ -60,10 +60,10 @@ def _correlation_distance(matrix: np.ndarray, ids) -> RDM:
     return RDM(values=_finalize(1.0 - corr), ids=tuple(ids))
 
 
-def rdm_from_features(features, ids=None) -> RDM:
-    """Correlation-distance RDM from a [num_stimuli, feature_dim] matrix
-    (or a LayerFeatures record). Rows with zero variance are an error."""
-    matrix = features.matrix if hasattr(features, "matrix") else np.asarray(features)
+def rdm_from_features(matrix, ids=None) -> RDM:
+    """Correlation-distance RDM from a [num_stimuli, feature_dim] matrix.
+    Rows with zero variance are an error."""
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ConfigurationError(
             f"feature matrix must be [N, D>=2], got {matrix.shape}")
@@ -73,11 +73,9 @@ def rdm_from_features(features, ids=None) -> RDM:
 
 
 def pixel_rdm(stimuli) -> RDM:
-    """Correlation-distance RDM between flattened stimulus images."""
-    images = stimuli.images if hasattr(stimuli, "images") else np.asarray(stimuli)
-    ids = stimuli.ids if hasattr(stimuli, "ids") else tuple(
-        f"row-{i:04d}" for i in range(images.shape[0]))
-    return _correlation_distance(images.reshape(images.shape[0], -1), ids)
+    """Correlation-distance RDM between the flattened images of a StimulusSet."""
+    images = stimuli.images
+    return _correlation_distance(images.reshape(images.shape[0], -1), stimuli.ids)
 
 
 def average_rdms(rdms) -> RDM:

@@ -32,14 +32,13 @@ so enabling one consumer cannot perturb another.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import ops
+from .data import write_csv
 from .errors import ConfigurationError, TrainingDivergedError
 from .network import (
     DEFAULT_CHANNELS,
@@ -398,32 +397,12 @@ def evaluate_accuracy(state: NetworkState, images, labels, batch_size: int = 256
     return correct / images.shape[0]
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    loss: float
-    train_acc: float
-    test_acc: float | None
-
-
-def _append_metrics(path, rows, rule: str, seed: int) -> None:
-    path = Path(path)
-    write_header = not path.exists()
-    with open(path, "a", newline="") as f:
-        w = csv.writer(f)
-        if write_header:
-            w.writerow(["epoch", "loss", "train_acc", "test_acc", "rule", "seed"])
-        for r in rows:
-            test = "" if r.test_acc is None else repr(r.test_acc)
-            w.writerow([r.epoch, repr(r.loss), repr(r.train_acc), test, rule, seed])
-
-
 def train(config: LearningRuleConfig, dataset, seed: int, eval_set=None,
           metrics_path=None, channels=DEFAULT_CHANNELS, num_classes: int = 10):
     """Train one condition on a LabeledImageSet; returns the final NetworkState.
 
     rule="random" returns the He init untouched. Per-epoch loss/accuracy is
-    logged and optionally appended to a metrics CSV. Raises
+    logged and optionally written to a fresh metrics CSV. Raises
     TrainingDivergedError (with the epoch index) if the loss goes non-finite.
     """
     images, labels = dataset.images, dataset.labels
@@ -464,16 +443,13 @@ def train(config: LearningRuleConfig, dataset, seed: int, eval_set=None,
                     f"loss became non-finite at epoch {epoch}", epoch=epoch)
             total_loss += loss * len(idx)
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-        rec = EpochRecord(
-            epoch=epoch,
-            loss=total_loss / n,
-            train_acc=correct / n,
-            test_acc=(evaluate_accuracy(state, eval_set.images, eval_set.labels)
-                      if eval_set is not None else None),
-        )
-        history.append(rec)
+        mean_loss, train_acc = total_loss / n, correct / n
+        test_acc = (evaluate_accuracy(state, eval_set.images, eval_set.labels)
+                    if eval_set is not None else "")
+        history.append([epoch, mean_loss, train_acc, test_acc, config.rule, seed])
         log.info("rule=%s seed=%d epoch=%d loss=%.4f train_acc=%.3f",
-                 config.rule, seed, epoch, rec.loss, rec.train_acc)
+                 config.rule, seed, epoch, mean_loss, train_acc)
     if metrics_path is not None:
-        _append_metrics(metrics_path, history, config.rule, seed)
+        write_csv(metrics_path, ["epoch", "loss", "train_acc", "test_acc", "rule", "seed"],
+                  history)
     return state

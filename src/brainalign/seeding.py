@@ -12,7 +12,11 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 def named_rng(seed: int, purpose: str) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     key = zlib.crc32(purpose.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(key,)))

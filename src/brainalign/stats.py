@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedStatisticError
-from .rdm import upper_triangle
 
 log = logging.getLogger(__name__)
 
@@ -225,47 +224,21 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
     return float(lo), float(hi)
 
 
-@dataclass
-class RsaResult:
-    """One model-vs-brain comparison: Spearman rho with its bootstrap CI."""
-
-    rho: float
-    ci_low: float
-    ci_high: float
-    n_pairs: int
-
-    def __post_init__(self):
-        if self.ci_low > self.ci_high:
-            raise ConfigurationError(
-                f"ci_low {self.ci_low} > ci_high {self.ci_high}")
-
-
-def compute_rsa(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
-                seed: int = 0) -> RsaResult:
-    rho = spearman(model_vec, brain_vec)
-    lo, hi = bootstrap_ci(model_vec, brain_vec, n_boot=n_boot, level=level, seed=seed)
-    return RsaResult(rho=rho, ci_low=lo, ci_high=hi, n_pairs=len(np.asarray(model_vec)))
-
-
 # ---------------------------------------------------------------------------
 # Permutation test
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairwiseTest:
+class PairwiseTest(NamedTuple):
     """Permutation test of one condition pair against one brain vector."""
 
-    pair: tuple[str, str]
     rho_a: float
     rho_b: float
     delta_rho: float
     p_value: float
-    n_perm: int
-    fdr_significant: bool | None = None
 
 
 def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
-                     seed: int = 0, pair: tuple[str, str] = ("A", "B")) -> PairwiseTest:
+                     seed: int = 0) -> PairwiseTest:
     """Two-sided permutation test of delta_rho = rho(A, brain) - rho(B, brain).
 
     Each permutation shuffles the brain vector once and recomputes delta
@@ -284,22 +257,26 @@ def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
     delta_obs = rho_a - rho_b
     contrast = za - zb
     rng = np.random.default_rng(seed)
-    # Each row is shuffled in place from one copy of the brain's z-ranks:
-    # the same draws as shuffling indices and gathering, without the gather.
+    # Each row is shuffled from one copy of the brain's z-ranks: the same
+    # draws as shuffling indices and gathering, without the gather.
     # permuted shuffles row by row, so the chunk size (at most 8 MiB of
-    # rows) does not change the stream.
+    # rows) does not change the stream. Each null value is the sum of its
+    # own row, kept contiguous in `rows`, and so does not depend on the
+    # chunk's row count either; a GEMV with the contrast, or a row sum over
+    # the column-major array permuted returns, rounds differently by it.
     chunk = max(1, min(_PERM_CHUNK, _PERM_CHUNK_CELLS // brain.shape[0]))
-    rows = np.broadcast_to(zbr, (chunk, brain.shape[0]))
+    brain_rows = np.broadcast_to(zbr, (chunk, brain.shape[0]))
+    rows = np.empty(brain_rows.shape)
     exceed = 0
     done = 0
     while done < n_perm:
         take = min(chunk, n_perm - done)
-        null = rng.permuted(rows[:take], axis=1) @ contrast
-        exceed += int(np.count_nonzero(np.abs(null) >= abs(delta_obs)))
+        null = rng.permuted(brain_rows[:take], axis=1, out=rows[:take])
+        null *= contrast
+        exceed += int(np.count_nonzero(np.abs(null.sum(axis=1)) >= abs(delta_obs)))
         done += take
     p = (exceed + 1) / (n_perm + 1)
-    return PairwiseTest(pair=tuple(pair), rho_a=rho_a, rho_b=rho_b,
-                        delta_rho=delta_obs, p_value=p, n_perm=n_perm)
+    return PairwiseTest(rho_a=rho_a, rho_b=rho_b, delta_rho=delta_obs, p_value=p)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +370,9 @@ def _split_halves(n_subjects: int, n_splits: int, rng):
     return [all_splits[i] for i in sorted(chosen)]
 
 
-def noise_ceiling(subject_rdms, n_splits: int = 100, seed: int = 0) -> NoiseCeiling:
-    """Split-half reliability of the subject RDMs with Spearman-Brown
-    correction.
+def noise_ceiling(subject_vecs, n_splits: int = 100, seed: int = 0) -> NoiseCeiling:
+    """Split-half reliability of the subjects' upper-triangle RDM vectors
+    with Spearman-Brown correction.
 
     Subjects are split into halves of size ceil(S/2) / floor(S/2); the
     Spearman correlation r between half-mean RDM vectors gives the lower
@@ -404,13 +381,7 @@ def noise_ceiling(subject_rdms, n_splits: int = 100, seed: int = 0) -> NoiseCeil
     are enumerated (three 1-vs-2 splits for S = 3); otherwise n_splits
     random splits are drawn.
     """
-    def as_vec(r):
-        if hasattr(r, "rdm"):
-            r = r.rdm
-        arr = r.values if hasattr(r, "values") else np.asarray(r, dtype=np.float64)
-        return upper_triangle(arr) if arr.ndim == 2 else arr
-
-    vecs = [as_vec(r) for r in subject_rdms]
+    vecs = [np.asarray(v, dtype=np.float64) for v in subject_vecs]
     s = len(vecs)
     if s < 2:
         raise UndefinedStatisticError("noise ceiling needs at least 2 subjects")

@@ -1,4 +1,5 @@
-"""Shared test utilities: the finite-difference oracle and error metrics.
+"""Shared test utilities: the finite-difference oracle, error metrics, a
+tree hash and a StimulusSet builder.
 
 numeric_grad is deliberately independent of any backward-pass code: it
 only ever calls forward functions, perturbing one element at a time with
@@ -6,6 +7,8 @@ central differences.
 """
 
 import numpy as np
+
+from brainalign.data import StimulusSet
 
 FD_EPS = 1e-5
 
@@ -44,3 +47,8 @@ def treehash(root):
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def stimulus_set(images):
+    """A StimulusSet of `images` with ids s0, s1, ..."""
+    return StimulusSet(images=images, ids=tuple(f"s{i}" for i in range(len(images))))

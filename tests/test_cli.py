@@ -81,6 +81,16 @@ class TestVerbs:
         assert main(args) == 0
         assert treehash(tmp_path / "run") == h1  # verb rerun is byte-identical
 
+    def test_train_metrics_rerun_is_byte_identical(self, synth_dir, tmp_path):
+        args = ["train", "--config", str(synth_dir / "data" / "synth.cfg"), "--rule", "bp",
+                "--seed", "0", "--epochs", "2", "--ckpt", str(tmp_path / "bp.ckpt"),
+                "--metrics", str(tmp_path / "m.csv")]
+        assert main(args) == 0
+        first = (tmp_path / "m.csv").read_bytes()
+        assert main(args) == 0
+        assert (tmp_path / "m.csv").read_bytes() == first
+        assert len(first.splitlines()) == 3  # header and two epochs
+
     def test_rsa_reproduces_report_ci(self, synth_dir, tmp_path):
         # rsa on <rule>.csv seeds its bootstrap exactly as report does for that rule
         run = tmp_path / "run"
@@ -126,6 +136,20 @@ class TestExitCodes:
                                        ("--channels", "4,6"), ("--resolution", "64")])
     def test_bad_synth_flag_is_2_and_writes_nothing(self, tmp_path, flags):
         assert exit_code(["synth", "--out", str(tmp_path / "s"), *flags]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_malformed_config_is_2(self, synth_dir, tmp_path, capsys):
+        text = (synth_dir / "data" / "synth.cfg").read_text()
+        (tmp_path / "dup.cfg").write_text(text.replace("n_perm = 1000",
+                                                       "n_perm = 1000\nn_perm = 10"))
+        assert main(["report", "--config", str(tmp_path / "dup.cfg")]) == 2
+        assert "malformed config" in capsys.readouterr().err
+
+    def test_negative_seed_is_2(self, synth_dir, tmp_path):
+        assert main(["train", "--config", str(synth_dir / "data" / "synth.cfg"),
+                     "--rule", "bp", "--seed", "-1", "--ckpt", str(tmp_path / "c.ckpt")]) == 2
+        assert not (tmp_path / "c.ckpt").exists()
+        assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 2
         assert not (tmp_path / "s").exists()
 
     def test_unknown_rule_is_2(self, synth_dir):

@@ -20,6 +20,8 @@ from brainalign.network import (
     save_checkpoint,
 )
 
+from helpers import stimulus_set
+
 SMALL = (4, 6, 8)
 
 
@@ -152,13 +154,13 @@ class TestFeatureExtraction:
 
     def test_identical_stimuli_identical_rows(self, state, rng):
         img = rng.random(size=(1, 3, 32, 32))
-        feats = extract_all_taps(state, np.concatenate([img, img]))
+        feats = extract_all_taps(state, stimulus_set(np.concatenate([img, img])))
         for t in TAPS:
             assert np.array_equal(feats[t].matrix[0], feats[t].matrix[1])
 
     def test_gap_matches_brute_force_mean(self, state, rng):
         stimuli = rng.random(size=(3, 3, 32, 32))
-        feats = extract_all_taps(state, stimuli)["conv2"]
+        feats = extract_all_taps(state, stimulus_set(stimuli))["conv2"]
         _, taps = forward(state, stimuli, mode="eval")
         oracle = np.array([[taps["conv2"][n, c].mean() for c in range(6)]
                            for n in range(3)])
@@ -169,9 +171,9 @@ class TestFeatureExtraction:
         # different GEMM paths, so bitwise identity is not promised here
         a = rng.random(size=(3, 3, 32, 32))
         b = rng.random(size=(2, 3, 32, 32))
-        both = extract_all_taps(state, np.concatenate([a, b]), batch_size=2)
-        fa = extract_all_taps(state, a, batch_size=2)
-        fb = extract_all_taps(state, b, batch_size=2)
+        both = extract_all_taps(state, stimulus_set(np.concatenate([a, b])), batch_size=2)
+        fa = extract_all_taps(state, stimulus_set(a), batch_size=2)
+        fb = extract_all_taps(state, stimulus_set(b), batch_size=2)
         for t in TAPS:
             cat = np.concatenate([fa[t].matrix, fb[t].matrix])
             assert np.abs(both[t].matrix - cat).max() < 1e-12
@@ -179,7 +181,7 @@ class TestFeatureExtraction:
     def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog):
         # three fresh BN blocks and two batches, but one network
         with caplog.at_level("WARNING"):
-            extract_all_taps(state, rng.random(size=(3, 3, 32, 32)), batch_size=2)
+            extract_all_taps(state, stimulus_set(rng.random(size=(3, 3, 32, 32))), batch_size=2)
             forward(state, rng.random(size=(1, 3, 32, 32)))
         assert caplog.text.count("batchnorm eval before any train step") == 1
 

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brainalign.data import BrainRdmFile, SynthSpec, synth_dataset, write_synth_dataset
+from brainalign.data import (
+    BrainRdmFile,
+    SynthSpec,
+    synth_dataset,
+    write_csv,
+    write_synth_dataset,
+)
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import extract_all_taps, init_he_normal
 from brainalign.pipeline import (
@@ -92,6 +98,20 @@ class TestConfig:
         text = ExperimentConfig().to_text().encode("utf-8")
         assert hashlib.sha256(text).hexdigest() == (
             "f6340d08294338f05a44a853aae8edcd47a59521aff3e51eb6f676ec5b3a06ce")
+
+    @pytest.mark.parametrize("text", [
+        "n_perm = 10\n",
+        "[stats]\nn_perm = 10\n[stats]\nn_boot = 10\n",
+        "[stats]\nn_perm = 10\nn_perm = 20\n",
+    ], ids=["no_section_header", "duplicate_section", "duplicate_key"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="malformed config"):
+            ExperimentConfig.from_text(text)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        (tmp_path / "c.cfg").write_bytes(b"[data]\nout_dir = r\xe9sultats\n")
+        with pytest.raises(ConfigurationError, match="cannot read config"):
+            ExperimentConfig.from_file(tmp_path / "c.cfg")
 
     @pytest.mark.parametrize("rule", RULES)
     def test_rule_config_defaults_are_the_rule_defaults(self, rule):
@@ -364,11 +384,9 @@ class TestReportFormatFixture:
     ]
 
     def test_partial_table_renders_fixture_exactly(self, tmp_path):
-        from brainalign.pipeline import _write_csv
-
         path = tmp_path / "partial_rsa_V1.csv"
-        _write_csv(path, ["condition", "rho_std", "rho_partial", "delta"],
-                   [list(r) for r in self.FIXTURE_ROWS])
+        write_csv(path, ["condition", "rho_std", "rho_partial", "delta"],
+                  [list(r) for r in self.FIXTURE_ROWS])
         lines = path.read_text().splitlines()
         assert lines[0] == "condition,rho_std,rho_partial,delta"
         for line, row in zip(lines[1:], self.FIXTURE_ROWS):
@@ -377,14 +395,12 @@ class TestReportFormatFixture:
             assert tuple(float(v) for v in vals) == row[1:]
 
     def test_rsa_row_renders_ci_and_p_exactly(self, tmp_path):
-        from brainalign.pipeline import _write_csv
-
         path = tmp_path / "rsa_results.csv"
         row = ["random", "V1", "conv1", 0.076, 0.003, 0.072, 0.080,
                repr(0.000999000999000999), 1, 5]
-        _write_csv(path, ["condition", "roi", "tap", "rho", "seed_std",
-                          "ci_low", "ci_high", "p_vs_random",
-                          "fdr_significant", "n_seeds"], [row])
+        write_csv(path, ["condition", "roi", "tap", "rho", "seed_std",
+                         "ci_low", "ci_high", "p_vs_random",
+                         "fdr_significant", "n_seeds"], [row])
         got = path.read_text().splitlines()[1].split(",")
         assert float(got[3]) == 0.076
         assert float(got[7]) == 0.000999000999000999

@@ -13,6 +13,8 @@ from brainalign.rdm import (
     upper_triangle,
 )
 
+from helpers import stimulus_set
+
 
 @pytest.fixture
 def rng():
@@ -67,17 +69,17 @@ class TestRdmFromFeatures:
 class TestPixelRdm:
     def test_duplicate_image_zero(self, rng):
         img = rng.random(size=(1, 3, 4, 4))
-        r = pixel_rdm(np.concatenate([img, img, rng.random(size=(1, 3, 4, 4))]))
+        r = pixel_rdm(stimulus_set(np.concatenate([img, img, rng.random(size=(1, 3, 4, 4))])))
         assert r.values[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_inverted_image_two(self, rng):
         img = rng.random(size=(1, 3, 4, 4))
-        r = pixel_rdm(np.concatenate([img, 1.0 - img]))
+        r = pixel_rdm(stimulus_set(np.concatenate([img, 1.0 - img])))
         assert r.values[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_flatten_pearson_oracle(self, rng):
         imgs = rng.random(size=(3, 3, 4, 4))
-        r = pixel_rdm(imgs).values
+        r = pixel_rdm(stimulus_set(imgs)).values
         flat = imgs.reshape(3, -1)
         oracle = np.zeros((3, 3))
         for i in range(3):
@@ -88,7 +90,7 @@ class TestPixelRdm:
 
     def test_constant_image_rejected(self):
         with pytest.raises(DataFormatError, match="zero-variance"):
-            pixel_rdm(np.full((2, 3, 4, 4), 0.5))
+            pixel_rdm(stimulus_set(np.full((2, 3, 4, 4), 0.5)))
 
 
 class TestAverage:

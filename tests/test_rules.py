@@ -277,6 +277,10 @@ class TestStdpMachinery:
         assert np.all(first_spike_times(np.ones((3, 3)), 10, r) == 0)
         assert np.all(first_spike_times(np.zeros((3, 3)), 10, r) == 10)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            named_rng(-1, "spikes")
+
     def test_first_spike_deterministic_per_stream(self):
         p = np.full((4, 4), 0.3)
         a = first_spike_times(p, 10, named_rng(1, "spikes"))
