@@ -38,8 +38,8 @@ brain_vec = np.mean(v1_subjects, axis=0)
 # Model RDMs: an untrained network vs a differently seeded one
 feats_a = extract_all_taps(init_he_normal(0, channels=CHANNELS), stimuli)
 feats_b = extract_all_taps(init_he_normal(1, channels=CHANNELS), stimuli)
-vec_a = upper_triangle(rdm_from_features(feats_a["conv1"].matrix, stimuli.ids))
-vec_b = upper_triangle(rdm_from_features(feats_b["fc1"].matrix, stimuli.ids))
+vec_a = upper_triangle(rdm_from_features(feats_a["conv1"], stimuli.ids))
+vec_b = upper_triangle(rdm_from_features(feats_b["fc1"], stimuli.ids))
 
 rho_a = spearman(vec_a, brain_vec)
 rho_b = spearman(vec_b, brain_vec)

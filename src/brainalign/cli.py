@@ -19,7 +19,6 @@ import logging
 import sys
 from pathlib import Path
 
-from . import stats
 from .data import (
     SynthSpec,
     load_brain_by_roi,
@@ -41,10 +40,10 @@ from .network import TAPS, extract_all_taps, load_checkpoint, save_checkpoint
 from .pipeline import (
     ExperimentConfig,
     best_layer_sweep,
-    bootstrap_seed,
     load_features_dir,
     run_experiment,
     save_features,
+    score_conditions,
 )
 from .rdm import rdm_from_features, upper_triangle
 from .rules import train as train_rule
@@ -114,8 +113,8 @@ def _cmd_rdm(args) -> int:
     feats, ids = load_features_dir(args.features)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for tap, feat in feats.items():
-        write_rdm_csv(rdm_from_features(feat.matrix, ids), out / f"{tap}.csv")
+    for tap, matrix in feats.items():
+        write_rdm_csv(rdm_from_features(matrix, ids), out / f"{tap}.csv")
     print(f"RDMs written to {out}")
     return 0
 
@@ -138,15 +137,13 @@ def _cmd_rsa(args) -> int:
     cfg = _load_config(args)
     models, ids = _load_model_rdms(args.model_rdm)
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
-    brain_vecs = {roi: upper_triangle(mean_brain[roi]) for roi in sorted(mean_brain)}
-    rows = []
-    for name, model in sorted(models.items()):
-        vec = upper_triangle(model)
-        for roi, brain_vec in brain_vecs.items():
-            rho = stats.spearman(vec, brain_vec)
-            lo, hi = stats.bootstrap_ci(vec, brain_vec, n_boot=cfg.n_boot, level=cfg.ci_level,
-                                        seed=bootstrap_seed(cfg.stats_seed, name, roi))
-            rows.append([name, roi, rho, lo, hi, len(vec)])
+    vecs = {name: upper_triangle(model) for name, model in sorted(models.items())}
+    # each model is one condition with a single "seed": its own RDM
+    scores = {roi: score_conditions({name: ([v], v) for name, v in vecs.items()},
+                                    upper_triangle(mean_brain[roi]), roi, cfg)
+              for roi in sorted(mean_brain)}
+    rows = [[name, roi, s[name]["rho"], *s[name]["ci"], len(vec)]
+            for name, vec in vecs.items() for roi, s in scores.items()]
     write_csv(args.out, ["model", "roi", "rho", "ci_low", "ci_high", "n_pairs"], rows)
     print(f"RSA table written to {args.out}")
     return 0
@@ -159,7 +156,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
-    sweep = best_layer_sweep(models, mean_brain)
+    sweep = best_layer_sweep({tap: upper_triangle(m) for tap, m in models.items()},
+                             {roi: upper_triangle(m) for roi, m in mean_brain.items()})
     rows = [[tap] + [float(v) for v in sweep.matrix[i]]
             for i, tap in enumerate(sweep.taps)]
     rows.append(["best"] + [sweep.best_tap[r] for r in sweep.rois])

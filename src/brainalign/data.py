@@ -479,9 +479,12 @@ def synth_dataset(spec: SynthSpec, seed: int):
     """Deterministic synthetic substrate: a classifiable labeled blob set,
     a stimulus set, and per-subject brain RDMs derived from a reference
     network's features. Returns (LabeledImageSet, StimulusSet, [BrainRdmFile])."""
-    labeled = _labeled_blobs(spec, named_rng(seed, "synth-train"))
+    return _synth_from_raw(spec, seed, synth_stimuli_raw(spec, seed))
 
-    raw = synth_stimuli_raw(spec, seed)
+
+def _synth_from_raw(spec: SynthSpec, seed: int, raw: np.ndarray):
+    """synth_dataset given its pre-resize stimuli `raw`."""
+    labeled = _labeled_blobs(spec, named_rng(seed, "synth-train"))
     ids = tuple(f"stim-{i:04d}" for i in range(spec.num_stimuli))
     stimuli = StimulusSet(images=resize_bilinear(raw, spec.extraction_resolution), ids=ids)
 
@@ -491,7 +494,7 @@ def synth_dataset(spec: SynthSpec, seed: int):
     brain_rng = named_rng(seed, "synth-brain")
     brain = []
     for roi, tap in DEFAULT_ROI_MAP:
-        base = rdm_from_features(feats[tap].matrix, ids).values
+        base = rdm_from_features(feats[tap], ids).values
         for subject in spec.subjects:
             noise = brain_rng.normal(0.0, 1.0, size=base.shape)
             noise = spec.noise_amplitude * (noise + noise.T) / 2.0
@@ -506,7 +509,8 @@ def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     """Materialize a synthetic dataset on disk in the formats the pipeline
     reads: CIFAR-style .bin train/test splits, PPM stimuli, RDM CSVs.
     Returns the path map. Nothing is written unless generation succeeds."""
-    labeled, stimuli, brain = synth_dataset(spec, seed)
+    raw = synth_stimuli_raw(spec, seed)
+    labeled, stimuli, brain = _synth_from_raw(spec, seed, raw)
     out = Path(out_dir)
     (out / "stimuli").mkdir(parents=True, exist_ok=True)
     (out / "brain").mkdir(parents=True, exist_ok=True)
@@ -515,7 +519,6 @@ def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     write_cifar10_binary(train, out / "train.bin")
     write_cifar10_binary(test, out / "test.bin")
     # stimuli are written at their native size; loaders resize on read
-    raw = synth_stimuli_raw(spec, seed)
     for sid, img in zip(stimuli.ids, raw):
         write_ppm(img, out / "stimuli" / f"{sid}.ppm")
     for b in brain:

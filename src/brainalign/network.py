@@ -307,14 +307,6 @@ def apply_sgd(state: NetworkState, grads: Grads, lr: float) -> None:
 # Feature extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LayerFeatures:
-    """One tap's responses to a stimulus set, spatially averaged for conv taps."""
-
-    tap: str
-    matrix: np.ndarray  # [num_stimuli, feature_dim]
-
-
 def _extraction_batch_size(resolution: int) -> int:
     # An eval forward_cached keeps only the pooled block outputs, 4.2 MB per
     # image at 224 px with the input, and frees each block's full-size map
@@ -325,8 +317,9 @@ def _extraction_batch_size(resolution: int) -> int:
 
 
 def extract_all_taps(state: NetworkState, stimuli, batch_size: int | None = None
-                     ) -> dict[str, LayerFeatures]:
-    """Eval-mode features at every tap in one pass over a StimulusSet.
+                     ) -> dict[str, np.ndarray]:
+    """Eval-mode features at every tap in one pass over a StimulusSet, as
+    tap -> [num_stimuli, feature_dim] array.
 
     Conv taps are averaged over spatial positions (global average pooling);
     fc taps are stored as-is. Rows follow the stimulus order.
@@ -340,8 +333,7 @@ def extract_all_taps(state: NetworkState, stimuli, batch_size: int | None = None
         for t in TAPS:
             a = taps[t]
             chunks[t].append(ops.global_avg_pool(a) if a.ndim == 4 else a)
-    return {t: LayerFeatures(tap=t, matrix=np.concatenate(chunks[t], axis=0))
-            for t in TAPS}
+    return {t: np.concatenate(chunks[t], axis=0) for t in TAPS}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import logging
 import shutil
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -34,7 +34,6 @@ from . import stats
 from .data import (
     DEFAULT_ROI_MAP,
     ROIS,
-    group_by_roi,
     load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
@@ -47,7 +46,6 @@ from .network import (
     DEFAULT_CHANNELS,
     SUPPORTED_RESOLUTIONS,
     TAPS,
-    LayerFeatures,
     extract_all_taps,
     load_checkpoint,
     save_checkpoint,
@@ -142,7 +140,7 @@ class ExperimentConfig(RuleParams):
                 return repr(v)
             return str(v)
 
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, keys in self._SECTIONS.items():
             parser[section] = {k: fmt(getattr(self, k)) for k in keys}
         parser["roi_map"] = {roi: tap for roi, tap in self.roi_map}
@@ -155,7 +153,7 @@ class ExperimentConfig(RuleParams):
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
             sections = {name: parser.items(name) for name in parser.sections()}
@@ -211,15 +209,31 @@ def _derived_seed(stats_seed: int, purpose: str) -> int:
     return zlib.crc32(f"{stats_seed}|{purpose}".encode("utf-8"))
 
 
-def bootstrap_seed(stats_seed: int, model: str, roi: str) -> int:
-    """Seed of the bootstrap CI of one model RDM at one ROI, shared by
-    `report` (model = rule) and `rsa` (model = CSV stem)."""
-    return _derived_seed(stats_seed, f"boot|{model}|{roi}")
-
-
 # ---------------------------------------------------------------------------
-# Standalone analyses
+# Analyses. Every model and brain RDM enters as its upper-triangle vector
+# (rdm.upper_triangle), taken once by the caller.
 # ---------------------------------------------------------------------------
+
+def score_conditions(conditions, brain_vec, roi: str, config) -> dict[str, dict]:
+    """Headline scores at one ROI for `report` (name = rule) and `rsa`
+    (name = model CSV stem). `conditions` maps a name to (per-seed vectors,
+    seed-mean vector). Returns name -> {rho: mean per-seed Spearman,
+    seed_std (0 for one seed), per_seed, ci: bootstrap CI of the seed-mean
+    vector, seeded by (stats_seed, name, roi) alone}.
+    """
+    scores = {}
+    for name, (seed_vecs, mean_vec) in conditions.items():
+        rhos = [stats.spearman(v, brain_vec) for v in seed_vecs]
+        scores[name] = {
+            "rho": float(np.mean(rhos)),
+            "seed_std": float(np.std(rhos, ddof=1)) if len(rhos) > 1 else 0.0,
+            "per_seed": rhos,
+            "ci": list(stats.bootstrap_ci(
+                mean_vec, brain_vec, n_boot=config.n_boot, level=config.ci_level,
+                seed=_derived_seed(config.stats_seed, f"boot|{name}|{roi}"))),
+        }
+    return scores
+
 
 @dataclass
 class SweepResult:
@@ -231,70 +245,52 @@ class SweepResult:
 
 def best_layer_sweep(model_by_tap, brain_by_roi) -> SweepResult:
     """Spearman rho for every tap x ROI combination plus the argmax tap per
-    ROI. `model_by_tap` maps tap -> RDM; `brain_by_roi` maps ROI -> RDM."""
+    ROI. `model_by_tap` maps tap -> vector; `brain_by_roi` maps ROI -> vector."""
     taps = tuple(t for t in TAPS if t in model_by_tap)
     rois = tuple(r for r in ROIS if r in brain_by_roi)
-    brain_vecs = {r: upper_triangle(brain_by_roi[r]) for r in rois}
     matrix = np.empty((len(taps), len(rois)))
     for i, tap in enumerate(taps):
-        vec = upper_triangle(model_by_tap[tap])
         for j, roi in enumerate(rois):
-            matrix[i, j] = stats.spearman(vec, brain_vecs[roi])
+            matrix[i, j] = stats.spearman(model_by_tap[tap], brain_by_roi[roi])
     best = {roi: taps[int(np.argmax(matrix[:, j]))] for j, roi in enumerate(rois)}
     return SweepResult(taps=taps, rois=rois, matrix=matrix, best_tap=best)
 
 
-def per_subject_analysis(model_rdms, brain_files, roi_map) -> list[dict]:
+def per_subject_analysis(model_vecs, by_roi, roi_map) -> list[dict]:
     """RSA of each condition against each subject's RDM separately.
 
-    `model_rdms` maps condition -> {tap: RDM}; returns rows of
-    {condition, subject, roi, rho}, ordered by (condition, roi, subject).
-    Missing subject x ROI data simply yields no row (the caller flags gaps).
-    Brain RDMs keyed to another stimulus order than the model RDMs raise.
+    `model_vecs` maps condition -> {tap: vector}; `by_roi` maps ROI -> its
+    BrainRdmFiles (see data.group_by_roi). Returns rows of {condition,
+    subject, roi, rho}, ordered by (condition, roi, subject). Missing
+    subject x ROI data simply yields no row (the caller flags gaps).
     """
-    rows = []
-    for condition, rdms in model_rdms.items():
-        by_roi = group_by_roi(brain_files, next(iter(rdms.values())).ids)
-        for roi, tap in roi_map.items():
-            if roi not in by_roi or tap not in rdms:
-                continue
-            vec = upper_triangle(rdms[tap])
-            for b in by_roi[roi]:
-                rows.append({
-                    "condition": condition, "subject": b.subject, "roi": roi,
-                    "rho": stats.spearman(vec, upper_triangle(b.rdm)),
-                })
-    return rows
+    subject_vecs = {roi: [(b.subject, upper_triangle(b.rdm)) for b in by_roi[roi]]
+                    for roi in roi_map if roi in by_roi}
+    return [{"condition": condition, "subject": subject, "roi": roi,
+             "rho": stats.spearman(vecs[tap], brain_vec)}
+            for condition, vecs in model_vecs.items()
+            for roi, tap in roi_map.items() if roi in subject_vecs and tap in vecs
+            for subject, brain_vec in subject_vecs[roi]]
 
 
-def partial_rsa_report(model_rdms, brain_by_roi, stimuli, roi_map) -> dict[str, list[dict]]:
-    """Standard vs partial RSA per ROI with the pixel RDM as control.
-
-    `model_rdms` maps condition -> {tap: RDM} built from seed-averaged
-    features. Returns {roi: [{condition, rho_std, rho_partial, delta,
-    degenerate}]}.
+def partial_rsa_report(model_vecs, brain_by_roi, control, roi_map) -> dict[str, list[dict]]:
+    """Standard vs partial RSA per ROI with `control`, the pixel RDM's
+    vector, partialled out. `model_vecs` maps condition -> {tap: vector} of
+    seed-averaged RDMs; `brain_by_roi` maps ROI -> vector. Returns
+    {roi: [{condition, rho_std, rho_partial, delta, degenerate}]}.
     """
-    control = upper_triangle(pixel_rdm(stimuli))
     out: dict[str, list[dict]] = {}
     for roi, tap in roi_map.items():
         if roi not in brain_by_roi:
             continue
-        brain_vec = upper_triangle(brain_by_roi[roi])
-        rows = []
-        for condition, rdms in model_rdms.items():
-            if tap not in rdms:
-                continue
-            vec = upper_triangle(rdms[tap])
-            rho_std = stats.spearman(vec, brain_vec)
-            partial = stats.partial_spearman(vec, brain_vec, control)
-            rows.append({
-                "condition": condition,
-                "rho_std": rho_std,
-                "rho_partial": partial.rho,
-                "delta": partial.rho - rho_std,
-                "degenerate": partial.degenerate,
-            })
-        out[roi] = rows
+        rows = out[roi] = []
+        for condition, vecs in model_vecs.items():
+            if tap in vecs:
+                rho_std = stats.spearman(vecs[tap], brain_by_roi[roi])
+                partial = stats.partial_spearman(vecs[tap], brain_by_roi[roi], control)
+                rows.append({"condition": condition, "rho_std": rho_std,
+                             "rho_partial": partial.rho, "delta": partial.rho - rho_std,
+                             "degenerate": partial.degenerate})
     return out
 
 
@@ -302,15 +298,15 @@ def partial_rsa_report(model_rdms, brain_by_roi, stimuli, roi_map) -> dict[str, 
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def save_features(features: dict[str, LayerFeatures], ids, out_dir: Path) -> None:
+def save_features(features: dict[str, np.ndarray], ids, out_dir: Path) -> None:
     """Write a feature directory: features_<tap>.npy plus stimulus_ids.txt."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for tap, feat in features.items():
-        np.save(out_dir / f"features_{tap}.npy", feat.matrix)
+    for tap, matrix in features.items():
+        np.save(out_dir / f"features_{tap}.npy", matrix)
     (out_dir / "stimulus_ids.txt").write_text("\n".join(ids) + "\n")
 
 
-def load_features_dir(directory) -> tuple[dict[str, LayerFeatures], tuple[str, ...]]:
+def load_features_dir(directory) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
     directory = Path(directory)
     ids_path = directory / "stimulus_ids.txt"
     if not ids_path.exists():
@@ -330,7 +326,7 @@ def load_features_dir(directory) -> tuple[dict[str, LayerFeatures], tuple[str, .
                                   f"per stimulus id, got {matrix.dtype} {matrix.shape}")
         if not np.isfinite(matrix).all():
             raise DataFormatError(f"{p}: non-finite feature value")
-        feats[tap] = LayerFeatures(tap=tap, matrix=matrix)
+        feats[tap] = matrix
     if not feats:
         raise DataFormatError(f"{directory}: no features_<tap>.npy files")
     return feats, ids
@@ -399,8 +395,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         state, test_set.images, test_set.labels)
                 feats = extract_all_taps(state, stimuli)
                 save_features(feats, stimuli.ids, out / "features" / cell)
-                rdms = {tap: rdm_from_features(feats[tap].matrix, stimuli.ids)
-                        for tap in TAPS}
+                rdms = {tap: rdm_from_features(feats[tap], stimuli.ids) for tap in TAPS}
                 for tap, r in rdms.items():
                     write_rdm_csv(r, out / "rdms" / f"{cell}_{tap}.csv")
                 seed_rdms[rule][seed] = rdms
@@ -409,41 +404,37 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 report["failures"].append(
                     {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
 
-    # Seed-averaged model RDMs per condition
+    # Seed-averaged model RDMs per condition, then each vector the analyses
+    # read, taken once: per-seed and seed-mean per condition and tap, and
+    # the subject-mean brain vector per ROI
     conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
-    mean_rdms: dict[str, dict[str, RDM]] = {rule: {} for rule in conditions}
+    seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
+    mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
     for rule, tap in product(conditions, TAPS):
-        mean_rdms[rule][tap] = average_rdms(
-            [seed_rdms[rule][s][tap] for s in sorted(seed_rdms[rule])])
-        write_rdm_csv(mean_rdms[rule][tap], out / "rdms" / f"{rule}_mean_{tap}.csv")
+        rdms = [seed_rdms[rule][s][tap] for s in sorted(seed_rdms[rule])]
+        mean = average_rdms(rdms)
+        write_rdm_csv(mean, out / "rdms" / f"{rule}_mean_{tap}.csv")
+        seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
+        mean_vecs[rule][tap] = upper_triangle(mean)
+    brain_vecs = {roi: upper_triangle(rdm) for roi, rdm in mean_brain.items()}
 
-    # Per ROI: noise ceiling, per-seed RSA and its seed mean (headline scores),
-    # bootstrap CIs, then pairwise permutation tests on one shared stream
+    # Per ROI: noise ceiling, headline scores with bootstrap CIs, then
+    # pairwise permutation tests on one shared stream
     for roi, tap in roi_map.items():
-        brain_vec = upper_triangle(mean_brain[roi])
+        brain_vec = brain_vecs[roi]
         ceiling = stats.noise_ceiling([upper_triangle(b.rdm) for b in by_roi[roi]],
                                       n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
-        entry = report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
-                                       "conditions": {}}
-        for rule in conditions:
-            rhos = [stats.spearman(upper_triangle(seed_rdms[rule][seed][tap]), brain_vec)
-                    for seed in sorted(seed_rdms[rule])]
-            entry["conditions"][rule] = {
-                "rho": float(np.mean(rhos)),
-                "seed_std": float(np.std(rhos, ddof=1)) if len(rhos) > 1 else 0.0,
-                "per_seed": rhos,
-                "ci": list(stats.bootstrap_ci(
-                    upper_triangle(mean_rdms[rule][tap]), brain_vec, n_boot=config.n_boot,
-                    level=config.ci_level, seed=bootstrap_seed(config.stats_seed, rule, roi))),
-                "p_vs_random": None,
-                "fdr_significant_vs_random": None,
-            }
+        scores = score_conditions({rule: (seed_vecs[rule][tap], mean_vecs[rule][tap])
+                                   for rule in conditions}, brain_vec, roi, config)
+        for score in scores.values():
+            score.update(p_vs_random=None, fdr_significant_vs_random=None)
+        report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
+                               "conditions": scores}
         roi_seed = _derived_seed(config.stats_seed, f"perm|{roi}")
         for a, b in combinations(conditions, 2):
-            t = stats.permutation_test(
-                upper_triangle(mean_rdms[a][tap]), upper_triangle(mean_rdms[b][tap]),
-                brain_vec, n_perm=config.n_perm, seed=roi_seed)
+            t = stats.permutation_test(mean_vecs[a][tap], mean_vecs[b][tap],
+                                       brain_vec, n_perm=config.n_perm, seed=roi_seed)
             report["pairwise_tests"].append(
                 {"roi": roi, "a": a, "b": b, "rho_a": t.rho_a, "rho_b": t.rho_b,
                  "delta_rho": t.delta_rho, "p_value": t.p_value})
@@ -458,8 +449,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 p_vs_random=row["p_value"], fdr_significant_vs_random=row["fdr_significant"])
 
     # Per-subject scores and paired Cohen's d
-    subject_rows = report["per_subject"] = per_subject_analysis(
-        mean_rdms, list(chain.from_iterable(by_roi.values())), roi_map)
+    subject_rows = report["per_subject"] = per_subject_analysis(mean_vecs, by_roi, roi_map)
     for roi in roi_map:
         subjects = sorted({b.subject for b in by_roi[roi]})
         if len(subjects) < 2:
@@ -474,11 +464,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     # Best-layer sweep per condition
     for rule in conditions:
-        sweep = best_layer_sweep(mean_rdms[rule], mean_brain)
+        sweep = best_layer_sweep(mean_vecs[rule], brain_vecs)
         report["best_layer"][rule] = {"matrix": sweep.matrix.tolist(), "taps": list(sweep.taps),
                                       "rois": list(sweep.rois), "best_tap": sweep.best_tap}
 
-    report["partial_rsa"] = partial_rsa_report(mean_rdms, mean_brain, stimuli, roi_map)
+    report["partial_rsa"] = partial_rsa_report(
+        mean_vecs, brain_vecs, upper_triangle(pixel_rdm(stimuli)), roi_map)
 
     # Conv1 filter summaries (first available seed's checkpoint per rule)
     for rule in conditions:

@@ -381,10 +381,7 @@ def _readout_step(state: NetworkState, feats, labels, lr: float):
     cache = fc_forward(state, feats)
     loss, grad_logits = ops.softmax_xent(cache.logits, labels)
     _, grads = fc_backward(cache, grad_logits, state.fc1.w, state.fc2.w)
-    state.fc2.w -= lr * grads.fc2_w
-    state.fc2.b -= lr * grads.fc2_b
-    state.fc1.w -= lr * grads.fc1_w
-    state.fc1.b -= lr * grads.fc1_b
+    apply_sgd(state, grads, lr)  # grads.conv is empty: the conv blocks stay as they are
     return loss, cache.logits
 
 

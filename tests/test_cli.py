@@ -9,7 +9,6 @@ import pytest
 
 from brainalign.cli import build_parser, main
 from brainalign.data import read_rdm_csv, write_rdm_csv
-from brainalign.network import LayerFeatures
 from brainalign.pipeline import save_features
 from brainalign.rdm import RDM
 
@@ -92,7 +91,8 @@ class TestVerbs:
         assert len(first.splitlines()) == 3  # header and two epochs
 
     def test_rsa_reproduces_report_ci(self, synth_dir, tmp_path):
-        # rsa on <rule>.csv seeds its bootstrap exactly as report does for that rule
+        # rsa on <rule>.csv scores it exactly as report does for that rule: the
+        # same rho and the same bootstrap seed, at V1 and at V2 (both on conv1)
         run = tmp_path / "run"
         assert main(["report", "--config", str(synth_dir / "data" / "synth.cfg"),
                      "--out", str(run), "--rules", "bp", "--seeds", "0", "--epochs", "1"]) == 0
@@ -101,10 +101,14 @@ class TestVerbs:
                      "--model-rdm", str(tmp_path / "bp.csv"),
                      "--brain-dir", str(synth_dir / "data" / "brain"),
                      "--out", str(tmp_path / "rsa.csv")]) == 0
-        v1 = next(line.split(",") for line in (tmp_path / "rsa.csv").read_text().splitlines()
-                  if line.startswith("bp,V1,"))
+        rows = {line.split(",")[1]: line.split(",")
+                for line in (tmp_path / "rsa.csv").read_text().splitlines()[1:]}
         report = json.loads((run / "report.json").read_text())
-        assert [float(v1[3]), float(v1[4])] == report["rois"]["V1"]["conditions"]["bp"]["ci"]
+        for roi in ("V1", "V2"):
+            assert report["rois"][roi]["layer"] == "conv1"
+            scored = report["rois"][roi]["conditions"]["bp"]
+            assert float(rows[roi][2]) == scored["rho"]
+            assert [float(rows[roi][3]), float(rows[roi][4])] == scored["ci"]
 
     def test_extract_rejects_unsupported_resolution(self, synth_dir, tmp_path):
         cfg = str(synth_dir / "data" / "synth.cfg")
@@ -292,8 +296,7 @@ def _nan_value(path):
 ])
 def test_corrupt_feature_dir_is_3(tmp_path, capsys, corrupt, message):
     ids = tuple(f"stim-{i}" for i in range(6))
-    feats = {tap: LayerFeatures(tap=tap, matrix=np.random.default_rng(0).normal(size=(6, 5)))
-             for tap in ("conv1", "fc1")}
+    feats = {tap: np.random.default_rng(0).normal(size=(6, 5)) for tap in ("conv1", "fc1")}
     save_features(feats, ids, tmp_path / "feats")
     corrupt(tmp_path / "feats" / "features_fc1.npy")
     assert main(["rdm", "--features", str(tmp_path / "feats"),

@@ -313,7 +313,7 @@ class TestSynth:
 
         labeled, stim, brain = D.synth_dataset(SPEC, seed=0)
         ref = init_he_normal(1000, channels=(4, 6, 8), num_classes=3)
-        base = rdm_from_features(extract_all_taps(ref, stim)["conv1"].matrix, stim.ids)
+        base = rdm_from_features(extract_all_taps(ref, stim)["conv1"], stim.ids)
         v1 = next(b for b in brain if b.roi == "V1" and b.subject == "sub-01")
         assert np.array_equal(v1.rdm.values, base.values)
         # self-comparison RSA is 1 by construction
@@ -333,6 +333,14 @@ class TestSynth:
         assert stim.images.shape == (12, 3, 32, 32)
         assert len(brain) == 4 * 3  # ROIs x subjects
         assert {b.roi for b in brain} == set(D.ROIS)
+
+    def test_write_synth_dataset_makes_the_stimuli_once(self, tmp_path, monkeypatch):
+        calls = []
+        make = D.synth_stimuli_raw
+        monkeypatch.setattr(D, "synth_stimuli_raw",
+                            lambda spec, seed: calls.append(seed) or make(spec, seed))
+        D.write_synth_dataset(SPEC, 0, tmp_path)
+        assert calls == [0]
 
     def test_write_synth_dataset_files_match_memory(self, tmp_path):
         paths = D.write_synth_dataset(SPEC, 0, tmp_path)

@@ -156,7 +156,7 @@ class TestFeatureExtraction:
         img = rng.random(size=(1, 3, 32, 32))
         feats = extract_all_taps(state, stimulus_set(np.concatenate([img, img])))
         for t in TAPS:
-            assert np.array_equal(feats[t].matrix[0], feats[t].matrix[1])
+            assert np.array_equal(feats[t][0], feats[t][1])
 
     def test_gap_matches_brute_force_mean(self, state, rng):
         stimuli = rng.random(size=(3, 3, 32, 32))
@@ -164,7 +164,7 @@ class TestFeatureExtraction:
         _, taps = forward(state, stimuli, mode="eval")
         oracle = np.array([[taps["conv2"][n, c].mean() for c in range(6)]
                            for n in range(3)])
-        assert np.abs(feats.matrix - oracle).max() < 1e-12
+        assert np.abs(feats - oracle).max() < 1e-12
 
     def test_batch_concat_commutes(self, state, rng):
         # equality up to BLAS kernel choice: different batch shapes may take
@@ -175,8 +175,8 @@ class TestFeatureExtraction:
         fa = extract_all_taps(state, stimulus_set(a), batch_size=2)
         fb = extract_all_taps(state, stimulus_set(b), batch_size=2)
         for t in TAPS:
-            cat = np.concatenate([fa[t].matrix, fb[t].matrix])
-            assert np.abs(both[t].matrix - cat).max() < 1e-12
+            cat = np.concatenate([fa[t], fb[t]])
+            assert np.abs(both[t] - cat).max() < 1e-12
 
     def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog):
         # three fresh BN blocks and two batches, but one network

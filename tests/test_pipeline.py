@@ -89,6 +89,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**{field: value})
 
+    def test_percent_in_a_value_round_trips(self, tmp_path):
+        # values are literal text: no %-interpolation on write or read
+        cfg = tiny_config(tmp_path, out_dir=str(tmp_path / "run%1"),
+                          stimuli_dir="a%%b%(x)s")
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        assert cfg.config_hash() == ExperimentConfig.from_text(cfg.to_text()).config_hash()
+
     def test_config_hash_stable(self, tmp_path):
         cfg = tiny_config(tmp_path)
         assert cfg.config_hash() == ExperimentConfig.from_text(cfg.to_text()).config_hash()
@@ -304,17 +311,23 @@ def reference_setup(rng, n_stim=16):
     _, stim, _ = synth_dataset(spec, 0)
     state = init_he_normal(42, channels=SMALL)
     feats = extract_all_taps(state, stim)
-    rdms = {t: rdm_from_features(feats[t].matrix, stim.ids) for t in feats}
+    rdms = {t: rdm_from_features(feats[t], stim.ids) for t in feats}
     return stim, rdms
+
+
+def vectors(rdms):
+    """tap -> upper-triangle vector, the form the analyses take."""
+    return {t: upper_triangle(r) for t, r in rdms.items()}
 
 
 class TestSweep:
     def test_matrix_shape_and_argmax_recovery(self, rng=np.random.default_rng(1)):
         stim, rdms = reference_setup(rng)
-        brain = {roi: rdms["conv1"] for roi in ("V1", "V2")}
-        brain["LOC"] = rdms["conv3"]
-        brain["IT"] = rdms["fc1"]
-        sweep = best_layer_sweep(rdms, brain)
+        vecs = vectors(rdms)
+        brain = {roi: vecs["conv1"] for roi in ("V1", "V2")}
+        brain["LOC"] = vecs["conv3"]
+        brain["IT"] = vecs["fc1"]
+        sweep = best_layer_sweep(vecs, brain)
         assert sweep.matrix.shape == (5, 4)
         assert sweep.best_tap["V1"] == "conv1"
         assert sweep.best_tap["LOC"] == "conv3"
@@ -323,13 +336,14 @@ class TestSweep:
     def test_noise_brain_gives_weak_correlations(self):
         rng = np.random.default_rng(3)
         stim, rdms = reference_setup(rng, n_stim=40)
+        vecs = vectors(rdms)
         worst = 0.0
         for draw in range(20):
             n = rng.normal(size=(40, 40))
             vals = np.clip(1 + 0.3 * (n + n.T) / 2, 0, 2)
             np.fill_diagonal(vals, 0)
-            brain = {"V1": RDM(values=vals, ids=stim.ids)}
-            sweep = best_layer_sweep(rdms, brain)
+            brain = {"V1": upper_triangle(vals)}
+            sweep = best_layer_sweep(vecs, brain)
             worst = max(worst, np.abs(sweep.matrix).max())
         assert worst < 0.25  # 780 pairs of pure noise stay weak
 
@@ -339,7 +353,7 @@ class TestPerSubject:
         rng = np.random.default_rng(5)
         stim, rdms = reference_setup(rng)
         sub = BrainRdmFile(subject="sub-01", roi="V1", rdm=rdms["conv1"])
-        rows = per_subject_analysis({"random": rdms}, [sub], {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": [sub]}, {"V1": "conv1"})
         mean_rho = spearman(upper_triangle(rdms["conv1"]),
                             upper_triangle(average_rdms([sub.rdm])))
         assert len(rows) == 1
@@ -350,7 +364,7 @@ class TestPerSubject:
         stim, rdms = reference_setup(rng)
         subs = [BrainRdmFile(subject=f"sub-0{i}", roi="V1", rdm=rdms["conv1"])
                 for i in (1, 2)]
-        rows = per_subject_analysis({"random": rdms}, subs, {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": subs}, {"V1": "conv1"})
         assert rows[0]["rho"] == rows[1]["rho"]
 
     def test_noisier_subjects_score_lower(self):
@@ -364,7 +378,7 @@ class TestPerSubject:
             np.fill_diagonal(vals, 0)
             subs.append(BrainRdmFile(subject=f"sub-0{i}", roi="V1",
                                      rdm=RDM(values=vals, ids=stim.ids)))
-        rows = per_subject_analysis({"random": rdms}, subs, {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": subs}, {"V1": "conv1"})
         rhos = [r["rho"] for r in sorted(rows, key=lambda r: r["subject"])]
         assert rhos[0] > rhos[1] > rhos[2]
 
@@ -412,11 +426,11 @@ class TestPartialReport:
         stim, rdms = reference_setup(rng, n_stim=20)
         from brainalign.rdm import pixel_rdm
 
-        pix = pixel_rdm(stim)
-        brain = {"V1": rdms["conv1"]}
+        pix = upper_triangle(pixel_rdm(stim))
+        ref = upper_triangle(rdms["conv1"])
         # a model identical to the pixel control must be annihilated
-        models = {"pixelclone": {"conv1": pix}, "reference": {"conv1": rdms["conv1"]}}
-        out = partial_rsa_report(models, brain, stim, {"V1": "conv1"})
+        models = {"pixelclone": {"conv1": pix}, "reference": {"conv1": ref}}
+        out = partial_rsa_report(models, {"V1": ref}, pix, {"V1": "conv1"})
         rows = out["V1"]
         assert {r["condition"] for r in rows} == {"pixelclone", "reference"}
         clone = next(r for r in rows if r["condition"] == "pixelclone")
