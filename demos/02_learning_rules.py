@@ -5,8 +5,8 @@ Five training conditions on one fixed CNN
 Trains the same small architecture under random (untrained), BP, FA, PC
 and STDP on a synthetic blob dataset, and prints the resulting train
 accuracies. Also shows two structural facts: feedback alignment with
-transposed feedback reproduces backprop exactly, and the STDP kernel is
-odd-symmetric with the documented time constants.
+feedback equal to the forward weights reproduces backprop exactly, and
+the STDP kernel is odd-symmetric with the documented time constants.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ for rule in ("random", "bp", "fa", "pc", "stdp"):
     te = evaluate_accuracy(state, test_set.images, test_set.labels)
     print(f"{rule:<8} {tr:>10.3f} {te:>10.3f}")
 
-# FA collapses to BP when the feedback tensors equal the forward transposes
+# FA collapses to BP when the feedback tensors equal the forward weights
 rng = np.random.default_rng(1)
 s_bp = init_he_normal(7, channels=CHANNELS, num_classes=4)
 s_fa = init_he_normal(7, channels=CHANNELS, num_classes=4)
@@ -50,7 +50,7 @@ for _ in range(3):
     fa_step(s_fa, feedback_from_transposes(s_fa), xb, yb, 0.01)
 diff = max(np.abs(a - b).max() for a, b in zip(
     s_bp.parameter_arrays().values(), s_fa.parameter_arrays().values()))
-print("\nFA with B = W^T vs BP, max parameter difference:", diff)
+print("\nFA with B = W vs BP, max parameter difference:", diff)
 
 # The timing kernel: potentiation for post-after-pre, depression otherwise
 for dt in (2.0, 10.0, 20.0, -20.0):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .network import DEFAULT_CHANNELS, extract_all_taps, init_he_normal
-from .rdm import RDM, average_rdms, rdm_from_features
+from .rdm import CLAMP_GUARD, RDM, average_rdms, rdm_from_features
 from .seeding import named_rng
 
 log = logging.getLogger(__name__)
@@ -353,9 +353,17 @@ def read_rdm_csv(path) -> RDM:
 
 
 def read_brain_rdm_csv(path) -> BrainRdmFile:
-    """Read one brain RDM CSV named "<subject>_<ROI>.csv" (see read_rdm_csv)."""
+    """Read one brain RDM CSV named "<subject>_<ROI>.csv" (see read_rdm_csv).
+    Its distances must lie in [0, 2] up to rdm.CLAMP_GUARD, the range of the
+    per-ROI mean they are averaged into."""
     subject, roi = _parse_subject_roi(path)
-    return BrainRdmFile(subject=subject, roi=roi, rdm=read_rdm_csv(path))
+    rdm = read_rdm_csv(path)
+    bad = np.argwhere((rdm.values < -CLAMP_GUARD) | (rdm.values > 2.0 + CLAMP_GUARD))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(f"{path}: distance {float(rdm.values[i, j])!r} at "
+                              f"({rdm.ids[i]}, {rdm.ids[j]}) is outside [0, 2]")
+    return BrainRdmFile(subject=subject, roi=roi, rdm=rdm)
 
 
 def load_brain_rdm_dir(directory) -> list[BrainRdmFile]:

@@ -42,18 +42,11 @@ class ConvBlock:
     beta: np.ndarray
     stats: RunningStats
 
-    def copy(self) -> "ConvBlock":
-        return ConvBlock(self.spec, self.w.copy(), self.b.copy(),
-                         self.gamma.copy(), self.beta.copy(), self.stats.copy())
-
 
 @dataclass
 class AffineLayer:
     w: np.ndarray
     b: np.ndarray
-
-    def copy(self) -> "AffineLayer":
-        return AffineLayer(self.w.copy(), self.b.copy())
 
 
 @dataclass
@@ -77,11 +70,6 @@ class NetworkState:
 
     def conv_blocks(self) -> tuple[ConvBlock, ConvBlock, ConvBlock]:
         return (self.conv1, self.conv2, self.conv3)
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(self.conv1.copy(), self.conv2.copy(), self.conv3.copy(),
-                            self.fc1.copy(), self.fc2.copy(), self.rng_seed,
-                            self.in_channels, self.num_classes)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every parameter and BN running stat."""
@@ -231,76 +219,62 @@ def forward(state: NetworkState, batch, mode: str = "eval"):
     return cache.logits, {**taps, "fc1": cache.fc1_act, "fc2": cache.logits}
 
 
-@dataclass
-class Grads:
-    """Parameter gradients mirroring NetworkState's layout."""
-
-    conv: list  # per block: dict(w=, b=, gamma=, beta=)
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-
 def backward(state: NetworkState, cache: ForwardCache, grad_logits,
-             feedback=None) -> Grads:
+             feedback=None) -> dict[str, np.ndarray]:
     """Backward pass from a logits gradient down to every parameter.
 
-    With `feedback=None` this is exact backpropagation: error transport
-    between layers uses the transposed forward weights. With a
-    FeedbackWeights record (see rules), transport through FC and conv
-    weights uses the fixed random tensors instead, while BN parameter
-    gradients and pool/ReLU routing stay local.
+    Returns name -> gradient for every trained parameter, keyed like
+    `parameter_arrays` (the BN running stats have none). The error travels
+    between layers through the transport weights: `feedback` (FA's fixed
+    random tensors, see rules) when given, else the forward weights, which
+    makes this exact backpropagation. Transport is the only difference: BN
+    parameter gradients and pool/ReLU routing stay local either way.
     """
-    if feedback is None:
-        delta, grads = fc_backward(cache, grad_logits, state.fc1.w, state.fc2.w)
-    else:
-        delta, grads = fc_backward(cache, grad_logits, feedback.fc1.T, feedback.fc2.T)
-    # GAP
+    transport = feedback or state.parameter_arrays()
+    delta, grads = fc_backward(cache, grad_logits, transport)
     delta = ops.global_avg_pool_backward(delta, cache.blocks[2].out.shape)
     # Conv blocks, deepest first
-    conv_grads: list[dict | None] = [None, None, None]
     for i in (2, 1, 0):
-        block = state.conv_blocks()[i]
-        c = cache.blocks[i]
+        name, block, c = CONV_TAPS[i], state.conv_blocks()[i], cache.blocks[i]
         delta = ops.maxpool2x2_backward(delta, c.pool_idx)
         delta = ops.relu_backward(delta, c.post_relu)
-        delta, g_gamma, g_beta = ops.batchnorm_backward(delta, c.bn_cache)
-        g_w = ops.conv2d_weight_grad(delta, c.x, block.spec)
-        g_b = delta.sum(axis=(0, 2, 3))
-        conv_grads[i] = {"w": g_w, "b": g_b, "gamma": g_gamma, "beta": g_beta}
+        delta, grads[f"{name}.gamma"], grads[f"{name}.beta"] = ops.batchnorm_backward(
+            delta, c.bn_cache)
+        grads[f"{name}.w"] = ops.conv2d_weight_grad(delta, c.x, block.spec)
+        grads[f"{name}.b"] = delta.sum(axis=(0, 2, 3))
         if i > 0:
-            w_t = block.w if feedback is None else feedback.conv[i]
-            delta = ops.conv2d_input_grad(delta, w_t, block.spec, c.x.shape[2:])
-    grads.conv = conv_grads
+            delta = ops.conv2d_input_grad(delta, transport[f"{name}.w"], block.spec,
+                                          c.x.shape[2:])
     return grads
 
 
-def fc_backward(cache: ForwardCache, grad_logits, w_fc1, w_fc2):
+def fc_backward(cache: ForwardCache, grad_logits, transport):
     """Backward through FC2 -> ReLU -> FC1 from a logits gradient.
 
-    The error travels down through `w_fc2.T` and `w_fc1.T`: the forward
-    weights give exact backprop, FA's transposed feedback tensors give its
-    fixed random transport. Returns (gradient w.r.t. `cache.gap`, Grads
-    with an empty conv list).
+    The error travels down through `transport["fc2.w"]` and
+    `transport["fc1.w"]`, each in its forward weight's shape. Returns
+    (gradient w.r.t. `cache.gap`, {"fc1.w", "fc1.b", "fc2.w", "fc2.b"}
+    gradients).
     """
-    delta, fc2_w, fc2_b = ops.affine_backward(grad_logits, cache.fc1_act, w_fc2)
+    grads = {}
+    delta, grads["fc2.w"], grads["fc2.b"] = ops.affine_backward(
+        grad_logits, cache.fc1_act, transport["fc2.w"])
     delta = ops.relu_backward(delta, cache.fc1_pre)
-    delta, fc1_w, fc1_b = ops.affine_backward(delta, cache.gap, w_fc1)
-    return delta, Grads(conv=[], fc1_w=fc1_w, fc1_b=fc1_b, fc2_w=fc2_w, fc2_b=fc2_b)
+    delta, grads["fc1.w"], grads["fc1.b"] = ops.affine_backward(
+        delta, cache.gap, transport["fc1.w"])
+    return delta, grads
 
 
-def apply_sgd(state: NetworkState, grads: Grads, lr: float) -> None:
-    """One plain SGD step, in place."""
-    for block, g in zip(state.conv_blocks(), grads.conv):
-        block.w -= lr * g["w"]
-        block.b -= lr * g["b"]
-        block.gamma -= lr * g["gamma"]
-        block.beta -= lr * g["beta"]
-    state.fc1.w -= lr * grads.fc1_w
-    state.fc1.b -= lr * grads.fc1_b
-    state.fc2.w -= lr * grads.fc2_w
-    state.fc2.b -= lr * grads.fc2_b
+def apply_sgd(state: NetworkState, grads: dict[str, np.ndarray], lr: float) -> None:
+    """One plain SGD step, in place, on every parameter `grads` names.
+
+    Updates run in `parameter_arrays` order, not in `backward`'s fc2-first
+    order: the order in which the `lr * g` temporaries are freed steers the
+    allocator (likely glibc's dynamic mmap threshold), and fc2-first raised
+    the peak RSS of a later 224 px extraction by 4.7 MiB."""
+    for name, p in state.parameter_arrays().items():
+        if name in grads:
+            p -= lr * grads[name]
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,6 @@ class RunningStats:
     def fresh(cls, channels: int) -> "RunningStats":
         return cls(mean=np.zeros(channels), var=np.ones(channels), batches_seen=0)
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy(), self.batches_seen)
-
 
 class BnCache(NamedTuple):
     xhat: np.ndarray

@@ -256,16 +256,14 @@ def best_layer_sweep(model_by_tap, brain_by_roi) -> SweepResult:
     return SweepResult(taps=taps, rois=rois, matrix=matrix, best_tap=best)
 
 
-def per_subject_analysis(model_vecs, by_roi, roi_map) -> list[dict]:
+def per_subject_analysis(model_vecs, subject_vecs, roi_map) -> list[dict]:
     """RSA of each condition against each subject's RDM separately.
 
-    `model_vecs` maps condition -> {tap: vector}; `by_roi` maps ROI -> its
-    BrainRdmFiles (see data.group_by_roi). Returns rows of {condition,
-    subject, roi, rho}, ordered by (condition, roi, subject). Missing
-    subject x ROI data simply yields no row (the caller flags gaps).
+    `model_vecs` maps condition -> {tap: vector}; `subject_vecs` maps ROI ->
+    [(subject, vector)]. Returns rows of {condition, subject, roi, rho},
+    ordered by (condition, roi, subject). Missing subject x ROI data simply
+    yields no row (the caller flags gaps).
     """
-    subject_vecs = {roi: [(b.subject, upper_triangle(b.rdm)) for b in by_roi[roi]]
-                    for roi in roi_map if roi in by_roi}
     return [{"condition": condition, "subject": subject, "roi": roi,
              "rho": stats.spearman(vecs[tap], brain_vec)}
             for condition, vecs in model_vecs.items()
@@ -406,7 +404,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     # Seed-averaged model RDMs per condition, then each vector the analyses
     # read, taken once: per-seed and seed-mean per condition and tap, and
-    # the subject-mean brain vector per ROI
+    # the subject-mean and each subject's brain vector per ROI
     conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
     seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
     mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
@@ -417,12 +415,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
         mean_vecs[rule][tap] = upper_triangle(mean)
     brain_vecs = {roi: upper_triangle(rdm) for roi, rdm in mean_brain.items()}
+    subject_vecs = {roi: [(b.subject, upper_triangle(b.rdm)) for b in by_roi[roi]]
+                    for roi in roi_map}
 
     # Per ROI: noise ceiling, headline scores with bootstrap CIs, then
     # pairwise permutation tests on one shared stream
     for roi, tap in roi_map.items():
         brain_vec = brain_vecs[roi]
-        ceiling = stats.noise_ceiling([upper_triangle(b.rdm) for b in by_roi[roi]],
+        ceiling = stats.noise_ceiling([vec for _, vec in subject_vecs[roi]],
                                       n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
         scores = score_conditions({rule: (seed_vecs[rule][tap], mean_vecs[rule][tap])
@@ -449,11 +449,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 p_vs_random=row["p_value"], fdr_significant_vs_random=row["fdr_significant"])
 
     # Per-subject scores and paired Cohen's d
-    subject_rows = report["per_subject"] = per_subject_analysis(mean_vecs, by_roi, roi_map)
-    for roi in roi_map:
-        subjects = sorted({b.subject for b in by_roi[roi]})
-        if len(subjects) < 2:
-            continue
+    subject_rows = report["per_subject"] = per_subject_analysis(mean_vecs, subject_vecs, roi_map)
+    for roi in roi_map:  # each has 2 or more subjects, sorted: checked and grouped on load
+        subjects = [subject for subject, _ in subject_vecs[roi]]
         score = {(r["condition"], r["subject"]): r["rho"]
                  for r in subject_rows if r["roi"] == roi}
         for a, b in combinations(conditions, 2):

@@ -8,7 +8,7 @@ fa      : backprop with error transport through fixed random feedback
           convolution with a fixed random filter bank of the forward
           kernel's shape. The loss gradient at the output is untouched,
           and BN/ReLU/pool routing stays local, so setting B to the
-          forward transposes reproduces BP exactly.
+          forward weights reproduces BP exactly.
 pc      : hierarchical predictive coding on the conv stack. Each level
           keeps a representation r_l on the post-block (post-pool) grid;
           learned prediction weights (transposed convolutions, stride 2)
@@ -119,63 +119,38 @@ def bp_step(state: NetworkState, batch, labels, lr: float):
     return loss, cache.logits
 
 
-@dataclass
-class FeedbackWeights:
-    """Fixed random error-transport tensors, one per trainable layer.
-
-    fc2/fc1 have the transposed shapes of the forward matrices and are
-    applied as `delta @ B`. conv entries share the forward kernel shape and
-    replace the kernel in the transposed-convolution transport; conv[0]
-    exists for shape symmetry but no error is transported below conv1.
-    """
-
-    fc2: np.ndarray
-    fc1: np.ndarray
-    conv: list
-
-    def check_against(self, state: NetworkState) -> None:
-        expect_fc2 = (state.fc2.w.shape[1], state.fc2.w.shape[0])
-        expect_fc1 = (state.fc1.w.shape[1], state.fc1.w.shape[0])
-        if self.fc2.shape != expect_fc2 or self.fc1.shape != expect_fc1:
-            raise ConfigurationError(
-                f"feedback shapes fc2 {self.fc2.shape} / fc1 {self.fc1.shape} do not mirror "
-                f"forward transposes {expect_fc2} / {expect_fc1}"
-            )
-        for b, block in zip(self.conv, state.conv_blocks()):
-            if b.shape != block.w.shape:
-                raise ConfigurationError(
-                    f"conv feedback {b.shape} does not match forward kernel {block.w.shape}"
-                )
-
-
-def make_feedback_weights(state: NetworkState, seed: int) -> FeedbackWeights:
-    """Draw the run's fixed feedback tensors, He-scaled like the forward layers."""
+def make_feedback_weights(state: NetworkState, seed: int) -> dict[str, np.ndarray]:
+    """Draw the run's fixed feedback tensors, He-scaled like the forward
+    layers, as name -> array in each forward weight's shape ("conv1.w" ...
+    "fc2.w"). conv1's exists for symmetry: no error travels below conv1.
+    The FC tensors are drawn in [out, in] order and stored as transposed
+    views: the draw order defines the feedback stream, and the views'
+    memory layout the transport GEMM's rounding."""
     rng = named_rng(seed, "feedback")
-    conv = []
-    for block in state.conv_blocks():
-        fan_in = block.spec.in_channels * block.spec.kernel_size ** 2
-        conv.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=block.w.shape))
-    fc1 = rng.normal(0.0, np.sqrt(2.0 / state.fc1.w.shape[0]),
-                     size=(state.fc1.w.shape[1], state.fc1.w.shape[0]))
-    fc2 = rng.normal(0.0, np.sqrt(2.0 / state.fc2.w.shape[0]),
-                     size=(state.fc2.w.shape[1], state.fc2.w.shape[0]))
-    return FeedbackWeights(fc2=fc2, fc1=fc1, conv=conv)
+    feedback = {}
+    for name, w in state.parameter_arrays().items():
+        if w.ndim == 4:  # conv kernel [out, in, k, k]
+            feedback[name] = rng.normal(0.0, np.sqrt(2.0 / np.prod(w.shape[1:])), size=w.shape)
+        elif name.endswith(".w"):  # FC [in, out]
+            feedback[name] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape[::-1]).T
+    return feedback
 
 
-def feedback_from_transposes(state: NetworkState) -> FeedbackWeights:
-    """Feedback tensors equal to the forward transposes, under which the FA
-    backward reduces exactly to BP. (A conv kernel is its own transport
-    tensor: the transposed convolution reuses the kernel as stored.)"""
-    return FeedbackWeights(
-        fc2=state.fc2.w.T.copy(),
-        fc1=state.fc1.w.T.copy(),
-        conv=[b.w.copy() for b in state.conv_blocks()],
-    )
+def feedback_from_transposes(state: NetworkState) -> dict[str, np.ndarray]:
+    """Feedback tensors equal to (copies of) the forward weights, under
+    which the FA backward is BP, bit for bit: `backward` transports the
+    error through the forward weights when it is given no feedback."""
+    return {name: a.copy() for name, a in state.parameter_arrays().items()
+            if name.endswith(".w")}
 
 
-def fa_step(state: NetworkState, feedback: FeedbackWeights, batch, labels, lr: float):
+def fa_step(state: NetworkState, feedback: dict[str, np.ndarray], batch, labels, lr: float):
     """One feedback-alignment step: BP's update rule with B-transported deltas."""
-    feedback.check_against(state)
+    expected = {n: a.shape for n, a in state.parameter_arrays().items() if n.endswith(".w")}
+    got = {n: b.shape for n, b in feedback.items()}
+    if got != expected:
+        raise ConfigurationError(
+            f"feedback shapes {got} do not match the forward weights' {expected}")
     cache = forward_cached(state, batch, mode="train")
     loss, grad_logits = ops.softmax_xent(cache.logits, labels)
     grads = backward(state, cache, grad_logits, feedback=feedback)
@@ -380,8 +355,8 @@ def _readout_step(state: NetworkState, feats, labels, lr: float):
     """BP/SGD step on FC1+FC2 only, from fixed [B, C3] features."""
     cache = fc_forward(state, feats)
     loss, grad_logits = ops.softmax_xent(cache.logits, labels)
-    _, grads = fc_backward(cache, grad_logits, state.fc1.w, state.fc2.w)
-    apply_sgd(state, grads, lr)  # grads.conv is empty: the conv blocks stay as they are
+    _, grads = fc_backward(cache, grad_logits, state.parameter_arrays())
+    apply_sgd(state, grads, lr)  # FC gradients only: the conv blocks stay as they are
     return loss, cache.logits
 
 

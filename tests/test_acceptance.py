@@ -146,14 +146,9 @@ def test_criterion_01_gradient_correctness():
         cache = forward_cached(st, batch, "train")
         _, grad_logits = ops.softmax_xent(cache.logits, labels)
         grads = network.backward(st, cache, grad_logits)
-        flat = {
-            "conv1.w": (st.conv1.w, grads.conv[0]["w"]),
-            "conv2.gamma": (st.conv2.gamma, grads.conv[1]["gamma"]),
-            "conv3.b": (st.conv3.b, grads.conv[2]["b"]),
-            "fc1.w": (st.fc1.w, grads.fc1_w),
-            "fc2.w": (st.fc2.w, grads.fc2_w),
-        }
-        for name, (tensor, analytic) in flat.items():
+        params = st.parameter_arrays()
+        for name in ("conv1.w", "conv2.gamma", "conv3.b", "fc1.w", "fc2.w"):
+            tensor, analytic = params[name], grads[name]
             sel = tuple(rng.integers(0, s, 4) for s in tensor.shape)
             nums, anas = [], []
             for k in range(4):

@@ -210,6 +210,19 @@ class TestExitCodes:
                      "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
         assert "non-finite value nan at (stim-0001, stim-0004)" in capsys.readouterr().err
 
+    def test_brain_distance_past_2_is_3(self, synth_dir, tmp_path, capsys):
+        # every V1 subject at 2.5, so the subject mean is out of range too
+        brain = tmp_path / "brain"
+        shutil.copytree(synth_dir / "data" / "brain", brain)
+        for path in sorted(brain.glob("*_V1.csv")):
+            rdm = read_rdm_csv(path)
+            values = rdm.values.copy()
+            values[1, 4] = values[4, 1] = 2.5
+            write_rdm_csv(RDM(values=values, ids=rdm.ids), path)
+        assert main(["rsa", "--model-rdm", str(synth_dir / "data" / "brain" / "sub-02_V1.csv"),
+                     "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "distance 2.5 at (stim-0001, stim-0004)" in capsys.readouterr().err
+
     def test_one_subject_report_is_3_and_keeps_last_run(self, synth_dir, tmp_path, capsys):
         brain = synth_dir / "data" / "brain"
         one = tmp_path / "one_subject"

@@ -248,6 +248,14 @@ class TestRdmCsv:
         with pytest.raises(DataFormatError, match=r"non-finite value .* at \(x, z\)"):
             D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
 
+    def test_distance_past_2_rejected(self, tmp_path):
+        # brain distances are averaged into a per-ROI mean RDM in [0, 2]
+        m = np.zeros((3, 3))
+        m[0, 2] = m[2, 0] = 2.5
+        write_matrix_csv(tmp_path / "sub-01_V1.csv", ("x", "y", "z"), m)
+        with pytest.raises(DataFormatError, match=r"sub-01_V1\.csv: distance 2\.5 at \(x, z\)"):
+            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+
     def test_nonzero_diagonal_rejected(self, tmp_path):
         m = np.zeros((2, 2))
         m[1, 1] = 0.01

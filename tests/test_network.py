@@ -12,6 +12,7 @@ from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import (
     CONV_TAPS,
     TAPS,
+    backward,
     extract_all_taps,
     forward,
     forward_cached,
@@ -140,6 +141,15 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 80e6
+
+    def test_backward_names_every_trained_parameter(self, state, rng):
+        cache = forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
+        _, grad_logits = ops.softmax_xent(cache.logits, np.array([0, 1]))
+        grads = backward(state, cache, grad_logits)
+        params = state.parameter_arrays()
+        assert set(grads) == {n for n in params if "running" not in n}
+        for name, g in grads.items():
+            assert g.shape == params[name].shape, name
 
     def test_roi_map_resolves_in_tap_registry(self):
         for tap in ("conv1", "conv1", "conv3", "fc1"):

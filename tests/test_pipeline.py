@@ -353,7 +353,9 @@ class TestPerSubject:
         rng = np.random.default_rng(5)
         stim, rdms = reference_setup(rng)
         sub = BrainRdmFile(subject="sub-01", roi="V1", rdm=rdms["conv1"])
-        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": [sub]}, {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)},
+                                    {"V1": [(sub.subject, upper_triangle(sub.rdm))]},
+                                    {"V1": "conv1"})
         mean_rho = spearman(upper_triangle(rdms["conv1"]),
                             upper_triangle(average_rdms([sub.rdm])))
         assert len(rows) == 1
@@ -364,7 +366,9 @@ class TestPerSubject:
         stim, rdms = reference_setup(rng)
         subs = [BrainRdmFile(subject=f"sub-0{i}", roi="V1", rdm=rdms["conv1"])
                 for i in (1, 2)]
-        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": subs}, {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)},
+                                    {"V1": [(b.subject, upper_triangle(b.rdm)) for b in subs]},
+                                    {"V1": "conv1"})
         assert rows[0]["rho"] == rows[1]["rho"]
 
     def test_noisier_subjects_score_lower(self):
@@ -378,7 +382,9 @@ class TestPerSubject:
             np.fill_diagonal(vals, 0)
             subs.append(BrainRdmFile(subject=f"sub-0{i}", roi="V1",
                                      rdm=RDM(values=vals, ids=stim.ids)))
-        rows = per_subject_analysis({"random": vectors(rdms)}, {"V1": subs}, {"V1": "conv1"})
+        rows = per_subject_analysis({"random": vectors(rdms)},
+                                    {"V1": [(b.subject, upper_triangle(b.rdm)) for b in subs]},
+                                    {"V1": "conv1"})
         rhos = [r["rho"] for r in sorted(rows, key=lambda r: r["subject"])]
         assert rhos[0] > rhos[1] > rhos[2]
 

@@ -3,6 +3,8 @@ oracles, PC inference dynamics against finite differences, the STDP
 kernel and its aggregation against a brute-force loop, and the training
 loop contracts (determinism, random condition, divergence)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ class TestBp:
         # the readout layer update is (softmax - onehot) x^T / B, computable by hand
         state = init_he_normal(1, channels=SMALL)
         xb, yb = small_batch(rng)
-        cache = forward_cached(state.copy(), xb, "train")
+        cache = forward_cached(copy.deepcopy(state), xb, "train")
         sm = ops.softmax(cache.logits)
         onehot = np.zeros_like(sm)
         onehot[np.arange(len(yb)), yb] = 1
@@ -93,7 +95,7 @@ class TestBp:
     def test_descent_for_small_lr(self, rng):
         state = init_he_normal(2, channels=SMALL)
         xb, yb = small_batch(rng, n=8)
-        cache = forward_cached(state.copy(), xb, "train")
+        cache = forward_cached(copy.deepcopy(state), xb, "train")
         loss_before, _ = ops.softmax_xent(cache.logits, yb)
         bp_step(state, xb, yb, lr=1e-3)
         cache2 = forward_cached(state, xb, "train")
@@ -105,8 +107,8 @@ class TestBp:
         # as the FC part of a BP step on the same batch and state
         state = init_he_normal(3, channels=SMALL)
         xb, yb = small_batch(rng)
-        gap = forward_cached(state.copy(), xb, "train").gap
-        bp, readout = state.copy(), state.copy()
+        gap = forward_cached(copy.deepcopy(state), xb, "train").gap
+        bp, readout = copy.deepcopy(state), copy.deepcopy(state)
         bp_step(bp, xb, yb, lr=0.1)
         _readout_step(readout, gap, yb, lr=0.1)
         for layer in ("fc1", "fc2"):
@@ -130,6 +132,18 @@ class TestFa:
                                   sB.parameter_arrays().items()):
             assert np.abs(a - b).max() < 1e-12, k
 
+    def test_transposed_feedback_is_bp_bit_for_bit(self, rng):
+        # BP is FA with B = W: both transport the error through one path
+        sA = init_he_normal(5, channels=SMALL)
+        sB = init_he_normal(5, channels=SMALL)
+        for _ in range(3):
+            xb, yb = small_batch(rng)
+            bp_step(sA, xb, yb, 0.01)
+            fa_step(sB, feedback_from_transposes(sB), xb, yb, 0.01)
+        for (k, a), (_, b) in zip(sA.parameter_arrays().items(),
+                                  sB.parameter_arrays().items()):
+            assert np.array_equal(a, b), k
+
     def test_output_layer_grads_equal_bp(self, rng):
         # feedback replaces transport only: the fc2 update must match BP exactly
         sA = init_he_normal(6, channels=SMALL)
@@ -145,9 +159,9 @@ class TestFa:
         state = init_he_normal(7, channels=SMALL)
         fb = make_feedback_weights(state, seed=123)
         xb, yb = small_batch(rng)
-        cache = forward_cached(state.copy(), xb, "train")
+        cache = forward_cached(copy.deepcopy(state), xb, "train")
         loss, grad_logits = ops.softmax_xent(cache.logits, yb)
-        delta = (grad_logits @ fb.fc2) * (cache.fc1_pre > 0)
+        delta = (grad_logits @ fb["fc2.w"].T) * (cache.fc1_pre > 0)
         expected_gw1 = cache.gap.T @ delta
         w_before = state.fc1.w.copy()
         fa_step(state, fb, xb, yb, lr=1.0)
@@ -156,7 +170,7 @@ class TestFa:
     def test_shape_mismatch_rejected(self, rng):
         state = init_he_normal(0, channels=SMALL)
         fb = make_feedback_weights(state, seed=0)
-        fb.fc1 = fb.fc1[:, :-1]
+        fb["fc1.w"] = fb["fc1.w"][:-1]
         xb, yb = small_batch(rng)
         with pytest.raises(ConfigurationError, match="feedback"):
             fa_step(state, fb, xb, yb, 0.01)
@@ -165,8 +179,8 @@ class TestFa:
         state = init_he_normal(0, channels=SMALL)
         f1 = make_feedback_weights(state, seed=4)
         f2 = make_feedback_weights(state, seed=4)
-        assert np.array_equal(f1.fc1, f2.fc1)
-        assert np.array_equal(f1.conv[2], f2.conv[2])
+        assert np.array_equal(f1["fc1.w"], f2["fc1.w"])
+        assert np.array_equal(f1["conv3.w"], f2["conv3.w"])
 
 
 # ---------------------------------------------------------------------------
