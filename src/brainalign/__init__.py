@@ -18,13 +18,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .pipeline import (
-    ExperimentConfig,
-    best_layer_sweep,
-    partial_rsa_report,
-    per_subject_analysis,
-    run_experiment,
-)
+from .pipeline import ExperimentConfig, best_layer_sweep, run_experiment
 from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
 from .rules import LearningRuleConfig, RULES, stdp_kernel, train
 from .stats import (
@@ -46,8 +40,7 @@ __all__ = [
     "TrainingDivergedError", "UndefinedStatisticError",
     "NetworkState", "TAPS", "extract_all_taps", "forward",
     "init_he_normal", "load_checkpoint", "save_checkpoint",
-    "ExperimentConfig", "best_layer_sweep", "partial_rsa_report",
-    "per_subject_analysis", "run_experiment",
+    "ExperimentConfig", "best_layer_sweep", "run_experiment",
     "RDM", "average_rdms", "pixel_rdm", "rdm_from_features", "upper_triangle",
     "LearningRuleConfig", "RULES", "stdp_kernel", "train",
     "NoiseCeiling", "PairwiseTest", "bootstrap_ci",

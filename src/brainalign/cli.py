@@ -140,7 +140,7 @@ def _cmd_rsa(args) -> int:
     vecs = {name: upper_triangle(model) for name, model in sorted(models.items())}
     # each model is one condition with a single "seed": its own RDM
     scores = {roi: score_conditions({name: ([v], v) for name, v in vecs.items()},
-                                    upper_triangle(mean_brain[roi]), roi, cfg)
+                                    mean_brain[roi], roi, cfg)
               for roi in sorted(mean_brain)}
     rows = [[name, roi, s[name]["rho"], *s[name]["ci"], len(vec)]
             for name, vec in vecs.items() for roi, s in scores.items()]
@@ -156,8 +156,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
-    sweep = best_layer_sweep({tap: upper_triangle(m) for tap, m in models.items()},
-                             {roi: upper_triangle(m) for roi, m in mean_brain.items()})
+    sweep = best_layer_sweep({tap: upper_triangle(m) for tap, m in models.items()}, mean_brain)
     rows = [[tap] + [float(v) for v in sweep.matrix[i]]
             for i, tap in enumerate(sweep.taps)]
     rows.append(["best"] + [sweep.best_tap[r] for r in sweep.rois])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .network import DEFAULT_CHANNELS, extract_all_taps, init_he_normal
-from .rdm import CLAMP_GUARD, RDM, average_rdms, rdm_from_features
+from .rdm import CLAMP_GUARD, RDM, average_rdms, rdm_from_features, upper_triangle
 from .seeding import named_rng
 
 log = logging.getLogger(__name__)
@@ -399,11 +399,17 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
     return by_roi
 
 
-def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[BrainRdmFile]], dict[str, RDM]]:
-    """The brain RDMs under `directory` grouped by ROI (see group_by_roi),
-    and each ROI's mean RDM over its subjects, in the same ROI order."""
+def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[tuple[str, np.ndarray]]],
+                                                 dict[str, np.ndarray]]:
+    """The brain RDMs under `directory` as upper-triangle vectors, grouped
+    and sorted as in group_by_roi: ROI -> [(subject, vector)], and ROI ->
+    the vector of its subjects' mean RDM. No matrix outlives the call.
+    Fewer than 3 stimuli give Spearman fewer than 3 pairs: a data error."""
+    if len(ids) < 3:
+        raise DataFormatError(f"{directory}: RSA needs at least 3 stimuli, got {len(ids)}")
     by_roi = group_by_roi(load_brain_rdm_dir(directory), ids)
-    return by_roi, {roi: average_rdms([b.rdm for b in files]) for roi, files in by_roi.items()}
+    return ({roi: [(b.subject, upper_triangle(b.rdm)) for b in g] for roi, g in by_roi.items()},
+            {roi: upper_triangle(average_rdms([b.rdm for b in g])) for roi, g in by_roi.items()})
 
 
 # ---------------------------------------------------------------------------

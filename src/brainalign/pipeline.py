@@ -6,9 +6,9 @@ directory containing checkpoints, per-epoch metrics, features, RDMs,
 result tables (CSV), a JSON report, and a manifest. Reruns with the same
 config produce byte-identical outputs.
 
-Aggregation follows two routes on purpose: headline scores are per-seed
-RSA then averaged (with the seed std reported), while bootstrap CIs,
-permutation tests, per-subject scores, sweeps and partial RSA all use the
+Brain RDMs arrive as upper-triangle vectors, and one pass over the ROI
+map takes every per-ROI statistic. Headline scores are per-seed RSA then
+averaged (with the seed std reported); every other statistic uses the
 seed-averaged model RDM. Permutation tests at one ROI share a null
 stream, so every pair at that ROI sees the same permutations.
 """
@@ -93,6 +93,8 @@ class ExperimentConfig(RuleParams):
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be one or more integers >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"duplicate seeds in {self.seeds}")
         if len(set(self.rules)) != len(self.rules):
             raise ConfigurationError(f"duplicate rules in {self.rules}")
         for r in self.rules:
@@ -211,7 +213,8 @@ def _derived_seed(stats_seed: int, purpose: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Analyses. Every model and brain RDM enters as its upper-triangle vector
-# (rdm.upper_triangle), taken once by the caller.
+# (rdm.upper_triangle), taken once: by the caller for model RDMs, by
+# data.load_brain_by_roi for brain RDMs.
 # ---------------------------------------------------------------------------
 
 def score_conditions(conditions, brain_vec, roi: str, config) -> dict[str, dict]:
@@ -254,42 +257,6 @@ def best_layer_sweep(model_by_tap, brain_by_roi) -> SweepResult:
             matrix[i, j] = stats.spearman(model_by_tap[tap], brain_by_roi[roi])
     best = {roi: taps[int(np.argmax(matrix[:, j]))] for j, roi in enumerate(rois)}
     return SweepResult(taps=taps, rois=rois, matrix=matrix, best_tap=best)
-
-
-def per_subject_analysis(model_vecs, subject_vecs, roi_map) -> list[dict]:
-    """RSA of each condition against each subject's RDM separately.
-
-    `model_vecs` maps condition -> {tap: vector}; `subject_vecs` maps ROI ->
-    [(subject, vector)]. Returns rows of {condition, subject, roi, rho},
-    ordered by (condition, roi, subject). Missing subject x ROI data simply
-    yields no row (the caller flags gaps).
-    """
-    return [{"condition": condition, "subject": subject, "roi": roi,
-             "rho": stats.spearman(vecs[tap], brain_vec)}
-            for condition, vecs in model_vecs.items()
-            for roi, tap in roi_map.items() if roi in subject_vecs and tap in vecs
-            for subject, brain_vec in subject_vecs[roi]]
-
-
-def partial_rsa_report(model_vecs, brain_by_roi, control, roi_map) -> dict[str, list[dict]]:
-    """Standard vs partial RSA per ROI with `control`, the pixel RDM's
-    vector, partialled out. `model_vecs` maps condition -> {tap: vector} of
-    seed-averaged RDMs; `brain_by_roi` maps ROI -> vector. Returns
-    {roi: [{condition, rho_std, rho_partial, delta, degenerate}]}.
-    """
-    out: dict[str, list[dict]] = {}
-    for roi, tap in roi_map.items():
-        if roi not in brain_by_roi:
-            continue
-        rows = out[roi] = []
-        for condition, vecs in model_vecs.items():
-            if tap in vecs:
-                rho_std = stats.spearman(vecs[tap], brain_by_roi[roi])
-                partial = stats.partial_spearman(vecs[tap], brain_by_roi[roi], control)
-                rows.append({"condition": condition, "rho_std": rho_std,
-                             "rho_partial": partial.rho, "delta": partial.rho - rho_std,
-                             "degenerate": partial.degenerate})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +369,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 report["failures"].append(
                     {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
 
-    # Seed-averaged model RDMs per condition, then each vector the analyses
-    # read, taken once: per-seed and seed-mean per condition and tap, and
-    # the subject-mean and each subject's brain vector per ROI
+    # Seed-averaged model RDMs per condition, then each model vector the
+    # analyses read, taken once: per-seed and seed-mean per condition and tap
     conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
     seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
     mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
@@ -414,15 +380,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
         write_rdm_csv(mean, out / "rdms" / f"{rule}_mean_{tap}.csv")
         seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
         mean_vecs[rule][tap] = upper_triangle(mean)
-    brain_vecs = {roi: upper_triangle(rdm) for roi, rdm in mean_brain.items()}
-    subject_vecs = {roi: [(b.subject, upper_triangle(b.rdm)) for b in by_roi[roi]]
-                    for roi in roi_map}
+    control = upper_triangle(pixel_rdm(stimuli))
 
-    # Per ROI: noise ceiling, headline scores with bootstrap CIs, then
-    # pairwise permutation tests on one shared stream
+    # One pass per ROI takes every statistic at that ROI: noise ceiling,
+    # headline scores with bootstrap CIs, per condition the per-subject
+    # scores and partial RSA with the pixel control, then per pair a
+    # permutation test on the ROI's shared stream and a paired Cohen's d
+    # over subjects
+    subject_rhos: dict[str, dict[str, list[float]]] = {}
+    report["partial_rsa"] = {}
     for roi, tap in roi_map.items():
-        brain_vec = brain_vecs[roi]
-        ceiling = stats.noise_ceiling([vec for _, vec in subject_vecs[roi]],
+        brain_vec, subjects = mean_brain[roi], by_roi[roi]  # 2 or more, sorted on load
+        ceiling = stats.noise_ceiling([vec for _, vec in subjects],
                                       n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
         scores = score_conditions({rule: (seed_vecs[rule][tap], mean_vecs[rule][tap])
@@ -431,6 +400,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
             score.update(p_vs_random=None, fdr_significant_vs_random=None)
         report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
                                "conditions": scores}
+        rhos = subject_rhos[roi] = {}
+        rows = report["partial_rsa"][roi] = []
+        for rule in conditions:
+            model_vec = mean_vecs[rule][tap]
+            rhos[rule] = [stats.spearman(model_vec, vec) for _, vec in subjects]
+            rho_std = stats.spearman(model_vec, brain_vec)
+            partial = stats.partial_spearman(model_vec, brain_vec, control)
+            rows.append({"condition": rule, "rho_std": rho_std,
+                         "rho_partial": partial.rho, "delta": partial.rho - rho_std,
+                         "degenerate": partial.degenerate})
         roi_seed = _derived_seed(config.stats_seed, f"perm|{roi}")
         for a, b in combinations(conditions, 2):
             t = stats.permutation_test(mean_vecs[a][tap], mean_vecs[b][tap],
@@ -438,6 +417,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             report["pairwise_tests"].append(
                 {"roi": roi, "a": a, "b": b, "rho_a": t.rho_a, "rho_b": t.rho_b,
                  "delta_rho": t.delta_rho, "p_value": t.p_value})
+            d = stats.cohens_d_paired(rhos[a], rhos[b])
+            report["cohens_d"].append({"roi": roi, "a": a, "b": b, "d": d.d,
+                                       "degenerate": d.degenerate})
+    report["per_subject"] = [
+        {"condition": rule, "subject": subject, "roi": roi, "rho": rho}
+        for rule in conditions for roi in roi_map
+        for (subject, _), rho in zip(by_roi[roi], subject_rhos[roi][rule])]
 
     pairwise = report["pairwise_tests"]
     flags = stats.fdr_bh([t["p_value"] for t in pairwise], alpha=config.alpha) if pairwise else []
@@ -448,26 +434,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
             report["rois"][row["roi"]]["conditions"][other].update(
                 p_vs_random=row["p_value"], fdr_significant_vs_random=row["fdr_significant"])
 
-    # Per-subject scores and paired Cohen's d
-    subject_rows = report["per_subject"] = per_subject_analysis(mean_vecs, subject_vecs, roi_map)
-    for roi in roi_map:  # each has 2 or more subjects, sorted: checked and grouped on load
-        subjects = [subject for subject, _ in subject_vecs[roi]]
-        score = {(r["condition"], r["subject"]): r["rho"]
-                 for r in subject_rows if r["roi"] == roi}
-        for a, b in combinations(conditions, 2):
-            d = stats.cohens_d_paired([score[(a, s)] for s in subjects],
-                                      [score[(b, s)] for s in subjects])
-            report["cohens_d"].append({"roi": roi, "a": a, "b": b, "d": d.d,
-                                       "degenerate": d.degenerate})
-
     # Best-layer sweep per condition
     for rule in conditions:
-        sweep = best_layer_sweep(mean_vecs[rule], brain_vecs)
+        sweep = best_layer_sweep(mean_vecs[rule], mean_brain)
         report["best_layer"][rule] = {"matrix": sweep.matrix.tolist(), "taps": list(sweep.taps),
                                       "rois": list(sweep.rois), "best_tap": sweep.best_tap}
-
-    report["partial_rsa"] = partial_rsa_report(
-        mean_vecs, brain_vecs, upper_triangle(pixel_rdm(stimuli)), roi_map)
 
     # Conv1 filter summaries (first available seed's checkpoint per rule)
     for rule in conditions:

@@ -259,6 +259,43 @@ class TestExitCodes:
         assert "subject sub-01 has more than one brain RDM for ROI V1" in capsys.readouterr().err
         assert treehash(tmp_path / "run") == before
 
+    def test_duplicate_seeds_is_2_and_writes_nothing(self, synth_dir, tmp_path, capsys):
+        assert main(["report", "--config", str(synth_dir / "data" / "synth.cfg"),
+                     "--out", str(tmp_path / "run"), "--rules", "random",
+                     "--seeds", "0,0"]) == 2
+        assert "duplicate seeds in (0, 0)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_two_stimuli_is_3_and_keeps_last_run(self, synth_dir, tmp_path, capsys):
+        # two stimuli and the 2x2 corner of each brain RDM: one pair, too few to score
+        data, two = synth_dir / "data", tmp_path / "two"
+        (two / "stimuli").mkdir(parents=True)
+        (two / "brain").mkdir()
+        (two / "models").mkdir()
+        for path in sorted((data / "stimuli").glob("*.ppm"))[:2]:
+            shutil.copy(path, two / "stimuli" / path.name)
+        for path in (data / "brain").glob("*.csv"):
+            rdm = read_rdm_csv(path)
+            write_rdm_csv(RDM(values=rdm.values[:2, :2], ids=rdm.ids[:2]),
+                          two / "brain" / path.name)
+        shutil.copy(two / "brain" / "sub-01_V1.csv", two / "models" / "conv1.csv")
+        cfg = (data / "synth.cfg").read_text()
+        for sub in ("stimuli", "brain"):
+            assert f" = {data / sub}\n" in cfg
+            cfg = cfg.replace(f" = {data / sub}\n", f" = {two / sub}\n")
+        (tmp_path / "two.cfg").write_text(cfg)
+        run = ["--out", str(tmp_path / "run"), "--rules", "random", "--seeds", "0"]
+        assert main(["report", "--config", str(data / "synth.cfg")] + run) == 0
+        before = treehash(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["report", "--config", str(tmp_path / "two.cfg")] + run) == 3
+        assert "RSA needs at least 3 stimuli, got 2" in capsys.readouterr().err
+        assert treehash(tmp_path / "run") == before
+        for verb, flag in (("rsa", "--model-rdm"), ("sweep", "--rdm-dir")):
+            assert main([verb, flag, str(two / "models"), "--brain-dir", str(two / "brain"),
+                         "--out", str(tmp_path / f"{verb}.csv")]) == 3, verb
+            assert "RSA needs at least 3 stimuli, got 2" in capsys.readouterr().err
+
     def test_constant_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
         ids = read_rdm_csv(synth_dir / "data" / "brain" / "sub-01_V1.csv").ids
         values = np.ones((len(ids), len(ids)))

@@ -7,7 +7,7 @@ import pytest
 
 from brainalign import data as D
 from brainalign.errors import ConfigurationError, DataFormatError
-from brainalign.rdm import RDM, rdm_from_features, upper_triangle
+from brainalign.rdm import RDM, average_rdms, rdm_from_features, upper_triangle
 from brainalign.stats import spearman
 
 
@@ -296,6 +296,28 @@ class TestGroupByRoi:
         with pytest.raises(DataFormatError,
                            match="subject sub-01 has more than one brain RDM for ROI V1"):
             D.group_by_roi(D.load_brain_rdm_dir(tmp_path), ids)
+
+    def test_load_by_roi_gives_subject_and_mean_vectors(self, tmp_path):
+        ids = ("a", "b", "c", "d")
+        rng = np.random.default_rng(0)
+        rdms = {}
+        for name in ("sub-02_V1", "sub-01_V1", "sub-01_IT", "sub-02_IT"):
+            rdms[name] = rdm_from_features(rng.normal(size=(4, 3)), ids)
+            D.write_rdm_csv(rdms[name], tmp_path / f"{name}.csv")
+        by_roi, mean = D.load_brain_by_roi(tmp_path, ids)
+        assert list(by_roi) == list(mean) == ["IT", "V1"]  # filename order
+        for roi, subjects in by_roi.items():
+            assert [s for s, _ in subjects] == ["sub-01", "sub-02"]
+            for subject, vec in subjects:
+                assert np.array_equal(vec, upper_triangle(rdms[f"{subject}_{roi}"]))
+            assert np.array_equal(mean[roi], upper_triangle(average_rdms(
+                [rdms[f"sub-0{i}_{roi}"] for i in (1, 2)])))
+
+    def test_fewer_than_three_stimuli_rejected(self, tmp_path):
+        for name in ("sub-01_V1", "sub-02_V1"):
+            write_matrix_csv(tmp_path / f"{name}.csv", ("a", "b"), np.zeros((2, 2)))
+        with pytest.raises(DataFormatError, match="at least 3 stimuli, got 2"):
+            D.load_brain_by_roi(tmp_path, ("a", "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Pipeline tests: config round trips, the full run_experiment contract
 (report structure, pairwise-test count, failure flagging, byte-identical
-reruns), and the standalone sweep / per-subject / partial analyses."""
+reruns, per-ROI statistics against the run's own CSVs), and the
+standalone sweep."""
 
 import csv
 import hashlib
@@ -11,24 +12,19 @@ import numpy as np
 import pytest
 
 from brainalign.data import (
-    BrainRdmFile,
     SynthSpec,
+    load_stimulus_dir,
+    read_rdm_csv,
     synth_dataset,
     write_csv,
     write_synth_dataset,
 )
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import extract_all_taps, init_he_normal
-from brainalign.pipeline import (
-    ExperimentConfig,
-    best_layer_sweep,
-    partial_rsa_report,
-    per_subject_analysis,
-    run_experiment,
-)
-from brainalign.rdm import RDM, average_rdms, rdm_from_features, upper_triangle
+from brainalign.pipeline import ExperimentConfig, best_layer_sweep, run_experiment
+from brainalign.rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
 from brainalign.rules import RULES, LearningRuleConfig
-from brainalign.stats import spearman
+from brainalign.stats import cohens_d_paired, partial_spearman, spearman
 
 from helpers import treehash
 
@@ -83,7 +79,7 @@ class TestConfig:
         ("num_classes", 0), ("seeds", (0, -1)),
         ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
         ("channels", (4, 6)), ("channels", (4, 0, 8)), ("resolution", 0), ("resolution", 64),
-        ("stdp_t", 0), ("pc_alpha", 0.0), ("stdp_lr", -1.0),
+        ("stdp_t", 0), ("pc_alpha", 0.0), ("stdp_lr", -1.0), ("seeds", (0, 1, 0)),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -272,6 +268,58 @@ class TestRunExperiment:
                 got = list(csv.reader(f))[1:]
             assert got == [[cell(v) for v in row] for row in rows], name
 
+    def test_per_roi_statistics_match_the_run_csvs(self, tmp_path):
+        # per-subject, Cohen's d and partial RSA rows, recomputed from the
+        # seed-mean model RDMs and brain RDMs on disk; LOC left unmapped
+        roi_map = (("V2", "conv2"), ("IT", "fc1"), ("V1", "conv1"))
+        cfg = tiny_config(tmp_path, rules=("bp", "random", "fa"), seeds=(0, 1),
+                          n_boot=50, n_perm=50, roi_map=roi_map)
+        run_experiment(cfg)
+        out, brain = tmp_path / "run", Path(cfg.brain_rdm_dir)
+
+        def table(name):
+            with open(out / "tables" / f"{name}.csv", newline="") as f:
+                return list(csv.DictReader(f))
+
+        def model(cond, tap):
+            return upper_triangle(read_rdm_csv(out / "rdms" / f"{cond}_mean_{tap}.csv"))
+
+        subjects = sorted(p.stem.rsplit("_", 1)[0] for p in brain.glob("*_V1.csv"))
+        assert len(subjects) == 3
+        brain_rdms = {(s, roi): read_rdm_csv(brain / f"{s}_{roi}.csv")
+                      for s in subjects for roi, _ in roi_map}
+        per_subject = table("per_subject")
+        assert [(r["condition"], r["roi"], r["subject"]) for r in per_subject] == [
+            (c, roi, s) for c in cfg.rules for roi, _ in roi_map for s in subjects]
+        rho = {}
+        for r in per_subject:
+            tap = dict(roi_map)[r["roi"]]
+            key = (r["condition"], r["roi"], r["subject"])
+            rho[key] = float(r["rho"])
+            assert rho[key] == spearman(model(r["condition"], tap),
+                                        upper_triangle(brain_rdms[r["subject"], r["roi"]]))
+
+        cohens = table("cohens_d")
+        assert len(cohens) == 3 * len(roi_map)  # 3 pairs per ROI
+        for r in cohens:
+            d = cohens_d_paired([rho[r["condition_a"], r["roi"], s] for s in subjects],
+                                [rho[r["condition_b"], r["roi"], s] for s in subjects])
+            assert (float(r["d"]), int(r["degenerate"])) == (d.d, int(d.degenerate))
+
+        control = upper_triangle(pixel_rdm(load_stimulus_dir(cfg.stimuli_dir,
+                                                              resolution=cfg.resolution)))
+        for roi, tap in roi_map:
+            mean_brain = upper_triangle(average_rdms([brain_rdms[s, roi] for s in subjects]))
+            rows = table(f"partial_rsa_{roi}")
+            assert [r["condition"] for r in rows] == list(cfg.rules)
+            for r in rows:
+                rho_std = spearman(model(r["condition"], tap), mean_brain)
+                partial = partial_spearman(model(r["condition"], tap), mean_brain, control)
+                assert float(r["rho_std"]) == rho_std
+                assert float(r["rho_partial"]) == partial.rho
+                assert float(r["delta"]) == partial.rho - rho_std
+        assert not (out / "tables" / "partial_rsa_LOC.csv").exists()
+
     def test_report_json_matches_returned_report(self, tmp_path):
         cfg = tiny_config(tmp_path, rules=("random",), seeds=(0,), n_boot=50, n_perm=50)
         report = run_experiment(cfg)
@@ -348,47 +396,6 @@ class TestSweep:
         assert worst < 0.25  # 780 pairs of pure noise stay weak
 
 
-class TestPerSubject:
-    def test_single_subject_equals_mean_brain_table(self):
-        rng = np.random.default_rng(5)
-        stim, rdms = reference_setup(rng)
-        sub = BrainRdmFile(subject="sub-01", roi="V1", rdm=rdms["conv1"])
-        rows = per_subject_analysis({"random": vectors(rdms)},
-                                    {"V1": [(sub.subject, upper_triangle(sub.rdm))]},
-                                    {"V1": "conv1"})
-        mean_rho = spearman(upper_triangle(rdms["conv1"]),
-                            upper_triangle(average_rdms([sub.rdm])))
-        assert len(rows) == 1
-        assert rows[0]["rho"] == pytest.approx(mean_rho, abs=1e-12)
-
-    def test_duplicate_subjects_identical_rows(self):
-        rng = np.random.default_rng(6)
-        stim, rdms = reference_setup(rng)
-        subs = [BrainRdmFile(subject=f"sub-0{i}", roi="V1", rdm=rdms["conv1"])
-                for i in (1, 2)]
-        rows = per_subject_analysis({"random": vectors(rdms)},
-                                    {"V1": [(b.subject, upper_triangle(b.rdm)) for b in subs]},
-                                    {"V1": "conv1"})
-        assert rows[0]["rho"] == rows[1]["rho"]
-
-    def test_noisier_subjects_score_lower(self):
-        rng = np.random.default_rng(7)
-        stim, rdms = reference_setup(rng, n_stim=30)
-        base = rdms["conv1"].values
-        subs = []
-        for i, amp in enumerate((0.01, 0.2, 1.5)):
-            n = rng.normal(size=base.shape)
-            vals = np.clip(base + amp * (n + n.T) / 2, 0, 2)
-            np.fill_diagonal(vals, 0)
-            subs.append(BrainRdmFile(subject=f"sub-0{i}", roi="V1",
-                                     rdm=RDM(values=vals, ids=stim.ids)))
-        rows = per_subject_analysis({"random": vectors(rdms)},
-                                    {"V1": [(b.subject, upper_triangle(b.rdm)) for b in subs]},
-                                    {"V1": "conv1"})
-        rhos = [r["rho"] for r in sorted(rows, key=lambda r: r["subject"])]
-        assert rhos[0] > rhos[1] > rhos[2]
-
-
 class TestReportFormatFixture:
     """The result tables must carry externally supplied score values
     losslessly. Real fMRI data is out of reach here, so fixture rows with
@@ -424,23 +431,3 @@ class TestReportFormatFixture:
         got = path.read_text().splitlines()[1].split(",")
         assert float(got[3]) == 0.076
         assert float(got[7]) == 0.000999000999000999
-
-
-class TestPartialReport:
-    def test_columns_and_self_control_flag(self, tmp_path):
-        rng = np.random.default_rng(8)
-        stim, rdms = reference_setup(rng, n_stim=20)
-        from brainalign.rdm import pixel_rdm
-
-        pix = upper_triangle(pixel_rdm(stim))
-        ref = upper_triangle(rdms["conv1"])
-        # a model identical to the pixel control must be annihilated
-        models = {"pixelclone": {"conv1": pix}, "reference": {"conv1": ref}}
-        out = partial_rsa_report(models, {"V1": ref}, pix, {"V1": "conv1"})
-        rows = out["V1"]
-        assert {r["condition"] for r in rows} == {"pixelclone", "reference"}
-        clone = next(r for r in rows if r["condition"] == "pixelclone")
-        assert clone["degenerate"] and clone["rho_partial"] == 0.0
-        for r in rows:
-            assert set(r) == {"condition", "rho_std", "rho_partial", "delta", "degenerate"}
-            assert r["delta"] == pytest.approx(r["rho_partial"] - r["rho_std"], abs=1e-12)
