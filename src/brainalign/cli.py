@@ -92,10 +92,13 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     dataset = read_cifar10_binary(list(cfg.train_data), limit=cfg.train_limit)
     rule_cfg = cfg.rule_config(args.rule)
+    ckpt = args.ckpt or f"{args.rule}_seed{args.seed}.ckpt"
+    for path in (ckpt, args.metrics):   # before training, which writes them last
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     state = train_rule(rule_cfg, dataset, args.seed,
                        metrics_path=args.metrics, channels=cfg.channels,
                        num_classes=cfg.num_classes)
-    ckpt = args.ckpt or f"{args.rule}_seed{args.seed}.ckpt"
     save_checkpoint(state, ckpt, rule=args.rule)
     print(f"checkpoint written to {ckpt}")
     return 0

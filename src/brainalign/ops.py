@@ -6,16 +6,19 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention), one GEMM per bounded batch chunk against conv_windows, with
-the bias added as each GEMM chunk is copied into the output. Max pooling
-takes the max of four strided corner views of the input into one array
-and keeps the input and output; the backward derives the argmax from
-them as an int8 corner index, breaks ties towards the first corner in
-row-major window order and truncates a trailing odd row or column. Batch
-norm (eps 1e-5, running-stat momentum 0.1) writes eval mode into a given
-`out` (the input itself, say) or one fresh full-size output, and train
-mode allocates that output plus the cached xhat; its backward allocates
-two full-size buffers, one of which it returns.
+convention). The forward copies conv_windows into im2col blocks of at
+most _CONV_BLOCK_CELLS, whole images or, for a large image, runs of its
+output rows, and each block's GEMM writes straight into its slice of the
+output, where the bias is added. Max pooling takes the max of four
+strided corner views of the input into one array and keeps the input and
+output; the backward derives the argmax from them as an int8 corner
+index, breaks ties towards the first corner in row-major window order
+and truncates a trailing odd row or column. Batch norm (eps 1e-5,
+running-stat momentum 0.1) writes eval mode into a given `out` (the input
+itself, say) or one fresh full-size output, and train mode allocates that
+output plus the cached xhat; its backward allocates two full-size
+buffers, one of which it returns. The pool and eval batch norm run their
+ufunc chains one cache-sized block of (images, channels) at a time.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from .errors import ConfigurationError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# Cells of one conv GEMM chunk's result: 16 MiB of float64. At 224 px it
-# bounds conv1 to one image per GEMM; at 32 px it never binds for the
-# default channels at batch sizes up to 64.
-_CONV_CHUNK_CELLS = 1 << 21
+# Cells of one conv im2col block: 2 MiB of float64, so the block is still
+# in cache when its GEMM reads it (best of 2^15..2^20 at 32 and 224 px).
+_CONV_BLOCK_CELLS = 1 << 18
+# Input cells of one block of eval batch norm or the pool: 1 MiB of
+# float64, so each ufunc of the chain reads the last one's result from
+# cache (best of 2^13..2^19 at 32 to 224 px).
+_MAP_BLOCK_CELLS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,7 @@ def _check_weights(w, spec: ConvSpec):
 def conv_windows(x, spec: ConvSpec) -> np.ndarray:
     """The package's im2col: a read-only [B,C,Ho,Wo,k,k] view of `x`
     [B,C,H,W], zero-padded, holding the k x k input window under each
-    output position. Every convolution is one tensordot against it."""
+    output position. Every convolution contracts against it."""
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigurationError(
             f"conv2d expects a 4D input with {spec.in_channels} channels, got {x.shape}"
@@ -101,24 +107,40 @@ def conv_windows(x, spec: ConvSpec) -> np.ndarray:
 def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k] plus bias `b` [O].
 
-    One GEMM per batch chunk, weights on the left: a windows-on-the-left
-    GEMM makes OpenBLAS pack large panels of the long B*Ho*Wo side. The
-    chunk holds at most B*O // (C*k^2) images, so the im2col copy that
-    tensordot makes is never larger than the output, and at most
-    _CONV_CHUNK_CELLS // (O*Ho*Wo), so one GEMM result stays within
-    16 MiB; it holds at least one image.
+    The windows are copied into im2col blocks [b, C*k^2, rows*Wo] of at
+    most _CONV_BLOCK_CELLS: whole images while one image fits, else runs
+    of one image's output rows (at least one). Each block is one GEMM per
+    image, weights on the left, written into that image's rows of the
+    output, and the bias is added there in place.
+
+    Each output element is the same dot product over C*k^2 as in one GEMM
+    over the whole batch. A BLAS may sum it in another order when the GEMM
+    shape changes: OpenBLAS 0.3.31 does for a ragged tail of 1-4 columns,
+    and in its small-matrix kernel once C*k^2 spans more than one of its K
+    blocks. So the bits are the whole-batch GEMM's when Wo is a multiple
+    of 8 and no block is small, as at every layer of the network at its
+    default widths, at 32 and 224 px; elsewhere they may differ by rounding.
     """
     _check_weights(w, spec)
     windows = conv_windows(x, spec)
-    B, _, Ho, Wo = windows.shape[:4]
-    O, C, k = spec.out_channels, spec.in_channels, spec.kernel_size
+    B, C, Ho, Wo, k, _ = windows.shape
+    O, K = spec.out_channels, C * k * k
     out = np.empty((B, O, Ho, Wo))
-    bias = np.asarray(b).reshape(-1, 1, 1)
-    chunk = max(1, min(B * O // (C * k * k), _CONV_CHUNK_CELLS // (O * Ho * Wo)))
-    for b0 in range(0, B, chunk):
-        # [O,C,k,k] x [b,C,Ho,Wo,k,k] summed over C,k,k -> [O,b,Ho,Wo]
-        cols = np.tensordot(w, windows[b0 : b0 + chunk], axes=([1, 2, 3], [1, 4, 5]))
-        np.add(cols.transpose(1, 0, 2, 3), bias, out=out[b0 : b0 + chunk])
+    out_cols = out.reshape(B, O, Ho * Wo)   # a view: `out` is contiguous
+    w_rows = w.reshape(O, K)
+    bias = np.asarray(b).reshape(-1, 1)
+    rows = min(Ho, max(1, _CONV_BLOCK_CELLS // (K * Wo)))
+    images = max(1, _CONV_BLOCK_CELLS // (K * Ho * Wo)) if rows == Ho else 1
+    buf = np.empty(min(B, images) * K * rows * Wo)
+    for b0 in range(0, B, images):
+        for r0 in range(0, Ho, rows):
+            win = windows[b0 : b0 + images, :, r0 : r0 + rows]   # [b,C,r,Wo,k,k]
+            nb, nr = win.shape[0], win.shape[2]
+            cols = buf[: nb * K * nr * Wo].reshape(nb, C, k, k, nr, Wo)
+            np.copyto(cols, win.transpose(0, 1, 4, 5, 2, 3))
+            dst = out_cols[b0 : b0 + nb, :, r0 * Wo : (r0 + nr) * Wo]
+            np.matmul(w_rows, cols.reshape(nb, K, nr * Wo), out=dst)
+            dst += bias
     return out
 
 
@@ -170,6 +192,19 @@ def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):
 # 2x2 max pooling
 # ---------------------------------------------------------------------------
 
+def _map_blocks(shape):
+    """Index tuples covering a [B,C,H,W] map in blocks of at most
+    _MAP_BLOCK_CELLS cells (at least one H x W plane): runs of channels of
+    one image while a whole image does not fit, else runs of whole images."""
+    B, C, H, W = shape
+    plane = max(1, H * W)   # an empty map still gets its (empty) blocks
+    channels = min(C, max(1, _MAP_BLOCK_CELLS // plane))
+    images = max(1, _MAP_BLOCK_CELLS // (C * plane)) if channels == C else 1
+    for b0 in range(0, B, images):
+        for c0 in range(0, C, channels):
+            yield slice(b0, b0 + images), slice(c0, c0 + channels)
+
+
 def _pool_corners(x):
     """The four strided [B,C,Ho,Wo] views of the 2x2 windows' corners, in
     row-major window order; a trailing odd row or column is in none."""
@@ -211,15 +246,20 @@ def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
     Returns (output, PoolIndices). The output is an elementwise max of the
-    four corner views, taken into one array. No argmax is computed here:
-    the PoolIndices keep `x` and the output, and the backward derives it.
+    four corner views, taken into one array block by block (_map_blocks).
+    No argmax is computed here: the PoolIndices keep `x` and the output,
+    and the backward derives it.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
-    c0, c1, c2, c3 = _pool_corners(x)
-    out = np.maximum(c0, c1)
-    np.maximum(out, c2, out=out)
-    np.maximum(out, c3, out=out)
+    B, C, H, W = x.shape
+    out = np.empty((B, C, H // 2, W // 2), dtype=x.dtype)
+    for images, channels in _map_blocks(x.shape):
+        c0, c1, c2, c3 = _pool_corners(x[images, channels])
+        o = out[images, channels]
+        np.maximum(c0, c1, out=o)
+        np.maximum(o, c2, out=o)
+        np.maximum(o, c3, out=o)
     return out, PoolIndices(x=x, out=out)
 
 
@@ -270,6 +310,7 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
     `out` follows numpy's convention, in eval mode only: the result is
     written into it, and it may be `x` itself. Without `out` the input is
     never written. Train mode raises ConfigurationError if given `out`.
+    Eval mode runs its ufunc chain block by block (_map_blocks).
 
     Returns (output, BnCache) in train mode and (output, None) in eval mode.
     """
@@ -305,10 +346,16 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(stats.var + eps)
-        out = np.subtract(x, stats.mean.reshape(1, C, 1, 1), out=out)
-        out *= inv_std.reshape(1, C, 1, 1)
-        out *= gamma.reshape(1, C, 1, 1)
-        out += beta.reshape(1, C, 1, 1)
+        if out is None:
+            out = np.empty(x.shape)
+        mean, inv_std, gamma, beta = (a.reshape(1, C, 1, 1)
+                                      for a in (stats.mean, inv_std, gamma, beta))
+        for images, channels in _map_blocks(x.shape):
+            o = out[images, channels]
+            np.subtract(x[images, channels], mean[:, channels], out=o)
+            o *= inv_std[:, channels]
+            o *= gamma[:, channels]
+            o += beta[:, channels]
         return out, None
     raise ConfigurationError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 

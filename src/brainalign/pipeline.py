@@ -361,8 +361,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 feats = extract_all_taps(state, stimuli)
                 save_features(feats, stimuli.ids, out / "features" / cell)
                 rdms = {tap: rdm_from_features(feats[tap], stimuli.ids) for tap in TAPS}
-                for tap, r in rdms.items():
-                    write_rdm_csv(r, out / "rdms" / f"{cell}_{tap}.csv")
+                for tap in TAPS:
+                    write_rdm_csv(rdms[tap], out / "rdms" / f"{cell}_{tap}.csv")
                 seed_rdms[rule][seed] = rdms
             except Exception as e:  # flagged, not fatal: the run continues
                 log.exception("cell %s failed", cell)
@@ -370,16 +370,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
 
     # Seed-averaged model RDMs per condition, then each model vector the
-    # analyses read, taken once: per-seed and seed-mean per condition and tap
+    # analyses read, taken once: per-seed and seed-mean per condition and
+    # tap. Each matrix is dropped once its vector is taken.
     conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
     seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
     mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
     for rule, tap in product(conditions, TAPS):
-        rdms = [seed_rdms[rule][s][tap] for s in sorted(seed_rdms[rule])]
+        rdms = [seed_rdms[rule][s].pop(tap) for s in sorted(seed_rdms[rule])]
         mean = average_rdms(rdms)
         write_rdm_csv(mean, out / "rdms" / f"{rule}_mean_{tap}.csv")
         seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
         mean_vecs[rule][tap] = upper_triangle(mean)
+        del rdms, mean
     control = upper_triangle(pixel_rdm(stimuli))
 
     # One pass per ROI takes every statistic at that ROI: noise ceiling,

@@ -86,8 +86,8 @@ class RuleParams:
             )
         if self.pc_t_inf < 1:
             raise ConfigurationError(f"pc_t_inf must be >= 1, got {self.pc_t_inf}")
-        if self.stdp_t < 1:
-            raise ConfigurationError(f"stdp_t must be >= 1, got {self.stdp_t}")
+        if not 1 <= self.stdp_t <= np.iinfo(np.int16).max:   # spike steps are int16
+            raise ConfigurationError(f"stdp_t must be in [1, 32767], got {self.stdp_t}")
         for name in ("lr", "pc_alpha", "pc_eta_w", "stdp_tau_plus_ms", "stdp_tau_minus_ms",
                      "stdp_a_plus", "stdp_a_minus", "stdp_lr", "stdp_timestep_ms"):
             if getattr(self, name) <= 0:
@@ -319,17 +319,29 @@ def _pair_kernel_table(cfg: LearningRuleConfig) -> np.ndarray:
 
 def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: LearningRuleConfig) -> np.ndarray:
     """Per-kernel-weight timing update, averaged over batch items and all
-    shared spatial positions (never-spiked pairs contribute zero): one conv
-    weight-grad of table[t_post, tau] against the pre-units that first spike
-    at tau, per step tau. Zero padding never spikes."""
-    B, _, Ho, Wo = t_post.shape
+    shared spatial positions (never-spiked pairs contribute zero): per step
+    tau, one conv weight-grad of table[t_post, tau] against the pre-units
+    that first spike at tau.
+
+    One int16 im2col of t_pre - T, laid out [B*Ho*Wo, C*k*k], holds every
+    window's pre-unit steps, 0 meaning "never", so zero padding never
+    spikes. For each tau in order its one-hot (== tau - T) fills one reused
+    float64 buffer, and one GEMM adds table[t_post, tau], gathered as
+    [O, B*Ho*Wo], against it: the operands of a tensordot over (B, Ho, Wo)
+    in its own layout, so the sums are bit for bit that tensordot's.
+    """
+    B, O, Ho, Wo = t_post.shape
+    T = cfg.stdp_t
     table = _pair_kernel_table(cfg)
-    total = np.zeros(spec.weight_shape)
-    for tau in range(cfg.stdp_t):
-        # [B,O,Ho,Wo] x [B,C,Ho,Wo,k,k] summed over B,Ho,Wo -> [O,C,k,k]
-        total += np.tensordot(table[t_post, tau], ops.conv_windows(t_pre == tau, spec),
-                              axes=([0, 2, 3], [0, 2, 3]))
-    return total / (B * Ho * Wo)
+    windows = ops.conv_windows(t_pre - T, spec)   # [B,C,Ho,Wo,k,k], int16
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(B * Ho * Wo, -1)
+    post = t_post.transpose(1, 0, 2, 3).reshape(O, -1).astype(np.intp)
+    onehot = np.empty(cols.shape)
+    total = np.zeros((O, cols.shape[1]))
+    for tau in range(T):
+        np.equal(cols, tau - T, out=onehot)
+        total += table[:, tau].take(post) @ onehot
+    return total.reshape(spec.weight_shape) / (B * Ho * Wo)
 
 
 def stdp_step(state: NetworkState, batch, labels, cfg: LearningRuleConfig, spike_rng):

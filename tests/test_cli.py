@@ -90,6 +90,13 @@ class TestVerbs:
         assert (tmp_path / "m.csv").read_bytes() == first
         assert len(first.splitlines()) == 3  # header and two epochs
 
+    def test_train_makes_missing_output_directories(self, synth_dir, tmp_path):
+        ckpt, metrics = tmp_path / "new" / "bp.ckpt", tmp_path / "m" / "m.csv"
+        assert main(["train", "--config", str(synth_dir / "data" / "synth.cfg"),
+                     "--rule", "bp", "--seed", "0", "--epochs", "1",
+                     "--ckpt", str(ckpt), "--metrics", str(metrics)]) == 0
+        assert ckpt.exists() and metrics.read_text().startswith("epoch,loss")
+
     def test_rsa_reproduces_report_ci(self, synth_dir, tmp_path):
         # rsa on <rule>.csv scores it exactly as report does for that rule: the
         # same rho and the same bootstrap seed, at V1 and at V2 (both on conv1)
@@ -169,6 +176,15 @@ class TestExitCodes:
                      "--brain-dir", str(synth_dir / "data" / "brain"),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "n_boot must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_stdp_t_past_int16_is_2(self, synth_dir, tmp_path, capsys):
+        text = (synth_dir / "data" / "synth.cfg").read_text()
+        assert "stdp_t = 10" in text
+        (tmp_path / "bad.cfg").write_text(text.replace("stdp_t = 10", "stdp_t = 40000"))
+        assert main(["train", "--config", str(tmp_path / "bad.cfg"), "--rule", "stdp",
+                     "--seed", "0", "--epochs", "1", "--ckpt", str(tmp_path / "s.ckpt")]) == 2
+        assert "stdp_t must be in [1, 32767], got 40000" in capsys.readouterr().err
+        assert not (tmp_path / "s.ckpt").exists()
 
     def test_missing_data_is_3(self, tmp_path):
         assert main(["rsa", "--model-rdm", "/no/such.csv", "--brain-dir", "/no",

@@ -65,14 +65,55 @@ class TestConvForward:
         assert "(1, 4, 5, 5)" in str(e.value)
 
     def test_capped_chunks_match_whole_batch_gemm(self, rng):
-        # conv1 at 224 px: the 16 MiB result cap gives one image per GEMM
+        # conv1 at 224 px: one image's im2col is larger than one block, so
+        # each image is copied and multiplied in several runs of rows
         spec = ConvSpec(3, 32, 3, padding=1)
-        assert ops._CONV_CHUNK_CELLS // (32 * 224 * 224) == 1
+        assert ops._CONV_BLOCK_CELLS // (27 * 224) < 224
         x = rng.random(size=(2, 3, 224, 224))
         w, b = rng.normal(size=spec.weight_shape), rng.normal(size=32)
-        whole = np.tensordot(w, ops.conv_windows(x, spec), axes=([1, 2, 3], [1, 4, 5]))
         assert np.array_equal(ops.conv2d_forward(x, w, b, spec),
-                              whole.transpose(1, 0, 2, 3) + b.reshape(-1, 1, 1))
+                              conv_forward_reference(x, w, b, spec))
+
+    # (B, H, W, spec, blocks). Wo is a multiple of 8 and no block is small,
+    # as at every layer of the network, so each block's GEMM sums each dot
+    # product in the order the whole-batch GEMM does
+    @pytest.mark.parametrize("B, H, W, spec, blocks", [
+        (3, 8, 16, ConvSpec(3, 4, 3, padding=1), "one"),
+        (2, 15, 32, ConvSpec(4, 6, 3, stride=2, padding=1), "one"),
+        (3, 10, 18, ConvSpec(2, 5, 3, padding=0), "one"),
+        (1, 12, 32, ConvSpec(3, 4, 2, stride=2), "one"),
+        (2, 24, 112, ConvSpec(32, 64, 3, padding=1), "rows"),
+        (1, 30, 114, ConvSpec(32, 64, 3, padding=0), "rows"),
+        (1, 79, 111, ConvSpec(64, 128, 3, stride=2, padding=1), "rows"),
+    ])
+    def test_blocks_match_whole_batch_gemm(self, rng, B, H, W, spec, blocks):
+        Ho, Wo = spec.out_size(H), spec.out_size(W)
+        K = spec.in_channels * spec.kernel_size ** 2
+        if blocks == "one":   # every image in one block
+            assert B * K * Ho * Wo <= ops._CONV_BLOCK_CELLS
+        else:                 # several runs of rows per image
+            assert ops._CONV_BLOCK_CELLS // (K * Wo) < Ho
+        x = rng.normal(size=(B, spec.in_channels, H, W))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
+        assert np.array_equal(ops.conv2d_forward(x, w, b, spec),
+                              conv_forward_reference(x, w, b, spec))
+
+    # a ragged Wo and a one-row last block: the BLAS may sum in another order
+    @pytest.mark.parametrize("B, H, W, spec", [
+        (3, 7, 5, ConvSpec(2, 3, 3, padding=1)),
+        (2, 113, 13, ConvSpec(64, 4, 3, stride=2, padding=1)),
+    ])
+    def test_ragged_blocks_match_to_rounding(self, rng, B, H, W, spec):
+        x = rng.normal(size=(B, spec.in_channels, H, W))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, b, spec),
+                                   conv_forward_reference(x, w, b, spec), rtol=0, atol=1e-12)
+
+
+def conv_forward_reference(x, w, b, spec):
+    """The conv forward as one tensordot over the whole batch, then the bias."""
+    whole = np.tensordot(w, ops.conv_windows(x, spec), axes=([1, 2, 3], [1, 4, 5]))
+    return whole.transpose(1, 0, 2, 3) + b.reshape(-1, 1, 1)
 
 
 class TestConvBackward:
@@ -217,6 +258,15 @@ class TestMaxPool:
         assert np.array_equal(idx.argmax, want_idx)
         assert np.array_equal(g_in, want_g)
 
+    # below one block, runs of channels, and one plane per block
+    @pytest.mark.parametrize("shape", [(5, 3, 7, 9), (2, 5, 101, 301), (1, 2, 401, 367)])
+    def test_blocks_match_corner_max(self, rng, shape):
+        x = rng.normal(size=shape)
+        c0, c1, c2, c3 = (x[:, :, i : shape[2] - 1 : 2, j : shape[3] - 1 : 2]
+                          for i in (0, 1) for j in (0, 1))
+        out, _ = ops.maxpool2x2_forward(x)
+        assert np.array_equal(out, np.maximum(np.maximum(np.maximum(c0, c1), c2), c3))
+
     def test_indices_keep_input_and_output_uncopied(self, rng):
         # the argmax is derived from them in the backward, so neither may be
         # written in between
@@ -303,6 +353,23 @@ class TestBatchNorm:
         c = (1, 3, 1, 1)
         inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
         want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
+        assert np.array_equal(out, want)
+
+    # below one block, runs of channels, and one plane per block
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 5), (3, 5, 100, 300), (2, 2, 370, 370)])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_eval_blocks_match_reference_expression(self, rng, shape, in_place):
+        C = shape[1]
+        x = rng.normal(1.5, 2.0, size=shape)
+        gamma, beta = rng.normal(1.0, 0.3, size=C), rng.normal(size=C)
+        stats = RunningStats(mean=rng.normal(size=C), var=rng.uniform(0.5, 2, size=C),
+                             batches_seen=3)
+        c = (1, C, 1, 1)
+        inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
+        want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
+        out, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval",
+                                       out=x if in_place else None)
+        assert (out is x) == in_place
         assert np.array_equal(out, want)
 
     def test_eval_out_is_filled_in_place(self, rng):

@@ -4,8 +4,10 @@ reruns, per-ROI statistics against the run's own CSVs), and the
 standalone sweep."""
 
 import csv
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,33 @@ class TestRunExperiment:
                                        "error": "RuntimeError: boom"}]
         assert report["conditions"] == ["random"]
         assert set(report["rois"]["V1"]["conditions"]) == {"random"}
+
+    def test_model_rdm_matrices_dropped_before_the_statistics(self, tmp_path, monkeypatch):
+        # after the seed averaging only upper-triangle vectors are read, so
+        # no per-seed or seed-mean RDM matrix may outlive it
+        import brainalign.pipeline as pl
+
+        made, alive = [], []
+
+        def tracked(fn):
+            def wrapper(*args, **kwargs):
+                rdm = fn(*args, **kwargs)
+                made.append(weakref.ref(rdm))
+                return rdm
+            return wrapper
+
+        def pixel_rdm(stimuli):   # called once the averaging is done
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return real_pixel_rdm(stimuli)
+
+        real_pixel_rdm = pl.pixel_rdm
+        monkeypatch.setattr(pl, "rdm_from_features", tracked(pl.rdm_from_features))
+        monkeypatch.setattr(pl, "average_rdms", tracked(pl.average_rdms))
+        monkeypatch.setattr(pl, "pixel_rdm", pixel_rdm)
+        run_experiment(tiny_config(tmp_path, n_boot=20, n_perm=20))
+        assert len(made) == 2 * 2 * 5 + 2 * 5   # (rule, seed, tap) and (rule, tap) means
+        assert alive == [0]
 
     def test_every_table_is_a_view_of_report_json(self, tmp_path):
         # ROIs mapped out of the brain files' filename order (IT LOC V1 V2), LOC unmapped

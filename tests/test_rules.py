@@ -16,6 +16,7 @@ from brainalign.ops import ConvSpec
 from brainalign.rules import (
     LearningRuleConfig,
     PcState,
+    _pair_kernel_table,
     _readout_step,
     bp_step,
     evaluate_accuracy,
@@ -63,6 +64,11 @@ class TestConfig:
     def test_bad_values(self, kw):
         with pytest.raises(ConfigurationError):
             LearningRuleConfig(rule="bp", **kw)
+
+    def test_stdp_t_fits_int16_spike_steps(self):
+        assert LearningRuleConfig(rule="stdp", stdp_t=32767).stdp_t == 32767
+        with pytest.raises(ConfigurationError, match=r"stdp_t must be in \[1, 32767\], got 32768"):
+            LearningRuleConfig(rule="stdp", stdp_t=32768)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +335,25 @@ class TestStdpMachinery:
                         oracle[o, c, ki, kj] = total / (B * H * W)
         assert np.abs(dw - oracle).max() < 1e-15
 
+    @pytest.mark.parametrize("case", ["random", "never", "step0", "t200", "stride2", "conv2"])
+    def test_conv_delta_matches_tensordot_form(self, rng, case):
+        cfg = LearningRuleConfig(rule="stdp", stdp_t=200 if case == "t200" else 10)
+        spec = ConvSpec(3, 5, 3, stride=2 if case == "stride2" else 1, padding=1)
+        B, H, W = 4, 9, 7
+        if case == "conv2":   # the network's conv2 at 32 px
+            spec, B, H, W = ConvSpec(32, 64, 3, padding=1), 8, 16, 16
+        T = cfg.stdp_t
+        t_pre = rng.integers(0, T + 1, size=(B, spec.in_channels, H, W)).astype(np.int16)
+        if case == "never":
+            t_pre[:] = T
+        elif case == "step0":
+            t_pre[:] = 0
+        Ho, Wo = spec.out_size(H), spec.out_size(W)
+        t_post = rng.integers(0, T + 1, size=(B, spec.out_channels, Ho, Wo)).astype(np.int16)
+        dw = stdp_conv_delta(t_pre, t_post, spec, cfg)
+        assert np.array_equal(dw, stdp_delta_reference(t_pre, t_post, spec, cfg))
+        assert dw.any() == (case != "never")
+
     def test_never_spiking_pairs_contribute_zero(self):
         cfg = LearningRuleConfig(rule="stdp")
         spec = ConvSpec(1, 1, 1, stride=1, padding=0)
@@ -350,6 +375,18 @@ class TestStdpMachinery:
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
+
+def stdp_delta_reference(t_pre, t_post, spec, cfg):
+    """The STDP update as one tensordot per spike step tau: a conv weight
+    grad of table[t_post, tau] against the pre-units that spike at tau."""
+    B, _, Ho, Wo = t_post.shape
+    table = _pair_kernel_table(cfg)
+    total = np.zeros(spec.weight_shape)
+    for tau in range(cfg.stdp_t):
+        total += np.tensordot(table[t_post, tau], ops.conv_windows(t_pre == tau, spec),
+                              axes=([0, 2, 3], [0, 2, 3]))
+    return total / (B * Ho * Wo)
+
 
 def blob_set(seed=0, n=120, classes=4):
     spec = SynthSpec(num_train=n, num_test=0, num_classes=classes, num_stimuli=4,
