@@ -22,9 +22,13 @@ b = rng.normal(size=3)
 out = ops.conv2d_forward(x, w, b, spec)
 print("conv output shape:", out.shape)
 
-# Backward: gradients of a random scalar projection of the output
+# Backward: gradients of a random scalar projection of the output, from
+# the two gradient kernels (the input gradient is also the transposed
+# convolution) and a plain sum for the bias
 proj = rng.normal(size=out.shape)
-gx, gw, gb = ops.conv2d_backward(proj, x, w, spec)
+gx = ops.conv2d_input_grad(proj, w, spec, x.shape[2:])
+gw = ops.conv2d_weight_grad(proj, x, spec)
+gb = proj.sum(axis=(0, 2, 3))
 
 
 def fd(f, t, eps=1e-5):
@@ -44,8 +48,9 @@ def fd(f, t, eps=1e-5):
 
 
 loss = lambda: float(np.sum(ops.conv2d_forward(x, w, b, spec) * proj))
-print("conv grad_w vs finite differences:",
-      np.abs(gw - fd(loss, w)).max(), "(absolute)")
+for name, grad, param in (("grad_x", gx, x), ("grad_w", gw, w), ("grad_b", gb, b)):
+    print(f"conv {name} vs finite differences:",
+          np.abs(grad - fd(loss, param)).max(), "(absolute)")
 
 # Max pooling routes gradient to the argmax of each 2x2 window
 pooled, idx = ops.maxpool2x2_forward(out)

@@ -14,7 +14,7 @@ import numpy as np
 from brainalign.data import SynthSpec, synth_dataset
 from brainalign.network import init_he_normal
 from brainalign.rules import (
-    LearningRuleConfig,
+    RuleParams,
     bp_step,
     evaluate_accuracy,
     fa_step,
@@ -32,9 +32,11 @@ train_set = labeled.subset(slice(0, 240))
 test_set = labeled.subset(slice(240, None))
 
 print(f"{'rule':<8} {'train acc':>10} {'test acc':>10}")
+# one RuleParams for every condition, as in the paper; an ExperimentConfig
+# is a RuleParams too, so a run's config can be passed as it is
+params = RuleParams(epochs=3, batch_size=32, lr=0.02)
 for rule in ("random", "bp", "fa", "pc", "stdp"):
-    cfg = LearningRuleConfig(rule=rule, epochs=3, batch_size=32, lr=0.02)
-    state = train(cfg, train_set, seed=0, channels=CHANNELS, num_classes=4)
+    state = train(rule, params, train_set, seed=0, channels=CHANNELS, num_classes=4)
     tr = evaluate_accuracy(state, train_set.images, train_set.labels)
     te = evaluate_accuracy(state, test_set.images, test_set.labels)
     print(f"{rule:<8} {tr:>10.3f} {te:>10.3f}")

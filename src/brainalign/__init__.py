@@ -20,7 +20,7 @@ from .network import (
 )
 from .pipeline import ExperimentConfig, best_layer_sweep, run_experiment
 from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
-from .rules import LearningRuleConfig, RULES, stdp_kernel, train
+from .rules import RULES, RuleParams, stdp_kernel, train
 from .stats import (
     NoiseCeiling,
     PairwiseTest,
@@ -42,7 +42,7 @@ __all__ = [
     "init_he_normal", "load_checkpoint", "save_checkpoint",
     "ExperimentConfig", "best_layer_sweep", "run_experiment",
     "RDM", "average_rdms", "pixel_rdm", "rdm_from_features", "upper_triangle",
-    "LearningRuleConfig", "RULES", "stdp_kernel", "train",
+    "RULES", "RuleParams", "stdp_kernel", "train",
     "NoiseCeiling", "PairwiseTest", "bootstrap_ci",
     "cohens_d_paired", "fdr_bh", "noise_ceiling",
     "partial_spearman", "permutation_test", "spearman",

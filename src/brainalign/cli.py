@@ -89,14 +89,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+    # the verb trains one cell: the config checks its rule and seed before
+    # any output directory is made
+    cfg = dataclasses.replace(_load_config(args), rules=(args.rule,), seeds=(args.seed,))
     dataset = read_cifar10_binary(list(cfg.train_data), limit=cfg.train_limit)
-    rule_cfg = cfg.rule_config(args.rule)
     ckpt = args.ckpt or f"{args.rule}_seed{args.seed}.ckpt"
     for path in (ckpt, args.metrics):   # before training, which writes them last
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-    state = train_rule(rule_cfg, dataset, args.seed,
+    state = train_rule(args.rule, cfg, dataset, args.seed,
                        metrics_path=args.metrics, channels=cfg.channels,
                        num_classes=cfg.num_classes)
     save_checkpoint(state, ckpt, rule=args.rule)
@@ -160,10 +161,9 @@ def _cmd_sweep(args) -> int:
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
     sweep = best_layer_sweep({tap: upper_triangle(m) for tap, m in models.items()}, mean_brain)
-    rows = [[tap] + [float(v) for v in sweep.matrix[i]]
-            for i, tap in enumerate(sweep.taps)]
-    rows.append(["best"] + [sweep.best_tap[r] for r in sweep.rois])
-    write_csv(args.out, ["tap"] + list(sweep.rois), rows)
+    rows = [[tap] + row for tap, row in zip(sweep["taps"], sweep["matrix"])]
+    rows.append(["best"] + [sweep["best_tap"][r] for r in sweep["rois"]])
+    write_csv(args.out, ["tap"] + sweep["rois"], rows)
     print(f"sweep matrix written to {args.out}")
     return 0
 

@@ -52,6 +52,13 @@ class LabeledImageSet:
         return LabeledImageSet(self.images[idx], self.labels[idx], num_classes=self.num_classes)
 
 
+def check_unique_ids(ids, source) -> None:
+    """Raise DataFormatError naming `source` if a stimulus id repeats."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise DataFormatError(f"{source}: duplicate stimulus ids {dupes[:5]}")
+
+
 @dataclass
 class StimulusSet:
     images: np.ndarray       # [N,3,R,R]
@@ -61,9 +68,7 @@ class StimulusSet:
         if self.images.shape[0] != len(self.ids):
             raise DataFormatError(
                 f"{self.images.shape[0]} stimulus images but {len(self.ids)} ids")
-        if len(set(self.ids)) != len(self.ids):
-            dupes = sorted({i for i in self.ids if self.ids.count(i) > 1})
-            raise DataFormatError(f"duplicate stimulus ids: {dupes[:5]}")
+        check_unique_ids(self.ids, "stimulus set")
 
 
 @dataclass
@@ -306,9 +311,7 @@ def read_rdm_csv(path) -> RDM:
     header = lines[0].split(",")
     ids = tuple(h.strip() for h in header[1:])
     n = len(ids)
-    if len(set(ids)) != n:
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DataFormatError(f"{path}: duplicate stimulus ids {dupes[:5]}")
+    check_unique_ids(ids, path)
     if len(lines) - 1 != n:
         raise DataFormatError(
             f"{path}: non-square RDM, {n} header ids but {len(lines) - 1} data rows")

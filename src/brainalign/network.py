@@ -290,17 +290,16 @@ def _extraction_batch_size(resolution: int) -> int:
     return 64 if resolution <= 32 else 8
 
 
-def extract_all_taps(state: NetworkState, stimuli, batch_size: int | None = None
-                     ) -> dict[str, np.ndarray]:
+def extract_all_taps(state: NetworkState, stimuli) -> dict[str, np.ndarray]:
     """Eval-mode features at every tap in one pass over a StimulusSet, as
-    tap -> [num_stimuli, feature_dim] array.
+    tap -> [num_stimuli, feature_dim] array, in batches of
+    _extraction_batch_size(resolution).
 
     Conv taps are averaged over spatial positions (global average pooling);
     fc taps are stored as-is. Rows follow the stimulus order.
     """
     images = stimuli.images
-    if batch_size is None:
-        batch_size = _extraction_batch_size(images.shape[-1])
+    batch_size = _extraction_batch_size(images.shape[-1])
     chunks: dict[str, list[np.ndarray]] = {t: [] for t in TAPS}
     for start in range(0, images.shape[0], batch_size):
         _, taps = forward(state, images[start : start + batch_size], mode="eval")
@@ -359,8 +358,13 @@ def load_checkpoint(path):
                                    in_channels=manifest["in_channels"])
             entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                        for e in manifest["arrays"]]
-            for block, seen in zip(state.conv_blocks(), manifest["bn_batches_seen"]):
-                block.stats.batches_seen = int(seen)
+            seen = manifest["bn_batches_seen"]
+            if (not isinstance(seen, list) or len(seen) != 3
+                    or any(type(n) is not int or n < 0 for n in seen)):
+                raise DataFormatError(
+                    f"{path}: bn_batches_seen must be 3 integers >= 0, got {seen!r}")
+            for block, n in zip(state.conv_blocks(), seen):
+                block.stats.batches_seen = n
             rule = manifest["rule"]
         except (ValueError, KeyError, TypeError, ConfigurationError) as e:
             raise DataFormatError(f"{path}: bad checkpoint manifest ({e!r})") from None

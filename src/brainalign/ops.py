@@ -6,17 +6,20 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention). The forward copies conv_windows into im2col blocks of at
-most _CONV_BLOCK_CELLS, whole images or, for a large image, runs of its
-output rows, and each block's GEMM writes straight into its slice of the
-output, where the bias is added. Max pooling takes the max of four
-strided corner views of the input into one array and keeps the input and
-output; the backward derives the argmax from them as an int8 corner
-index, breaks ties towards the first corner in row-major window order
-and truncates a trailing odd row or column. Batch norm (eps 1e-5,
-running-stat momentum 0.1) writes eval mode into a given `out` (the input
-itself, say) or one fresh full-size output, and train mode allocates that
-output plus the cached xhat; its backward allocates two full-size
+convention), in three kernels: the forward, the input gradient (which is
+also the transposed convolution) and the weight gradient; the bias
+gradient is a plain sum, taken by the caller. The forward copies
+conv_windows into im2col blocks of at most _CONV_BLOCK_CELLS, whole
+images or, for a large image, runs of its output rows, and each block's
+GEMM writes straight into its slice of the output, where the bias is
+added. Max pooling takes the max of four strided corner views of the
+input into one array and keeps the input and output; the backward
+derives the argmax from them as an int8 corner index, breaks ties
+towards the first corner in row-major window order and truncates a
+trailing odd row or column. Batch norm (eps BN_EPS, running-stat
+momentum BN_MOMENTUM) writes eval mode into a given `out` (the input
+itself, say) or one fresh full-size output, and train mode allocates
+that output plus the cached xhat; its backward allocates two full-size
 buffers, one of which it returns. The pool and eval batch norm run their
 ufunc chains one cache-sized block of (images, channels) at a time.
 """
@@ -176,18 +179,6 @@ def conv2d_weight_grad(grad_out, x, spec: ConvSpec) -> np.ndarray:
     return np.tensordot(grad_out, conv_windows(x, spec), axes=([0, 2, 3], [0, 2, 3]))
 
 
-def conv2d_backward(grad_out, cached_input, w, spec: ConvSpec):
-    """All three gradients of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
-    if grad_out.shape[0] != cached_input.shape[0]:
-        raise ConfigurationError(
-            f"grad_out batch {grad_out.shape} does not match input {cached_input.shape}"
-        )
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    grad_w = conv2d_weight_grad(grad_out, cached_input, spec)
-    grad_x = conv2d_input_grad(grad_out, w, spec, cached_input.shape[2:])
-    return grad_x, grad_w, grad_b
-
-
 # ---------------------------------------------------------------------------
 # 2x2 max pooling
 # ---------------------------------------------------------------------------
@@ -299,13 +290,14 @@ class BnCache(NamedTuple):
     gamma: np.ndarray
 
 
-def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
-                      eps: float = BN_EPS, momentum: float = BN_MOMENTUM, out=None):
-    """Per-channel batch norm over a [B,C,H,W] tensor.
+def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str, out=None):
+    """Per-channel batch norm over a [B,C,H,W] tensor, with BN_EPS added to
+    the variance.
 
     Train mode normalises by batch statistics and updates `stats` in place
-    (momentum 0.1, unbiased variance for the running estimate, matching the
-    common framework default). Eval mode normalises by the running stats.
+    (momentum BN_MOMENTUM, unbiased variance for the running estimate,
+    matching the common framework default). Eval mode normalises by the
+    running stats.
 
     `out` follows numpy's convention, in eval mode only: the result is
     written into it, and it may be `x` itself. Without `out` the input is
@@ -333,11 +325,11 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         # np.var's own steps: the squared deviations from the mean, summed, / n
         out = np.square(xhat)
         var = out.sum(axis=(0, 2, 3)) / n
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std.reshape(1, C, 1, 1)
         var_unbiased = var * (n / (n - 1)) if n > 1 else var
-        stats.mean += momentum * (mu - stats.mean)
-        stats.var += momentum * (var_unbiased - stats.var)
+        stats.mean += BN_MOMENTUM * (mu - stats.mean)
+        stats.var += BN_MOMENTUM * (var_unbiased - stats.var)
         stats.batches_seen += 1
         # `out` reuses the squares' buffer; it must never alias the cached
         # xhat, because callers rectify it in place before the backward.
@@ -345,7 +337,7 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str,
         out += beta.reshape(1, C, 1, 1)
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(stats.var + eps)
+        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
         if out is None:
             out = np.empty(x.shape)
         mean, inv_std, gamma, beta = (a.reshape(1, C, 1, 1)

@@ -34,6 +34,7 @@ from . import stats
 from .data import (
     DEFAULT_ROI_MAP,
     ROIS,
+    check_unique_ids,
     load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
@@ -51,7 +52,7 @@ from .network import (
     save_checkpoint,
 )
 from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
-from .rules import RULES, LearningRuleConfig, RuleParams, evaluate_accuracy, train
+from .rules import RULES, RuleParams, evaluate_accuracy, train
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +96,8 @@ class ExperimentConfig(RuleParams):
             raise ConfigurationError(f"seeds must be one or more integers >= 0, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"duplicate seeds in {self.seeds}")
+        if not self.rules:
+            raise ConfigurationError("rules must name one or more conditions")
         if len(set(self.rules)) != len(self.rules):
             raise ConfigurationError(f"duplicate rules in {self.rules}")
         for r in self.rules:
@@ -117,10 +120,6 @@ class ExperimentConfig(RuleParams):
             raise ConfigurationError(
                 f"resolution must be one of {SUPPORTED_RESOLUTIONS}, got {self.resolution}")
         super().__post_init__()
-
-    def rule_config(self, rule: str) -> LearningRuleConfig:
-        return LearningRuleConfig(
-            rule=rule, **{f.name: getattr(self, f.name) for f in fields(RuleParams)})
 
     # -- serialization ------------------------------------------------------
 
@@ -238,25 +237,17 @@ def score_conditions(conditions, brain_vec, roi: str, config) -> dict[str, dict]
     return scores
 
 
-@dataclass
-class SweepResult:
-    taps: tuple[str, ...]
-    rois: tuple[str, ...]
-    matrix: np.ndarray          # [len(taps), len(rois)] Spearman rho
-    best_tap: dict              # roi -> tap with the highest rho
-
-
-def best_layer_sweep(model_by_tap, brain_by_roi) -> SweepResult:
+def best_layer_sweep(model_by_tap, brain_by_roi) -> dict:
     """Spearman rho for every tap x ROI combination plus the argmax tap per
-    ROI. `model_by_tap` maps tap -> vector; `brain_by_roi` maps ROI -> vector."""
-    taps = tuple(t for t in TAPS if t in model_by_tap)
-    rois = tuple(r for r in ROIS if r in brain_by_roi)
-    matrix = np.empty((len(taps), len(rois)))
-    for i, tap in enumerate(taps):
-        for j, roi in enumerate(rois):
-            matrix[i, j] = stats.spearman(model_by_tap[tap], brain_by_roi[roi])
-    best = {roi: taps[int(np.argmax(matrix[:, j]))] for j, roi in enumerate(rois)}
-    return SweepResult(taps=taps, rois=rois, matrix=matrix, best_tap=best)
+    ROI. `model_by_tap` maps tap -> vector; `brain_by_roi` maps ROI -> vector.
+    Returns the report's best_layer entry: {"matrix": [taps][rois] rho lists,
+    "taps", "rois", "best_tap": roi -> tap with the highest rho}."""
+    taps = [t for t in TAPS if t in model_by_tap]
+    rois = [r for r in ROIS if r in brain_by_roi]
+    matrix = [[stats.spearman(model_by_tap[tap], brain_by_roi[roi]) for roi in rois]
+              for tap in taps]
+    best = {roi: taps[int(np.argmax([row[j] for row in matrix]))] for j, roi in enumerate(rois)}
+    return {"matrix": matrix, "taps": taps, "rois": rois, "best_tap": best}
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +268,7 @@ def load_features_dir(directory) -> tuple[dict[str, np.ndarray], tuple[str, ...]
     if not ids_path.exists():
         raise DataFormatError(f"{directory}: missing stimulus_ids.txt")
     ids = tuple(ids_path.read_text().splitlines())
+    check_unique_ids(ids, ids_path)
     feats = {}
     for tap in TAPS:
         p = directory / f"features_{tap}.npy"
@@ -348,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for seed in config.seeds:
             cell = f"{rule}_seed{seed}"
             try:
-                state = train(config.rule_config(rule), train_set, seed, eval_set=test_set,
+                state = train(rule, config, train_set, seed, eval_set=test_set,
                               metrics_path=out / "metrics" / f"{cell}.csv",
                               channels=config.channels,
                               num_classes=config.num_classes)
@@ -376,8 +368,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
     mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
     for rule, tap in product(conditions, TAPS):
-        rdms = [seed_rdms[rule][s].pop(tap) for s in sorted(seed_rdms[rule])]
-        mean = average_rdms(rdms)
+        by_seed = seed_rdms[rule]
+        mean = average_rdms([by_seed[s][tap] for s in sorted(by_seed)])  # listing-order free
+        rdms = [by_tap.pop(tap) for by_tap in by_seed.values()]   # config seed order
         write_rdm_csv(mean, out / "rdms" / f"{rule}_mean_{tap}.csv")
         seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
         mean_vecs[rule][tap] = upper_triangle(mean)
@@ -438,9 +431,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     # Best-layer sweep per condition
     for rule in conditions:
-        sweep = best_layer_sweep(mean_vecs[rule], mean_brain)
-        report["best_layer"][rule] = {"matrix": sweep.matrix.tolist(), "taps": list(sweep.taps),
-                                      "rois": list(sweep.rois), "best_tap": sweep.best_tap}
+        report["best_layer"][rule] = best_layer_sweep(mean_vecs[rule], mean_brain)
 
     # Conv1 filter summaries (first available seed's checkpoint per rule)
     for rule in conditions:

@@ -25,9 +25,12 @@ stdp    : activations become Bernoulli spike trains over T timesteps;
           LTP/LTD kernel, averaged over batch items and shared spatial
           positions. FC1/FC2 are again a backprop-trained readout.
 
-All rules are deterministic given (seed, config, dataset order): RNG use
-is split into named streams (init / order / spikes / feedback / pc_init)
-so enabling one consumer cannot perturb another.
+`train(rule, params, dataset, seed)` runs one condition under any
+RuleParams, so an ExperimentConfig goes in as it is; the pc and stdp
+steps read their hyperparameters from the same RuleParams. All rules are
+deterministic given (seed, params, dataset order): RNG use is split into
+named streams (init / order / spikes / feedback / pc_init) so enabling
+one consumer cannot perturb another.
 """
 
 from __future__ import annotations
@@ -57,13 +60,13 @@ from .seeding import named_rng
 log = logging.getLogger(__name__)
 
 RULES = ("random", "bp", "fa", "pc", "stdp")
+EVAL_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
 class RuleParams:
     """Training length and the hyperparameters of every rule, declared once:
-    ExperimentConfig inherits them for a run, LearningRuleConfig for one
-    condition."""
+    `train` takes any RuleParams, and an ExperimentConfig is one."""
 
     epochs: int = 40
     batch_size: int = 64
@@ -92,18 +95,6 @@ class RuleParams:
                      "stdp_a_plus", "stdp_a_minus", "stdp_lr", "stdp_timestep_ms"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True, kw_only=True)
-class LearningRuleConfig(RuleParams):
-    """One training condition plus its hyperparameters."""
-
-    rule: str
-
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ConfigurationError(f"unknown rule {self.rule!r}; known rules: {RULES}")
-        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ def pc_inference(pc: PcState, reps, t_inf: int, alpha: float):
 
 
 def pc_infer_and_learn(state: NetworkState, pc: PcState, batch, labels,
-                       cfg: LearningRuleConfig):
+                       cfg: RuleParams):
     """One predictive-coding pass over a batch. Mutates state and pc.
 
     (a) feedforward pass initialises the representations (train-mode BN,
@@ -306,7 +297,7 @@ def first_spike_times(rates, t_steps: int, rng) -> np.ndarray:
     return t
 
 
-def _pair_kernel_table(cfg: LearningRuleConfig) -> np.ndarray:
+def _pair_kernel_table(cfg: RuleParams) -> np.ndarray:
     """K[t_post, t_pre] for steps 0..T-1 plus the never-spiked sentinel T."""
     T = cfg.stdp_t
     table = np.zeros((T + 1, T + 1))
@@ -317,7 +308,7 @@ def _pair_kernel_table(cfg: LearningRuleConfig) -> np.ndarray:
     return table
 
 
-def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: LearningRuleConfig) -> np.ndarray:
+def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: RuleParams) -> np.ndarray:
     """Per-kernel-weight timing update, averaged over batch items and all
     shared spatial positions (never-spiked pairs contribute zero): per step
     tau, one conv weight-grad of table[t_post, tau] against the pre-units
@@ -344,7 +335,7 @@ def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: LearningRuleConfig) -> n
     return total.reshape(spec.weight_shape) / (B * Ho * Wo)
 
 
-def stdp_step(state: NetworkState, batch, labels, cfg: LearningRuleConfig, spike_rng):
+def stdp_step(state: NetworkState, batch, labels, cfg: RuleParams, spike_rng):
     """One STDP pass over a batch: spike-timing updates for every conv
     kernel, then a BP readout step on the cached features. Mutates state."""
     cache = forward_cached(state, batch, mode="train")
@@ -372,56 +363,61 @@ def _readout_step(state: NetworkState, feats, labels, lr: float):
     return loss, cache.logits
 
 
-def evaluate_accuracy(state: NetworkState, images, labels, batch_size: int = 256) -> float:
-    """Eval-mode classification accuracy."""
+def evaluate_accuracy(state: NetworkState, images, labels) -> float:
+    """Eval-mode classification accuracy, in batches of EVAL_BATCH_SIZE."""
     correct = 0
-    for start in range(0, images.shape[0], batch_size):
-        logits, _ = forward(state, images[start : start + batch_size], mode="eval")
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch_size]))
+    for start in range(0, images.shape[0], EVAL_BATCH_SIZE):
+        batch = slice(start, start + EVAL_BATCH_SIZE)
+        logits, _ = forward(state, images[batch], mode="eval")
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
     return correct / images.shape[0]
 
 
-def train(config: LearningRuleConfig, dataset, seed: int, eval_set=None,
+def train(rule: str, params: RuleParams, dataset, seed: int, eval_set=None,
           metrics_path=None, channels=DEFAULT_CHANNELS, num_classes: int = 10):
-    """Train one condition on a LabeledImageSet; returns the final NetworkState.
+    """Train condition `rule` under `params` (an ExperimentConfig is one) on
+    a LabeledImageSet; returns the final NetworkState.
 
     rule="random" returns the He init untouched. Per-epoch loss/accuracy is
     logged and optionally written to a fresh metrics CSV. Raises
-    TrainingDivergedError (with the epoch index) if the loss goes non-finite.
+    ConfigurationError for an unknown rule and TrainingDivergedError (with
+    the epoch index) if the loss goes non-finite.
     """
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown rule {rule!r}; known rules: {RULES}")
     images, labels = dataset.images, dataset.labels
     if images.shape[0] == 0:
         raise ConfigurationError("training dataset is empty")
     state = init_he_normal(seed, channels=channels, num_classes=num_classes,
                            in_channels=images.shape[1])
-    if config.rule == "random":
+    if rule == "random":
         log.info("rule=random: returning untrained He init (seed %d)", seed)
         return state
 
-    feedback = make_feedback_weights(state, seed) if config.rule == "fa" else None
-    pc = init_pc_state(state, seed) if config.rule == "pc" else None
-    spike_rng = named_rng(seed, "spikes") if config.rule == "stdp" else None
+    feedback = make_feedback_weights(state, seed) if rule == "fa" else None
+    pc = init_pc_state(state, seed) if rule == "pc" else None
+    spike_rng = named_rng(seed, "spikes") if rule == "stdp" else None
     order_rng = named_rng(seed, "order")
 
     n = images.shape[0]
     history = []
-    for epoch in range(config.epochs):
+    for epoch in range(params.epochs):
         perm = order_rng.permutation(n)
         total_loss, correct = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        for start in range(0, n, params.batch_size):
+            idx = perm[start : start + params.batch_size]
             xb, yb = images[idx], labels[idx]
-            if config.rule == "bp":
-                loss, logits = bp_step(state, xb, yb, config.lr)
-            elif config.rule == "fa":
-                loss, logits = fa_step(state, feedback, xb, yb, config.lr)
-            elif config.rule == "pc":
+            if rule == "bp":
+                loss, logits = bp_step(state, xb, yb, params.lr)
+            elif rule == "fa":
+                loss, logits = fa_step(state, feedback, xb, yb, params.lr)
+            elif rule == "pc":
                 try:
-                    loss, logits, _ = pc_infer_and_learn(state, pc, xb, yb, config)
+                    loss, logits, _ = pc_infer_and_learn(state, pc, xb, yb, params)
                 except TrainingDivergedError as e:
                     raise TrainingDivergedError(f"{e} (epoch {epoch})", epoch=epoch) from None
             else:  # stdp
-                loss, logits = stdp_step(state, xb, yb, config, spike_rng)
+                loss, logits = stdp_step(state, xb, yb, params, spike_rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}", epoch=epoch)
@@ -430,9 +426,9 @@ def train(config: LearningRuleConfig, dataset, seed: int, eval_set=None,
         mean_loss, train_acc = total_loss / n, correct / n
         test_acc = (evaluate_accuracy(state, eval_set.images, eval_set.labels)
                     if eval_set is not None else "")
-        history.append([epoch, mean_loss, train_acc, test_acc, config.rule, seed])
+        history.append([epoch, mean_loss, train_acc, test_acc, rule, seed])
         log.info("rule=%s seed=%d epoch=%d loss=%.4f train_acc=%.3f",
-                 config.rule, seed, epoch, mean_loss, train_acc)
+                 rule, seed, epoch, mean_loss, train_acc)
     if metrics_path is not None:
         write_csv(metrics_path, ["epoch", "loss", "train_acc", "test_acc", "rule", "seed"],
                   history)

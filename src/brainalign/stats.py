@@ -83,13 +83,13 @@ def rank_average(x) -> np.ndarray:
     return rank_rows(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def _check_vector_pair(x, y, min_len=3):
+def _check_vector_pair(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ConfigurationError(f"vectors must be 1D and matched, got {x.shape}/{y.shape}")
-    if x.shape[0] < min_len:
-        raise ConfigurationError(f"need at least {min_len} entries, got {x.shape[0]}")
+    if x.shape[0] < 3:
+        raise ConfigurationError(f"need at least 3 entries, got {x.shape[0]}")
     for name, v in (("first", x), ("second", y)):
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:

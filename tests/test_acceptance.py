@@ -29,7 +29,7 @@ from brainalign.ops import ConvSpec, RunningStats
 from brainalign.pipeline import ExperimentConfig, run_experiment
 from brainalign.rdm import RDM, rdm_from_features, upper_triangle
 from brainalign.rules import (
-    LearningRuleConfig,
+    RuleParams,
     bp_step,
     fa_step,
     feedback_from_transposes,
@@ -70,7 +70,8 @@ def test_criterion_01_gradient_correctness():
         w = rng.normal(size=spec.weight_shape)
         b = rng.normal(size=spec.out_channels)
         proj = rng.normal(size=ops.conv2d_forward(x, w, b, spec).shape)
-        gx, gw, gb = ops.conv2d_backward(proj, x, w, spec)
+        gx = ops.conv2d_input_grad(proj, w, spec, x.shape[2:])
+        gw, gb = ops.conv2d_weight_grad(proj, x, spec), proj.sum(axis=(0, 2, 3))
         worst = max(worst, relerr(gx, numeric_grad(
             lambda v: float(np.sum(ops.conv2d_forward(v, w, b, spec) * proj)), x)))
         worst = max(worst, relerr(gw, numeric_grad(
@@ -395,8 +396,7 @@ def test_criterion_09_full_scale_accuracy_ordering():
 
     acc = {}
     for rule in ("random", "bp", "fa", "stdp"):
-        cfg = LearningRuleConfig(rule=rule, epochs=40, batch_size=64)
-        state = train(cfg, train_set, seed=0)
+        state = train(rule, RuleParams(epochs=40, batch_size=64), train_set, seed=0)
         acc[rule] = evaluate_accuracy(state, test_set.images, test_set.labels)
     ok = (acc["bp"] > acc["stdp"] and acc["bp"] > acc["fa"] > 0.1
           and abs(acc["random"] - 0.10) <= 0.02)

@@ -158,14 +158,19 @@ class TestExitCodes:
 
     def test_negative_seed_is_2(self, synth_dir, tmp_path):
         assert main(["train", "--config", str(synth_dir / "data" / "synth.cfg"),
-                     "--rule", "bp", "--seed", "-1", "--ckpt", str(tmp_path / "c.ckpt")]) == 2
+                     "--rule", "bp", "--seed", "-1", "--ckpt", str(tmp_path / "c.ckpt"),
+                     "--metrics", str(tmp_path / "new" / "m.csv")]) == 2
         assert not (tmp_path / "c.ckpt").exists()
+        assert not (tmp_path / "new").exists()
         assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 2
         assert not (tmp_path / "s").exists()
 
-    def test_unknown_rule_is_2(self, synth_dir):
+    def test_unknown_rule_is_2(self, synth_dir, tmp_path, capsys):
         cfg = str(synth_dir / "data" / "synth.cfg")
-        assert main(["train", "--config", cfg, "--rule", "adamw", "--seed", "0"]) == 2
+        assert main(["train", "--config", cfg, "--rule", "adamw", "--seed", "0",
+                     "--ckpt", str(tmp_path / "new" / "c.ckpt")]) == 2
+        assert "unknown rule 'adamw'" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_zero_bootstrap_resamples_is_2(self, synth_dir, tmp_path, capsys):
         text = (synth_dir / "data" / "synth.cfg").read_text()
@@ -369,3 +374,14 @@ def test_corrupt_feature_dir_is_3(tmp_path, capsys, corrupt, message):
                  "--out", str(tmp_path / "rdms")]) == 3
     err = capsys.readouterr().err
     assert "features_fc1.npy" in err and message in err
+
+
+def test_duplicate_feature_ids_are_3(tmp_path, capsys):
+    ids = ("stim-0", "stim-1", "stim-0")
+    save_features({"conv1": np.random.default_rng(0).normal(size=(3, 5))}, ids,
+                  tmp_path / "feats")
+    assert main(["rdm", "--features", str(tmp_path / "feats"),
+                 "--out", str(tmp_path / "rdms")]) == 3
+    err = capsys.readouterr().err
+    assert "stimulus_ids.txt" in err and "duplicate stimulus ids ['stim-0']" in err
+    assert not (tmp_path / "rdms").exists()

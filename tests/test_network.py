@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brainalign import ops
+from brainalign import network, ops
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import (
     CONV_TAPS,
@@ -176,22 +176,24 @@ class TestFeatureExtraction:
                            for n in range(3)])
         assert np.abs(feats - oracle).max() < 1e-12
 
-    def test_batch_concat_commutes(self, state, rng):
+    def test_batch_concat_commutes(self, state, rng, monkeypatch):
         # equality up to BLAS kernel choice: different batch shapes may take
         # different GEMM paths, so bitwise identity is not promised here
+        monkeypatch.setattr(network, "_extraction_batch_size", lambda resolution: 2)
         a = rng.random(size=(3, 3, 32, 32))
         b = rng.random(size=(2, 3, 32, 32))
-        both = extract_all_taps(state, stimulus_set(np.concatenate([a, b])), batch_size=2)
-        fa = extract_all_taps(state, stimulus_set(a), batch_size=2)
-        fb = extract_all_taps(state, stimulus_set(b), batch_size=2)
+        both = extract_all_taps(state, stimulus_set(np.concatenate([a, b])))
+        fa = extract_all_taps(state, stimulus_set(a))
+        fb = extract_all_taps(state, stimulus_set(b))
         for t in TAPS:
             cat = np.concatenate([fa[t], fb[t]])
             assert np.abs(both[t] - cat).max() < 1e-12
 
-    def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog):
+    def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog, monkeypatch):
         # three fresh BN blocks and two batches, but one network
+        monkeypatch.setattr(network, "_extraction_batch_size", lambda resolution: 2)
         with caplog.at_level("WARNING"):
-            extract_all_taps(state, stimulus_set(rng.random(size=(3, 3, 32, 32))), batch_size=2)
+            extract_all_taps(state, stimulus_set(rng.random(size=(3, 3, 32, 32))))
             forward(state, rng.random(size=(1, 3, 32, 32)))
         assert caplog.text.count("batchnorm eval before any train step") == 1
 
@@ -292,6 +294,15 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         self._rewrite(path, lambda m: m.pop("channels"))
         with pytest.raises(DataFormatError, match="manifest.*channels"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("seen", [[], [5], [5, 0], [-3, 5, 5], [1, 2, 3, 4],
+                                      [1.5, 2, 3], [True, 2, 3], "555", None])
+    def test_bad_bn_batches_seen_rejected(self, state, tmp_path, seen):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        self._rewrite(path, lambda m: m.update(bn_batches_seen=seen))
+        with pytest.raises(DataFormatError, match="bn_batches_seen must be 3 integers >= 0"):
             load_checkpoint(path)
 
     def test_truncated_manifest_rejected(self, state, tmp_path):

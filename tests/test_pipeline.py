@@ -8,6 +8,7 @@ import gc
 import hashlib
 import json
 import weakref
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import extract_all_taps, init_he_normal
 from brainalign.pipeline import ExperimentConfig, best_layer_sweep, run_experiment
 from brainalign.rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
-from brainalign.rules import RULES, LearningRuleConfig
+from brainalign.rules import RULES, RuleParams
 from brainalign.stats import cohens_d_paired, partial_spearman, spearman
 
 from helpers import treehash
@@ -82,6 +83,7 @@ class TestConfig:
         ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
         ("channels", (4, 6)), ("channels", (4, 0, 8)), ("resolution", 0), ("resolution", 64),
         ("stdp_t", 0), ("pc_alpha", 0.0), ("stdp_lr", -1.0), ("seeds", (0, 1, 0)),
+        ("rules", ()),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -120,7 +122,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("rule", RULES)
     def test_rule_config_defaults_are_the_rule_defaults(self, rule):
-        assert ExperimentConfig().rule_config(rule) == LearningRuleConfig(rule=rule)
+        # an ExperimentConfig goes to train as it is: every RuleParams field
+        # must default to the rule's own default
+        cfg = ExperimentConfig(rules=(rule,))
+        assert {f.name: getattr(cfg, f.name) for f in fields(RuleParams)} == asdict(RuleParams())
 
     @pytest.mark.parametrize("key, raw, value", [
         ("rules", " bp,,fa, ", ("bp", "fa")), ("seeds", "0, 1,", (0, 1)),
@@ -190,6 +195,21 @@ class TestRunExperiment:
                 assert entry["rho"] == pytest.approx(
                     float(np.mean(entry["per_seed"])), abs=1e-12)
 
+    def test_per_seed_scores_follow_the_config_seed_order(self, tmp_path):
+        cfg = tiny_config(tmp_path, seeds=(1, 0), n_boot=50, n_perm=50)
+        report = run_experiment(cfg)
+        assert report["seeds"] == [1, 0]
+        brain = Path(cfg.brain_rdm_dir)
+        for roi, entry in report["rois"].items():
+            mean_brain = upper_triangle(average_rdms(
+                [read_rdm_csv(p) for p in sorted(brain.glob(f"*_{roi}.csv"))]))
+            for rule, cond in entry["conditions"].items():
+                assert cond["per_seed"] == [
+                    spearman(upper_triangle(read_rdm_csv(
+                        tmp_path / "run" / "rdms" / f"{rule}_seed{s}_{entry['layer']}.csv")),
+                        mean_brain)
+                    for s in report["seeds"]]
+
     def test_removing_condition_leaves_other_rows_unchanged(self, tmp_path):
         cfg = tiny_config(tmp_path, rules=("random", "bp"), out_dir=str(tmp_path / "r1"))
         rep_both = run_experiment(cfg)
@@ -207,10 +227,10 @@ class TestRunExperiment:
 
         real_train = pl.train
 
-        def failing_train(rule_cfg, *args, **kwargs):
-            if rule_cfg.rule == "bp":
+        def failing_train(rule, *args, **kwargs):
+            if rule == "bp":
                 raise RuntimeError("boom")
-            return real_train(rule_cfg, *args, **kwargs)
+            return real_train(rule, *args, **kwargs)
 
         monkeypatch.setattr(pl, "train", failing_train)
         report = run_experiment(cfg)
@@ -405,10 +425,10 @@ class TestSweep:
         brain["LOC"] = vecs["conv3"]
         brain["IT"] = vecs["fc1"]
         sweep = best_layer_sweep(vecs, brain)
-        assert sweep.matrix.shape == (5, 4)
-        assert sweep.best_tap["V1"] == "conv1"
-        assert sweep.best_tap["LOC"] == "conv3"
-        assert sweep.best_tap["IT"] == "fc1"
+        assert np.shape(sweep["matrix"]) == (5, 4)
+        assert sweep["best_tap"]["V1"] == "conv1"
+        assert sweep["best_tap"]["LOC"] == "conv3"
+        assert sweep["best_tap"]["IT"] == "fc1"
 
     def test_noise_brain_gives_weak_correlations(self):
         rng = np.random.default_rng(3)
@@ -421,7 +441,7 @@ class TestSweep:
             np.fill_diagonal(vals, 0)
             brain = {"V1": upper_triangle(vals)}
             sweep = best_layer_sweep(vecs, brain)
-            worst = max(worst, np.abs(sweep.matrix).max())
+            worst = max(worst, np.abs(sweep["matrix"]).max())
         assert worst < 0.25  # 780 pairs of pure noise stay weak
 
 

@@ -14,8 +14,8 @@ from brainalign.errors import ConfigurationError, TrainingDivergedError
 from brainalign.network import forward_cached, init_he_normal
 from brainalign.ops import ConvSpec
 from brainalign.rules import (
-    LearningRuleConfig,
     PcState,
+    RuleParams,
     _pair_kernel_table,
     _readout_step,
     bp_step,
@@ -55,7 +55,7 @@ def small_batch(rng, n=4):
 class TestConfig:
     def test_unknown_rule(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
-            LearningRuleConfig(rule="adam")
+            train("adam", RuleParams(), blob_set(n=16), seed=0)
 
     @pytest.mark.parametrize("kw", [
         {"lr": 0.0}, {"pc_alpha": -1.0}, {"pc_t_inf": 0}, {"stdp_t": 0},
@@ -63,12 +63,12 @@ class TestConfig:
     ])
     def test_bad_values(self, kw):
         with pytest.raises(ConfigurationError):
-            LearningRuleConfig(rule="bp", **kw)
+            RuleParams(**kw)
 
     def test_stdp_t_fits_int16_spike_steps(self):
-        assert LearningRuleConfig(rule="stdp", stdp_t=32767).stdp_t == 32767
+        assert RuleParams(stdp_t=32767).stdp_t == 32767
         with pytest.raises(ConfigurationError, match=r"stdp_t must be in \[1, 32767\], got 32768"):
-            LearningRuleConfig(rule="stdp", stdp_t=32768)
+            RuleParams(stdp_t=32768)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ class TestPc:
         state = init_he_normal(0, channels=SMALL)
         pc = init_pc_state(state, 0)
         w_before = [b.w.copy() for b in state.conv_blocks()]
-        cfg = LearningRuleConfig(rule="pc")
+        cfg = RuleParams()
         pc_infer_and_learn(state, pc, np.zeros((2, 3, 32, 32)), np.array([0, 1]), cfg)
         for b, w in zip(state.conv_blocks(), w_before):
             assert np.array_equal(b.w, w)
@@ -260,7 +260,7 @@ class TestPc:
     def test_readout_updates_fc_only_plus_conv12(self, rng):
         state = init_he_normal(4, channels=SMALL)
         pc = init_pc_state(state, 4)
-        cfg = LearningRuleConfig(rule="pc")
+        cfg = RuleParams()
         xb, yb = small_batch(rng)
         fc2_before = state.fc2.w.copy()
         conv3_before = state.conv3.w.copy()
@@ -308,7 +308,7 @@ class TestStdpMachinery:
         assert np.array_equal(a, b)
 
     def test_conv_delta_matches_brute_force(self, rng):
-        cfg = LearningRuleConfig(rule="stdp")
+        cfg = RuleParams()
         spec = ConvSpec(2, 3, 3, stride=1, padding=1)
         B, H, W = 2, 5, 5
         t_pre = rng.integers(0, 11, size=(B, 2, H, W)).astype(np.int16)
@@ -337,7 +337,7 @@ class TestStdpMachinery:
 
     @pytest.mark.parametrize("case", ["random", "never", "step0", "t200", "stride2", "conv2"])
     def test_conv_delta_matches_tensordot_form(self, rng, case):
-        cfg = LearningRuleConfig(rule="stdp", stdp_t=200 if case == "t200" else 10)
+        cfg = RuleParams(stdp_t=200 if case == "t200" else 10)
         spec = ConvSpec(3, 5, 3, stride=2 if case == "stride2" else 1, padding=1)
         B, H, W = 4, 9, 7
         if case == "conv2":   # the network's conv2 at 32 px
@@ -355,7 +355,7 @@ class TestStdpMachinery:
         assert dw.any() == (case != "never")
 
     def test_never_spiking_pairs_contribute_zero(self):
-        cfg = LearningRuleConfig(rule="stdp")
+        cfg = RuleParams()
         spec = ConvSpec(1, 1, 1, stride=1, padding=0)
         t_pre = np.full((1, 1, 2, 2), cfg.stdp_t, dtype=np.int16)   # silent
         t_post = np.zeros((1, 1, 2, 2), dtype=np.int16)
@@ -363,7 +363,7 @@ class TestStdpMachinery:
 
     def test_step_updates_conv_and_readout(self, rng):
         state = init_he_normal(8, channels=SMALL)
-        cfg = LearningRuleConfig(rule="stdp")
+        cfg = RuleParams()
         xb, yb = small_batch(rng)
         conv_before = state.conv1.w.copy()
         fc_before = state.fc1.w.copy()
@@ -398,7 +398,7 @@ def blob_set(seed=0, n=120, classes=4):
 class TestTrain:
     def test_random_rule_equals_he_init(self):
         ds = blob_set()
-        state = train(LearningRuleConfig(rule="random", epochs=3), ds, seed=9,
+        state = train("random", RuleParams(epochs=3), ds, seed=9,
                       channels=SMALL, num_classes=4)
         init = init_he_normal(9, channels=SMALL, num_classes=4)
         for (k, a), (_, b) in zip(state.parameter_arrays().items(),
@@ -407,16 +407,16 @@ class TestTrain:
 
     def test_bp_learns_separable_set(self):
         ds = blob_set(n=160, classes=2)
-        cfg = LearningRuleConfig(rule="bp", epochs=6, batch_size=32, lr=0.02)
-        state = train(cfg, ds, seed=0, channels=SMALL, num_classes=2)
+        params = RuleParams(epochs=6, batch_size=32, lr=0.02)
+        state = train("bp", params, ds, seed=0, channels=SMALL, num_classes=2)
         assert evaluate_accuracy(state, ds.images, ds.labels) > 0.9
 
     @pytest.mark.parametrize("rule", ["bp", "fa", "pc", "stdp"])
     def test_deterministic_per_seed(self, rule):
         ds = blob_set(n=48)
-        cfg = LearningRuleConfig(rule=rule, epochs=1, batch_size=16)
-        s1 = train(cfg, ds, seed=1, channels=SMALL, num_classes=4)
-        s2 = train(cfg, ds, seed=1, channels=SMALL, num_classes=4)
+        params = RuleParams(epochs=1, batch_size=16)
+        s1 = train(rule, params, ds, seed=1, channels=SMALL, num_classes=4)
+        s2 = train(rule, params, ds, seed=1, channels=SMALL, num_classes=4)
         for (k, a), (_, b) in zip(s1.parameter_arrays().items(),
                                   s2.parameter_arrays().items()):
             assert np.array_equal(a, b), (rule, k)
@@ -424,7 +424,7 @@ class TestTrain:
     def test_metrics_csv_written(self, tmp_path):
         ds = blob_set(n=32)
         path = tmp_path / "metrics.csv"
-        train(LearningRuleConfig(rule="bp", epochs=2, batch_size=16), ds, seed=0,
+        train("bp", RuleParams(epochs=2, batch_size=16), ds, seed=0,
               metrics_path=path, channels=SMALL, num_classes=4)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss,train_acc,test_acc,rule,seed"
@@ -439,21 +439,21 @@ class TestTrain:
         images = np.full((32, 3, 32, 32), 1e308)
         images[::2] = -1e308
         ds = LabeledImageSet(images, np.zeros(32, dtype=np.int64))
-        cfg = LearningRuleConfig(rule="bp", epochs=2, batch_size=16)
+        params = RuleParams(epochs=2, batch_size=16)
         with pytest.raises(TrainingDivergedError) as e:
-            train(cfg, ds, seed=0, channels=SMALL, num_classes=4)
+            train("bp", params, ds, seed=0, channels=SMALL, num_classes=4)
         assert e.value.epoch == 0
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_pc_energy_divergence_aborts(self, rng):
         # gradient ascent overshoot: an absurd inference rate explodes F
         ds = blob_set(n=16)
-        cfg = LearningRuleConfig(rule="pc", epochs=1, batch_size=16, pc_alpha=1e40)
+        params = RuleParams(epochs=1, batch_size=16, pc_alpha=1e40)
         with pytest.raises(TrainingDivergedError) as e:
-            train(cfg, ds, seed=0, channels=SMALL, num_classes=4)
+            train("pc", params, ds, seed=0, channels=SMALL, num_classes=4)
         assert e.value.epoch == 0
 
     def test_empty_dataset_rejected(self):
         empty = LabeledImageSet(np.zeros((0, 3, 32, 32)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ConfigurationError, match="empty"):
-            train(LearningRuleConfig(rule="bp"), empty, seed=0)
+            train("bp", RuleParams(), empty, seed=0)
