@@ -3,7 +3,7 @@ RDMs and the alignment statistics
 =================================
 
 Builds correlation-distance RDMs from network features and pixel values,
-then walks the statistical toolbox: Spearman scores, bootstrap confidence
+each held as its upper-triangle vector, then walks the statistical toolbox: Spearman scores, bootstrap confidence
 intervals, a permutation test on a condition difference, FDR correction,
 the split-half noise ceiling, partial correlation against a pixel
 control, and paired Cohen's d.
@@ -13,7 +13,7 @@ import numpy as np
 
 from brainalign.data import SynthSpec, synth_dataset
 from brainalign.network import extract_all_taps, init_he_normal
-from brainalign.rdm import pixel_rdm, rdm_from_features, upper_triangle
+from brainalign.rdm import pixel_rdm, rdm_from_features
 from brainalign.stats import (
     bootstrap_ci,
     cohens_d_paired,
@@ -32,14 +32,14 @@ spec = SynthSpec(num_train=8, num_test=0, num_classes=2, num_stimuli=40,
                  extraction_resolution=32, noise_amplitude=0.15,
                  channels=CHANNELS)
 _, stimuli, brain = synth_dataset(spec, seed=0)
-v1_subjects = [upper_triangle(b.rdm) for b in brain if b.roi == "V1"]
+v1_subjects = [b.vec for b in brain if b.roi == "V1"]
 brain_vec = np.mean(v1_subjects, axis=0)
 
 # Model RDMs: an untrained network vs a differently seeded one
 feats_a = extract_all_taps(init_he_normal(0, channels=CHANNELS), stimuli)
 feats_b = extract_all_taps(init_he_normal(1, channels=CHANNELS), stimuli)
-vec_a = upper_triangle(rdm_from_features(feats_a["conv1"], stimuli.ids))
-vec_b = upper_triangle(rdm_from_features(feats_b["fc1"], stimuli.ids))
+vec_a = rdm_from_features(feats_a["conv1"], stimuli.ids)
+vec_b = rdm_from_features(feats_b["fc1"], stimuli.ids)
 
 rho_a = spearman(vec_a, brain_vec)
 rho_b = spearman(vec_b, brain_vec)
@@ -58,7 +58,7 @@ print("FDR flags over a small p-value family:", flags)
 nc = noise_ceiling(v1_subjects, seed=0)
 print(f"noise ceiling at V1: lower {nc.lower:.3f}, upper {nc.upper:.3f}")
 
-control = upper_triangle(pixel_rdm(stimuli))
+control = pixel_rdm(stimuli)
 part = partial_spearman(vec_a, brain_vec, control)
 print(f"partial rho after pixel control: {part.rho:+.3f} "
       f"(plain {rho_a:+.3f}, degenerate={part.degenerate})")

@@ -19,7 +19,7 @@ from .network import (
     save_checkpoint,
 )
 from .pipeline import ExperimentConfig, best_layer_sweep, run_experiment
-from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
+from .rdm import average_rdms, pixel_rdm, rdm_from_features
 from .rules import RULES, RuleParams, stdp_kernel, train
 from .stats import (
     NoiseCeiling,
@@ -41,7 +41,7 @@ __all__ = [
     "NetworkState", "TAPS", "extract_all_taps", "forward",
     "init_he_normal", "load_checkpoint", "save_checkpoint",
     "ExperimentConfig", "best_layer_sweep", "run_experiment",
-    "RDM", "average_rdms", "pixel_rdm", "rdm_from_features", "upper_triangle",
+    "average_rdms", "pixel_rdm", "rdm_from_features",
     "RULES", "RuleParams", "stdp_kernel", "train",
     "NoiseCeiling", "PairwiseTest", "bootstrap_ci",
     "cohens_d_paired", "fdr_bh", "noise_ceiling",

@@ -23,7 +23,6 @@ from .data import (
     SynthSpec,
     load_brain_by_roi,
     load_stimulus_dir,
-    read_cifar10_binary,
     read_rdm_csv,
     write_csv,
     write_rdm_csv,
@@ -41,11 +40,12 @@ from .pipeline import (
     ExperimentConfig,
     best_layer_sweep,
     load_features_dir,
+    read_labeled_set,
     run_experiment,
     save_features,
     score_conditions,
 )
-from .rdm import rdm_from_features, upper_triangle
+from .rdm import rdm_from_features
 from .rules import train as train_rule
 
 log = logging.getLogger(__name__)
@@ -77,7 +77,9 @@ def _cmd_synth(args) -> int:
     spec = SynthSpec(**_given(args, SynthSpec))
     paths = write_synth_dataset(spec, args.seed, args.out)
     cfg = ExperimentConfig(
-        train_data=(str(paths["train"]),), test_data=(str(paths["test"]),),
+        train_data=(str(paths["train"]),),
+        # an empty test set is a data error, so --test 0 names none
+        test_data=(str(paths["test"]),) if spec.num_test else (),
         stimuli_dir=str(paths["stimuli"]), brain_rdm_dir=str(paths["brain"]),
         out_dir=str(Path(args.out) / "run"), resolution=spec.extraction_resolution,
         channels=spec.channels, num_classes=spec.num_classes,
@@ -92,7 +94,7 @@ def _cmd_train(args) -> int:
     # the verb trains one cell: the config checks its rule and seed before
     # any output directory is made
     cfg = dataclasses.replace(_load_config(args), rules=(args.rule,), seeds=(args.seed,))
-    dataset = read_cifar10_binary(list(cfg.train_data), limit=cfg.train_limit)
+    dataset = read_labeled_set(cfg.train_data, cfg.train_limit, cfg.num_classes)
     ckpt = args.ckpt or f"{args.rule}_seed{args.seed}.ckpt"
     for path in (ckpt, args.metrics):   # before training, which writes them last
         if path:
@@ -118,30 +120,29 @@ def _cmd_rdm(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for tap, matrix in feats.items():
-        write_rdm_csv(rdm_from_features(matrix, ids), out / f"{tap}.csv")
+        write_rdm_csv(rdm_from_features(matrix, ids), ids, out / f"{tap}.csv")
     print(f"RDMs written to {out}")
     return 0
 
 
 def _load_model_rdms(path):
-    """Model RDM CSVs (one file or a directory of them) keyed by file stem,
-    plus the stimulus ids they all share."""
+    """Model RDM vectors from CSVs (one file or a directory of them), keyed
+    by file stem in sorted order, plus the stimulus ids they all share."""
     path = Path(path)
     models = {p.stem: read_rdm_csv(p)
               for p in (sorted(path.glob("*.csv")) if path.is_dir() else [path])}
     if not models:
         raise DataFormatError(f"{path}: no model RDM CSVs found")
-    orders = {m.ids for m in models.values()}
+    orders = {ids for _, ids in models.values()}
     if len(orders) > 1:
         raise DataFormatError(f"{path}: model RDMs differ in stimulus ids or their order")
-    return models, orders.pop()
+    return {stem: vec for stem, (vec, _) in sorted(models.items())}, orders.pop()
 
 
 def _cmd_rsa(args) -> int:
     cfg = _load_config(args)
-    models, ids = _load_model_rdms(args.model_rdm)
+    vecs, ids = _load_model_rdms(args.model_rdm)
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
-    vecs = {name: upper_triangle(model) for name, model in sorted(models.items())}
     # each model is one condition with a single "seed": its own RDM
     scores = {roi: score_conditions({name: ([v], v) for name, v in vecs.items()},
                                     mean_brain[roi], roi, cfg)
@@ -160,7 +161,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"RDM files must be named <tap>.csv with tap in {TAPS}; got {unknown}")
     _, mean_brain = load_brain_by_roi(args.brain_dir, ids)
-    sweep = best_layer_sweep({tap: upper_triangle(m) for tap, m in models.items()}, mean_brain)
+    sweep = best_layer_sweep(models, mean_brain)
     rows = [[tap] + row for tap, row in zip(sweep["taps"], sweep["matrix"])]
     rows.append(["best"] + [sweep["best_tap"][r] for r in sweep["rois"]])
     write_csv(args.out, ["tap"] + sweep["rois"], rows)

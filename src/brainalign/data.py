@@ -7,8 +7,9 @@ File conventions consumed here:
   * Stimulus directories: PPM (P6) images, optionally PNG when Pillow is
     installed; stimuli are ordered lexicographically by filename and the
     filename stem is the stimulus id.
-  * RDM CSVs: square matrix with a header row/column of stimulus ids.
-    Brain RDM filename stems are "<subject>_<ROI>"; model RDMs carry no
+  * RDM CSVs: the square matrix with a header row/column of stimulus
+    ids; in memory an RDM is its upper-triangle vector (see rdm). Brain
+    RDM filename stems are "<subject>_<ROI>"; model RDMs carry no
     subject/ROI stem.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
 from .network import DEFAULT_CHANNELS, extract_all_taps, init_he_normal
-from .rdm import CLAMP_GUARD, RDM, average_rdms, rdm_from_features, upper_triangle
+from .rdm import CLAMP_GUARD, average_rdms, pairs, rdm_from_features
 from .seeding import named_rng
 
 log = logging.getLogger(__name__)
@@ -75,7 +76,8 @@ class StimulusSet:
 class BrainRdmFile:
     subject: str
     roi: str
-    rdm: RDM
+    vec: np.ndarray          # upper-triangle RDM vector
+    ids: tuple[str, ...]
 
     def __post_init__(self):
         if self.roi not in ROIS:
@@ -278,12 +280,16 @@ ASYM_WARN = 1e-9
 ASYM_ERROR = 1e-6
 
 
-def write_rdm_csv(rdm: RDM, path) -> None:
-    """Write an RDM with a header row/column of stimulus ids. Values use
-    repr(float), so a write -> read round trip is lossless."""
+def write_rdm_csv(vec, ids, path) -> None:
+    """Write an RDM vector as its square, zero-diagonal matrix with a header
+    row/column of stimulus ids. Values use repr(float), so a write -> read
+    round trip is lossless."""
+    square = np.zeros((len(ids), len(ids)))
+    i, j = pairs(len(ids))
+    square[i, j] = square[j, i] = vec
     with open(path, "w", newline="") as f:
-        f.write("id," + ",".join(rdm.ids) + "\n")
-        for sid, row in zip(rdm.ids, rdm.values):
+        f.write("id," + ",".join(ids) + "\n")
+        for sid, row in zip(ids, square):
             f.write(sid + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
@@ -298,12 +304,12 @@ def _parse_subject_roi(path):
         f"expected '<subject>_<ROI>' with ROI in {ROIS}")
 
 
-def read_rdm_csv(path) -> RDM:
-    """Read and validate one RDM CSV.
+def read_rdm_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Read and validate one RDM CSV; returns (vector, ids).
 
     Validation: square, unique ids, row ids matching header order, finite,
     symmetric and zero-diagonal (warn past 1e-9, hard error past 1e-6).
-    The stored matrix is exactly symmetrized with a zero diagonal.
+    The vector is the upper triangle of the exactly symmetrized matrix.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -350,9 +356,8 @@ def read_rdm_csv(path) -> RDM:
             f"{path}: nonzero diagonal at ({ids[d]}, {ids[d]}): {float(values[d, d])!r}")
     if diag[d] > ASYM_WARN:
         log.warning("%s: diagonal up to %.3g at %s; zeroing", path, diag[d], ids[d])
-    sym = (values + values.T) / 2.0
-    np.fill_diagonal(sym, 0.0)
-    return RDM(values=sym, ids=ids)
+    i, j = pairs(n)
+    return (values[i, j] + values[j, i]) / 2.0, ids
 
 
 def read_brain_rdm_csv(path) -> BrainRdmFile:
@@ -360,13 +365,13 @@ def read_brain_rdm_csv(path) -> BrainRdmFile:
     Its distances must lie in [0, 2] up to rdm.CLAMP_GUARD, the range of the
     per-ROI mean they are averaged into."""
     subject, roi = _parse_subject_roi(path)
-    rdm = read_rdm_csv(path)
-    bad = np.argwhere((rdm.values < -CLAMP_GUARD) | (rdm.values > 2.0 + CLAMP_GUARD))
+    vec, ids = read_rdm_csv(path)
+    bad = np.flatnonzero((vec < -CLAMP_GUARD) | (vec > 2.0 + CLAMP_GUARD))
     if bad.size:
-        i, j = bad[0]
-        raise DataFormatError(f"{path}: distance {float(rdm.values[i, j])!r} at "
-                              f"({rdm.ids[i]}, {rdm.ids[j]}) is outside [0, 2]")
-    return BrainRdmFile(subject=subject, roi=roi, rdm=rdm)
+        i, j = (int(k[bad[0]]) for k in pairs(len(ids)))
+        raise DataFormatError(f"{path}: distance {float(vec[bad[0]])!r} at "
+                              f"({ids[i]}, {ids[j]}) is outside [0, 2]")
+    return BrainRdmFile(subject=subject, roi=roi, vec=vec, ids=ids)
 
 
 def load_brain_rdm_dir(directory) -> list[BrainRdmFile]:
@@ -388,7 +393,7 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
     """
     by_roi: dict[str, list[BrainRdmFile]] = {}
     for b in brain_files:
-        if b.rdm.ids != tuple(ids):
+        if b.ids != tuple(ids):
             raise DataFormatError(
                 f"brain RDM {b.subject}/{b.roi} stimulus ids do not match the "
                 f"expected stimulus ordering")
@@ -404,15 +409,15 @@ def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
 
 def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[tuple[str, np.ndarray]]],
                                                  dict[str, np.ndarray]]:
-    """The brain RDMs under `directory` as upper-triangle vectors, grouped
-    and sorted as in group_by_roi: ROI -> [(subject, vector)], and ROI ->
-    the vector of its subjects' mean RDM. No matrix outlives the call.
-    Fewer than 3 stimuli give Spearman fewer than 3 pairs: a data error."""
+    """The brain RDM vectors under `directory`, grouped and sorted as in
+    group_by_roi: ROI -> [(subject, vector)], and ROI -> the vector of its
+    subjects' mean RDM. Fewer than 3 stimuli give Spearman fewer than 3
+    pairs: a data error."""
     if len(ids) < 3:
         raise DataFormatError(f"{directory}: RSA needs at least 3 stimuli, got {len(ids)}")
     by_roi = group_by_roi(load_brain_rdm_dir(directory), ids)
-    return ({roi: [(b.subject, upper_triangle(b.rdm)) for b in g] for roi, g in by_roi.items()},
-            {roi: upper_triangle(average_rdms([b.rdm for b in g])) for roi, g in by_roi.items()})
+    return ({roi: [(b.subject, b.vec) for b in g] for roi, g in by_roi.items()},
+            {roi: average_rdms([b.vec for b in g]) for roi, g in by_roi.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +514,17 @@ def _synth_from_raw(spec: SynthSpec, seed: int, raw: np.ndarray):
                                num_classes=spec.num_classes)
     feats = extract_all_taps(reference, stimuli)
     brain_rng = named_rng(seed, "synth-brain")
+    i, j = pairs(len(ids))
     brain = []
     for roi, tap in DEFAULT_ROI_MAP:
-        base = rdm_from_features(feats[tap], ids).values
+        base = rdm_from_features(feats[tap], ids)
         for subject in spec.subjects:
-            noise = brain_rng.normal(0.0, 1.0, size=base.shape)
-            noise = spec.noise_amplitude * (noise + noise.T) / 2.0
-            values = np.clip(base + noise, 0.0, 2.0)
-            np.fill_diagonal(values, 0.0)
-            brain.append(BrainRdmFile(subject=subject, roi=roi,
-                                      rdm=RDM(values=values, ids=ids)))
+            # still one N x N draw per subject, so the noise stream is
+            # unchanged; the vector is the symmetrized draw's upper triangle
+            noise = brain_rng.normal(0.0, 1.0, size=(len(ids), len(ids)))
+            noise = spec.noise_amplitude * (noise[i, j] + noise[j, i]) / 2.0
+            brain.append(BrainRdmFile(subject=subject, roi=roi, ids=ids,
+                                      vec=np.clip(base + noise, 0.0, 2.0)))
     return labeled, stimuli, brain
 
 
@@ -539,6 +545,6 @@ def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     for sid, img in zip(stimuli.ids, raw):
         write_ppm(img, out / "stimuli" / f"{sid}.ppm")
     for b in brain:
-        write_rdm_csv(b.rdm, out / "brain" / f"{b.subject}_{b.roi}.csv")
+        write_rdm_csv(b.vec, b.ids, out / "brain" / f"{b.subject}_{b.roi}.csv")
     return {"train": out / "train.bin", "test": out / "test.bin",
             "stimuli": out / "stimuli", "brain": out / "brain"}

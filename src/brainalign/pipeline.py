@@ -23,7 +23,7 @@ import json
 import logging
 import shutil
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations, product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -34,6 +34,7 @@ from . import stats
 from .data import (
     DEFAULT_ROI_MAP,
     ROIS,
+    LabeledImageSet,
     check_unique_ids,
     load_brain_by_roi,
     load_stimulus_dir,
@@ -51,7 +52,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
+from .rdm import average_rdms, pixel_rdm, rdm_from_features
 from .rules import RULES, RuleParams, evaluate_accuracy, train
 
 log = logging.getLogger(__name__)
@@ -211,9 +212,7 @@ def _derived_seed(stats_seed: int, purpose: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Analyses. Every model and brain RDM enters as its upper-triangle vector
-# (rdm.upper_triangle), taken once: by the caller for model RDMs, by
-# data.load_brain_by_roi for brain RDMs.
+# Analyses. Every model and brain RDM is its upper-triangle vector (see rdm).
 # ---------------------------------------------------------------------------
 
 def score_conditions(conditions, brain_vec, roi: str, config) -> dict[str, dict]:
@@ -253,6 +252,20 @@ def best_layer_sweep(model_by_tap, brain_by_roi) -> dict:
 # ---------------------------------------------------------------------------
 # Experiment runner
 # ---------------------------------------------------------------------------
+
+def read_labeled_set(paths, limit, num_classes: int) -> LabeledImageSet:
+    """The first `limit` (None: all) CIFAR-10 records of `paths` as a set of
+    `num_classes` classes. An empty set, or a label the network has no
+    output for, is a data error naming the files."""
+    dataset = read_cifar10_binary(list(paths), limit=limit)
+    where = ", ".join(paths) or "no data files"
+    if not dataset.labels.size:
+        raise DataFormatError(f"{where}: no images")
+    try:
+        return replace(dataset, num_classes=num_classes)  # LabeledImageSet checks the labels
+    except DataFormatError as e:
+        raise DataFormatError(f"{where}: {e}") from None
+
 
 def save_features(features: dict[str, np.ndarray], ids, out_dir: Path) -> None:
     """Write a feature directory: features_<tap>.npy plus stimulus_ids.txt."""
@@ -295,8 +308,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     A failing cell is flagged in the report and the run continues.
     """
-    train_set = read_cifar10_binary(list(config.train_data), limit=config.train_limit)
-    test_set = (read_cifar10_binary(list(config.test_data))
+    train_set = read_labeled_set(config.train_data, config.train_limit, config.num_classes)
+    test_set = (read_labeled_set(config.test_data, None, config.num_classes)
                 if config.test_data else None)
     stimuli = load_stimulus_dir(config.stimuli_dir, resolution=config.resolution)
     by_roi, mean_brain = load_brain_by_roi(config.brain_rdm_dir, stimuli.ids)
@@ -333,7 +346,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "filters": {},
         "failures": [],
     }
-    seed_rdms: dict[str, dict[int, dict[str, RDM]]] = {r: {} for r in config.rules}
+    # model RDM vectors: rule -> seed (config order) -> tap -> vector
+    cell_vecs: dict[str, dict[int, dict[str, np.ndarray]]] = {r: {} for r in config.rules}
     states_path: dict[str, Path] = {}
 
     for rule in config.rules:
@@ -352,30 +366,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         state, test_set.images, test_set.labels)
                 feats = extract_all_taps(state, stimuli)
                 save_features(feats, stimuli.ids, out / "features" / cell)
-                rdms = {tap: rdm_from_features(feats[tap], stimuli.ids) for tap in TAPS}
-                for tap in TAPS:
-                    write_rdm_csv(rdms[tap], out / "rdms" / f"{cell}_{tap}.csv")
-                seed_rdms[rule][seed] = rdms
+                vecs = {tap: rdm_from_features(feats[tap], stimuli.ids) for tap in TAPS}
+                for tap, vec in vecs.items():
+                    write_rdm_csv(vec, stimuli.ids, out / "rdms" / f"{cell}_{tap}.csv")
+                cell_vecs[rule][seed] = vecs
             except Exception as e:  # flagged, not fatal: the run continues
                 log.exception("cell %s failed", cell)
                 report["failures"].append(
                     {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
 
-    # Seed-averaged model RDMs per condition, then each model vector the
-    # analyses read, taken once: per-seed and seed-mean per condition and
-    # tap. Each matrix is dropped once its vector is taken.
-    conditions = report["conditions"] = [r for r in config.rules if seed_rdms[r]]
-    seed_vecs: dict[str, dict[str, list[np.ndarray]]] = {rule: {} for rule in conditions}
+    # Seed-averaged model RDMs per condition and tap
+    conditions = report["conditions"] = [r for r in config.rules if cell_vecs[r]]
     mean_vecs: dict[str, dict[str, np.ndarray]] = {rule: {} for rule in conditions}
     for rule, tap in product(conditions, TAPS):
-        by_seed = seed_rdms[rule]
-        mean = average_rdms([by_seed[s][tap] for s in sorted(by_seed)])  # listing-order free
-        rdms = [by_tap.pop(tap) for by_tap in by_seed.values()]   # config seed order
-        write_rdm_csv(mean, out / "rdms" / f"{rule}_mean_{tap}.csv")
-        seed_vecs[rule][tap] = [upper_triangle(r) for r in rdms]
-        mean_vecs[rule][tap] = upper_triangle(mean)
-        del rdms, mean
-    control = upper_triangle(pixel_rdm(stimuli))
+        by_seed = cell_vecs[rule]
+        mean = mean_vecs[rule][tap] = average_rdms(
+            [by_seed[s][tap] for s in sorted(by_seed)])  # listing-order free
+        write_rdm_csv(mean, stimuli.ids, out / "rdms" / f"{rule}_mean_{tap}.csv")
+    control = pixel_rdm(stimuli)
 
     # One pass per ROI takes every statistic at that ROI: noise ceiling,
     # headline scores with bootstrap CIs, per condition the per-subject
@@ -389,8 +397,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         ceiling = stats.noise_ceiling([vec for _, vec in subjects],
                                       n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
-        scores = score_conditions({rule: (seed_vecs[rule][tap], mean_vecs[rule][tap])
-                                   for rule in conditions}, brain_vec, roi, config)
+        scores = score_conditions(
+            {rule: ([by_tap[tap] for by_tap in cell_vecs[rule].values()], mean_vecs[rule][tap])
+             for rule in conditions}, brain_vec, roi, config)
         for score in scores.values():
             score.update(p_vs_random=None, fdr_significant_vs_random=None)
         report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),

@@ -361,9 +361,10 @@ class NoiseCeiling:
 
 def _split_halves(n_subjects: int, n_splits: int, rng):
     half = (n_subjects + 1) // 2
-    all_splits = [s for s in combinations(range(n_subjects), half) if 0 in s]
-    if n_subjects % 2:  # odd: complements have different sizes, keep every subset
-        all_splits = list(combinations(range(n_subjects), half))
+    # even S: a split and its complement are one split, so keep those with
+    # subject 0; odd S: complements differ in size, so keep every subset
+    all_splits = [s for s in combinations(range(n_subjects), half)
+                  if n_subjects % 2 or 0 in s]
     if len(all_splits) <= n_splits:
         return all_splits
     chosen = rng.choice(len(all_splits), size=n_splits, replace=False)

@@ -1,5 +1,5 @@
 """Shared test utilities: the finite-difference oracle, error metrics, a
-tree hash and a StimulusSet builder.
+tree hash, a StimulusSet builder and the square form of an RDM vector.
 
 numeric_grad is deliberately independent of any backward-pass code: it
 only ever calls forward functions, perturbing one element at a time with
@@ -52,3 +52,11 @@ def treehash(root):
 def stimulus_set(images):
     """A StimulusSet of `images` with ids s0, s1, ..."""
     return StimulusSet(images=images, ids=tuple(f"s{i}" for i in range(len(images))))
+
+
+def square(vec, n):
+    """The symmetric zero-diagonal n x n matrix whose strict upper triangle,
+    in row-major order, is the RDM vector `vec`."""
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, k=1)] = vec
+    return m + m.T

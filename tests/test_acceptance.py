@@ -27,7 +27,7 @@ from brainalign.data import (
 from brainalign.network import forward_cached, init_he_normal
 from brainalign.ops import ConvSpec, RunningStats
 from brainalign.pipeline import ExperimentConfig, run_experiment
-from brainalign.rdm import RDM, rdm_from_features, upper_triangle
+from brainalign.rdm import pairs, rdm_from_features
 from brainalign.rules import (
     RuleParams,
     bp_step,
@@ -294,13 +294,10 @@ def test_criterion_05_statistical_oracles():
         oracle = float(np.corrcoef(em, eb)[0, 1])
         worst = max(worst, abs(stats.partial_spearman(mvec, bvec, cvec).rho - oracle))
 
-    ut_ok = True
-    for _ in range(200):
-        n = int(rng.integers(2, 15))
-        m = rng.normal(size=(n, n))
-        mine = upper_triangle(m)
-        oracle = np.array([m[i, j] for i in range(n) for j in range(i + 1, n)])
-        ut_ok &= np.array_equal(mine, oracle)
+    ut_ok = True  # the RDM vector's pair order
+    for n in range(2, 15):
+        mine = list(zip(*(k.tolist() for k in pairs(n))))
+        ut_ok &= mine == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     _report(5, "statistical oracles", worst < 1e-10 and fdr_ok and ut_ok,
             f"worst numeric diff {worst:.2e}")
@@ -314,9 +311,9 @@ def test_criterion_06_permutation_calibration():
     ps = []
     for i in range(500):
         rng = np.random.default_rng(20_000 + i)
-        va = upper_triangle(rdm_from_features(rng.normal(size=(25, 12))))
-        vb = upper_triangle(rdm_from_features(rng.normal(size=(25, 12))))
-        vbrain = upper_triangle(rdm_from_features(rng.normal(size=(25, 12))))
+        va = rdm_from_features(rng.normal(size=(25, 12)))
+        vb = rdm_from_features(rng.normal(size=(25, 12)))
+        vbrain = rdm_from_features(rng.normal(size=(25, 12)))
         ps.append(stats.permutation_test(va, vb, vbrain, n_perm=400, seed=i).p_value)
     ps = np.array(ps)
     ks = ss.kstest(ps, "uniform").statistic
@@ -457,9 +454,10 @@ def test_criterion_11_format_fidelity(tmp_path):
     vals = np.clip((vals + vals.T) / 2, 0, 2)
     np.fill_diagonal(vals, 0.0)
     ids = tuple(f"s{i}" for i in range(n))
-    write_rdm_csv(RDM(values=vals, ids=ids), tmp_path / "sub-01_V1.csv")
+    vec = vals[np.triu_indices(n, k=1)]
+    write_rdm_csv(vec, ids, tmp_path / "sub-01_V1.csv")
     back = read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
-    rdm_ok = np.array_equal(back.rdm.values, vals) and back.rdm.ids == ids
+    rdm_ok = np.array_equal(back.vec, vec) and back.ids == ids
 
     _report(11, "format fidelity", cifar_ok and rdm_ok,
             f"cifar bit-exact {cifar_ok}, rdm lossless {rdm_ok}")

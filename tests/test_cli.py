@@ -10,9 +10,16 @@ import pytest
 from brainalign.cli import build_parser, main
 from brainalign.data import read_rdm_csv, write_rdm_csv
 from brainalign.pipeline import save_features
-from brainalign.rdm import RDM
 
-from helpers import treehash
+from helpers import square, treehash
+
+
+def edited_config(synth_dir, path, old, new) -> str:
+    """synth.cfg with the text `old` replaced by `new`, written to `path`."""
+    text = (synth_dir / "data" / "synth.cfg").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return str(path)
 
 
 def exit_code(argv) -> int:
@@ -223,10 +230,10 @@ class TestExitCodes:
     def test_nan_brain_rdm_is_3(self, synth_dir, tmp_path, capsys):
         brain = tmp_path / "brain"
         shutil.copytree(synth_dir / "data" / "brain", brain)
-        rdm = read_rdm_csv(brain / "sub-01_V1.csv")
-        values = rdm.values.copy()
+        vec, ids = read_rdm_csv(brain / "sub-01_V1.csv")
+        values = square(vec, len(ids))
         values[1, 4] = values[4, 1] = np.nan
-        write_rdm_csv(RDM(values=values, ids=rdm.ids), brain / "sub-01_V1.csv")
+        write_rdm_csv(values[np.triu_indices(len(ids), k=1)], ids, brain / "sub-01_V1.csv")
         assert main(["rsa", "--model-rdm", str(synth_dir / "data" / "brain" / "sub-02_V1.csv"),
                      "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
         assert "non-finite value nan at (stim-0001, stim-0004)" in capsys.readouterr().err
@@ -236,10 +243,10 @@ class TestExitCodes:
         brain = tmp_path / "brain"
         shutil.copytree(synth_dir / "data" / "brain", brain)
         for path in sorted(brain.glob("*_V1.csv")):
-            rdm = read_rdm_csv(path)
-            values = rdm.values.copy()
+            vec, ids = read_rdm_csv(path)
+            values = square(vec, len(ids))
             values[1, 4] = values[4, 1] = 2.5
-            write_rdm_csv(RDM(values=values, ids=rdm.ids), path)
+            write_rdm_csv(values[np.triu_indices(len(ids), k=1)], ids, path)
         assert main(["rsa", "--model-rdm", str(synth_dir / "data" / "brain" / "sub-02_V1.csv"),
                      "--brain-dir", str(brain), "--out", str(tmp_path / "x.csv")]) == 3
         assert "distance 2.5 at (stim-0001, stim-0004)" in capsys.readouterr().err
@@ -296,9 +303,8 @@ class TestExitCodes:
         for path in sorted((data / "stimuli").glob("*.ppm"))[:2]:
             shutil.copy(path, two / "stimuli" / path.name)
         for path in (data / "brain").glob("*.csv"):
-            rdm = read_rdm_csv(path)
-            write_rdm_csv(RDM(values=rdm.values[:2, :2], ids=rdm.ids[:2]),
-                          two / "brain" / path.name)
+            vec, ids = read_rdm_csv(path)
+            write_rdm_csv(vec[:1], ids[:2], two / "brain" / path.name)  # pair (0, 1)
         shutil.copy(two / "brain" / "sub-01_V1.csv", two / "models" / "conv1.csv")
         cfg = (data / "synth.cfg").read_text()
         for sub in ("stimuli", "brain"):
@@ -318,10 +324,8 @@ class TestExitCodes:
             assert "RSA needs at least 3 stimuli, got 2" in capsys.readouterr().err
 
     def test_constant_model_rdm_is_3(self, synth_dir, tmp_path, capsys):
-        ids = read_rdm_csv(synth_dir / "data" / "brain" / "sub-01_V1.csv").ids
-        values = np.ones((len(ids), len(ids)))
-        np.fill_diagonal(values, 0.0)
-        write_rdm_csv(RDM(values=values, ids=ids), tmp_path / "flat.csv")
+        _, ids = read_rdm_csv(synth_dir / "data" / "brain" / "sub-01_V1.csv")
+        write_rdm_csv(np.ones(len(ids) * (len(ids) - 1) // 2), ids, tmp_path / "flat.csv")
         assert main(["rsa", "--model-rdm", str(tmp_path / "flat.csv"),
                      "--brain-dir", str(synth_dir / "data" / "brain"),
                      "--out", str(tmp_path / "x.csv")]) == 3
@@ -330,20 +334,73 @@ class TestExitCodes:
     def test_reordered_model_rdm_is_3(self, synth_dir, tmp_path):
         # a model RDM keyed to another stimulus order is an error, never scored
         brain = synth_dir / "data" / "brain"
-        rdm = read_rdm_csv(brain / "sub-01_V1.csv")
-        rev = np.arange(rdm.size)[::-1]
-        reordered = RDM(values=rdm.values[np.ix_(rev, rev)],
-                        ids=tuple(rdm.ids[i] for i in rev))
+        vec, ids = read_rdm_csv(brain / "sub-01_V1.csv")
+        n = len(ids)
+        rev_vec = square(vec, n)[::-1, ::-1][np.triu_indices(n, k=1)]
+        rev_ids = ids[::-1]
         alone, mixed = tmp_path / "alone", tmp_path / "mixed"
         alone.mkdir()
         mixed.mkdir()
-        write_rdm_csv(reordered, alone / "conv1.csv")
-        write_rdm_csv(rdm, mixed / "conv1.csv")
-        write_rdm_csv(reordered, mixed / "conv2.csv")
+        write_rdm_csv(rev_vec, rev_ids, alone / "conv1.csv")
+        write_rdm_csv(vec, ids, mixed / "conv1.csv")
+        write_rdm_csv(rev_vec, rev_ids, mixed / "conv2.csv")
         for model_dir in (alone, mixed):
             for verb, flag in (("rsa", "--model-rdm"), ("sweep", "--rdm-dir")):
                 assert main([verb, flag, str(model_dir), "--brain-dir", str(brain),
                              "--out", str(tmp_path / f"{verb}.csv")]) == 3, (verb, model_dir)
+
+    def test_label_past_num_classes_report_is_3_and_writes_nothing(self, synth_dir, tmp_path,
+                                                                    capsys):
+        # the synth labels are 0..3: a 3-class network has no output for label 3
+        cfg = edited_config(synth_dir, tmp_path / "c.cfg", "num_classes = 4\n",
+                            "num_classes = 3\n")
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--rules", "random", "--seeds", "0"]) == 3
+        assert "train.bin: labels outside [0, 3): min 0 max 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_label_past_num_classes_train_is_3_and_writes_nothing(self, synth_dir, tmp_path,
+                                                                   capsys):
+        cfg = edited_config(synth_dir, tmp_path / "c.cfg", "num_classes = 4\n",
+                            "num_classes = 3\n")
+        assert main(["train", "--config", cfg, "--rule", "bp", "--seed", "0",
+                     "--ckpt", str(tmp_path / "new" / "c.ckpt")]) == 3
+        assert "labels outside [0, 3): min 0 max 3" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_synth_without_test_set_names_none_and_empty_test_file_is_3(self, tmp_path,
+                                                                        capsys):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--train", "16", "--test", "0",
+                     "--stimuli", "6", "--channels", "4,6,8"]) == 0
+        text = (out / "synth.cfg").read_text()
+        assert "test_data = \n" in text
+        run = ["--out", str(tmp_path / "run"), "--rules", "random", "--seeds", "0"]
+        assert main(["report", "--config", str(out / "synth.cfg")] + run) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["failures"] == [] and report["accuracy"] == {}
+        (out / "empty.bin").write_bytes(b"")
+        (tmp_path / "e.cfg").write_text(
+            text.replace("test_data = \n", f"test_data = {out / 'empty.bin'}\n"))
+        capsys.readouterr()
+        assert main(["report", "--config", str(tmp_path / "e.cfg"),
+                     "--out", str(tmp_path / "run2"), "--rules", "random", "--seeds", "0"]) == 3
+        assert "empty.bin: no images" in capsys.readouterr().err
+        assert not (tmp_path / "run2").exists()
+
+    def test_empty_train_file_is_3_and_writes_nothing(self, synth_dir, tmp_path, capsys):
+        (tmp_path / "empty.bin").write_bytes(b"")
+        train = synth_dir / "data" / "train.bin"
+        cfg = edited_config(synth_dir, tmp_path / "c.cfg", f"train_data = {train}\n",
+                            f"train_data = {tmp_path / 'empty.bin'}\n")
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--rules", "random", "--seeds", "0"]) == 3
+        assert "empty.bin: no images" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert main(["train", "--config", cfg, "--rule", "bp", "--seed", "0",
+                     "--ckpt", str(tmp_path / "new" / "c.ckpt")]) == 3
+        assert "empty.bin: no images" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 def _truncate(path):

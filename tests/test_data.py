@@ -7,7 +7,7 @@ import pytest
 
 from brainalign import data as D
 from brainalign.errors import ConfigurationError, DataFormatError
-from brainalign.rdm import RDM, average_rdms, rdm_from_features, upper_triangle
+from brainalign.rdm import average_rdms, rdm_from_features
 from brainalign.stats import spearman
 
 
@@ -198,25 +198,28 @@ class TestRdmCsv:
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ids, np.zeros((3, 3)))
         bf = D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
         assert bf.subject == "sub-01" and bf.roi == "V1"
-        assert not bf.rdm.values.any()
+        assert bf.vec.shape == (3,) and not bf.vec.any() and bf.ids == ("a", "b", "c")
 
     def test_round_trip_lossless(self, rng, tmp_path):
         n = 8
-        m = rng.random(size=(n, n))
-        m = (m + m.T) / 2
-        np.fill_diagonal(m, 0.0)
+        vec = rng.random(size=n * (n - 1) // 2)
         ids = tuple(f"s{i}" for i in range(n))
-        D.write_rdm_csv(RDM(values=m, ids=ids), tmp_path / "sub-02_LOC.csv")
-        back = D.read_brain_rdm_csv(tmp_path / "sub-02_LOC.csv")
-        assert np.array_equal(back.rdm.values, m)
-        assert back.rdm.ids == ids
+        D.write_rdm_csv(vec, ids, tmp_path / "sub-02_LOC.csv")
+        back, back_ids = D.read_rdm_csv(tmp_path / "sub-02_LOC.csv")
+        assert np.array_equal(back, vec) and back_ids == ids
+        rows = [line.split(",") for line in
+                (tmp_path / "sub-02_LOC.csv").read_text().splitlines()]
+        assert rows[0] == ["id", *ids] and [r[0] for r in rows[1:]] == list(ids)
+        cells = [r[1:] for r in rows[1:]]
+        for i in range(n):  # each row mirrors its column, around a "0.0" diagonal
+            assert cells[i] == [cells[j][i] for j in range(n)] and cells[i][i] == "0.0"
 
     def test_write_matches_per_scalar_repr(self, tmp_path):
         # the bytes of the per-numpy-scalar writer, on signed zero, the
         # smallest subnormal and a huge value
         m = np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, 1e300], [5e-324, 1e300, 0.0]])
         ids = ("a", "b", "c")
-        D.write_rdm_csv(RDM(values=m, ids=ids), tmp_path / "new.csv")
+        D.write_rdm_csv(np.array([-0.0, 5e-324, 1e300]), ids, tmp_path / "new.csv")
         want = "id,a,b,c\n" + "".join(
             sid + "," + ",".join(repr(float(v)) for v in row) + "\n"
             for sid, row in zip(ids, m))
@@ -236,7 +239,7 @@ class TestRdmCsv:
         write_matrix_csv(tmp_path / "sub-01_IT.csv", ("x", "y", "z"), m)
         with caplog.at_level("WARNING"):
             bf = D.read_brain_rdm_csv(tmp_path / "sub-01_IT.csv")
-        assert bf.rdm.values[0, 1] == bf.rdm.values[1, 0]
+        assert bf.vec[0] == (0.2 + (0.2 + 5e-8)) / 2.0  # the mean of the pair (x, y)
         assert "symmetriz" in caplog.text
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -303,15 +306,15 @@ class TestGroupByRoi:
         rdms = {}
         for name in ("sub-02_V1", "sub-01_V1", "sub-01_IT", "sub-02_IT"):
             rdms[name] = rdm_from_features(rng.normal(size=(4, 3)), ids)
-            D.write_rdm_csv(rdms[name], tmp_path / f"{name}.csv")
+            D.write_rdm_csv(rdms[name], ids, tmp_path / f"{name}.csv")
         by_roi, mean = D.load_brain_by_roi(tmp_path, ids)
         assert list(by_roi) == list(mean) == ["IT", "V1"]  # filename order
         for roi, subjects in by_roi.items():
             assert [s for s, _ in subjects] == ["sub-01", "sub-02"]
             for subject, vec in subjects:
-                assert np.array_equal(vec, upper_triangle(rdms[f"{subject}_{roi}"]))
-            assert np.array_equal(mean[roi], upper_triangle(average_rdms(
-                [rdms[f"sub-0{i}_{roi}"] for i in (1, 2)])))
+                assert np.array_equal(vec, rdms[f"{subject}_{roi}"])
+            assert np.array_equal(mean[roi], average_rdms(
+                [rdms[f"sub-0{i}_{roi}"] for i in (1, 2)]))
 
     def test_fewer_than_three_stimuli_rejected(self, tmp_path):
         for name in ("sub-01_V1", "sub-02_V1"):
@@ -345,16 +348,16 @@ class TestSynth:
         ref = init_he_normal(1000, channels=(4, 6, 8), num_classes=3)
         base = rdm_from_features(extract_all_taps(ref, stim)["conv1"], stim.ids)
         v1 = next(b for b in brain if b.roi == "V1" and b.subject == "sub-01")
-        assert np.array_equal(v1.rdm.values, base.values)
+        assert np.array_equal(v1.vec, base) and v1.ids == stim.ids
         # self-comparison RSA is 1 by construction
-        assert spearman(upper_triangle(v1.rdm), upper_triangle(base)) == pytest.approx(1.0)
+        assert spearman(v1.vec, base) == pytest.approx(1.0)
 
     def test_deterministic_and_seed_sensitive(self):
         a1, s1, b1 = D.synth_dataset(SPEC, seed=0)
         a2, s2, b2 = D.synth_dataset(SPEC, seed=0)
         a3, _, _ = D.synth_dataset(SPEC, seed=1)
         assert np.array_equal(a1.images, a2.images)
-        assert np.array_equal(b1[0].rdm.values, b2[0].rdm.values)
+        assert np.array_equal(b1[0].vec, b2[0].vec)
         assert not np.array_equal(a1.images, a3.images)
 
     def test_counts_and_rois(self):
@@ -381,6 +384,6 @@ class TestSynth:
         assert disk_stim.ids == stim.ids
         assert np.abs(disk_stim.images - stim.images).max() < 1e-12
         disk_brain = D.load_brain_rdm_dir(paths["brain"])
-        mem = {(b.subject, b.roi): b.rdm.values for b in brain}
+        mem = {(b.subject, b.roi): b.vec for b in brain}
         for b in disk_brain:
-            assert np.array_equal(b.rdm.values, mem[(b.subject, b.roi)])
+            assert np.array_equal(b.vec, mem[(b.subject, b.roi)]) and b.ids == stim.ids

@@ -4,10 +4,8 @@ reruns, per-ROI statistics against the run's own CSVs), and the
 standalone sweep."""
 
 import csv
-import gc
 import hashlib
 import json
-import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from brainalign.data import (
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.network import extract_all_taps, init_he_normal
 from brainalign.pipeline import ExperimentConfig, best_layer_sweep, run_experiment
-from brainalign.rdm import RDM, average_rdms, pixel_rdm, rdm_from_features, upper_triangle
+from brainalign.rdm import average_rdms, pixel_rdm, rdm_from_features
 from brainalign.rules import RULES, RuleParams
 from brainalign.stats import cohens_d_paired, partial_spearman, spearman
 
@@ -201,12 +199,12 @@ class TestRunExperiment:
         assert report["seeds"] == [1, 0]
         brain = Path(cfg.brain_rdm_dir)
         for roi, entry in report["rois"].items():
-            mean_brain = upper_triangle(average_rdms(
-                [read_rdm_csv(p) for p in sorted(brain.glob(f"*_{roi}.csv"))]))
+            mean_brain = average_rdms(
+                [read_rdm_csv(p)[0] for p in sorted(brain.glob(f"*_{roi}.csv"))])
             for rule, cond in entry["conditions"].items():
                 assert cond["per_seed"] == [
-                    spearman(upper_triangle(read_rdm_csv(
-                        tmp_path / "run" / "rdms" / f"{rule}_seed{s}_{entry['layer']}.csv")),
+                    spearman(read_rdm_csv(
+                        tmp_path / "run" / "rdms" / f"{rule}_seed{s}_{entry['layer']}.csv")[0],
                         mean_brain)
                     for s in report["seeds"]]
 
@@ -238,33 +236,6 @@ class TestRunExperiment:
                                        "error": "RuntimeError: boom"}]
         assert report["conditions"] == ["random"]
         assert set(report["rois"]["V1"]["conditions"]) == {"random"}
-
-    def test_model_rdm_matrices_dropped_before_the_statistics(self, tmp_path, monkeypatch):
-        # after the seed averaging only upper-triangle vectors are read, so
-        # no per-seed or seed-mean RDM matrix may outlive it
-        import brainalign.pipeline as pl
-
-        made, alive = [], []
-
-        def tracked(fn):
-            def wrapper(*args, **kwargs):
-                rdm = fn(*args, **kwargs)
-                made.append(weakref.ref(rdm))
-                return rdm
-            return wrapper
-
-        def pixel_rdm(stimuli):   # called once the averaging is done
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in made))
-            return real_pixel_rdm(stimuli)
-
-        real_pixel_rdm = pl.pixel_rdm
-        monkeypatch.setattr(pl, "rdm_from_features", tracked(pl.rdm_from_features))
-        monkeypatch.setattr(pl, "average_rdms", tracked(pl.average_rdms))
-        monkeypatch.setattr(pl, "pixel_rdm", pixel_rdm)
-        run_experiment(tiny_config(tmp_path, n_boot=20, n_perm=20))
-        assert len(made) == 2 * 2 * 5 + 2 * 5   # (rule, seed, tap) and (rule, tap) means
-        assert alive == [0]
 
     def test_every_table_is_a_view_of_report_json(self, tmp_path):
         # ROIs mapped out of the brain files' filename order (IT LOC V1 V2), LOC unmapped
@@ -331,11 +302,11 @@ class TestRunExperiment:
                 return list(csv.DictReader(f))
 
         def model(cond, tap):
-            return upper_triangle(read_rdm_csv(out / "rdms" / f"{cond}_mean_{tap}.csv"))
+            return read_rdm_csv(out / "rdms" / f"{cond}_mean_{tap}.csv")[0]
 
         subjects = sorted(p.stem.rsplit("_", 1)[0] for p in brain.glob("*_V1.csv"))
         assert len(subjects) == 3
-        brain_rdms = {(s, roi): read_rdm_csv(brain / f"{s}_{roi}.csv")
+        brain_rdms = {(s, roi): read_rdm_csv(brain / f"{s}_{roi}.csv")[0]
                       for s in subjects for roi, _ in roi_map}
         per_subject = table("per_subject")
         assert [(r["condition"], r["roi"], r["subject"]) for r in per_subject] == [
@@ -346,7 +317,7 @@ class TestRunExperiment:
             key = (r["condition"], r["roi"], r["subject"])
             rho[key] = float(r["rho"])
             assert rho[key] == spearman(model(r["condition"], tap),
-                                        upper_triangle(brain_rdms[r["subject"], r["roi"]]))
+                                        brain_rdms[r["subject"], r["roi"]])
 
         cohens = table("cohens_d")
         assert len(cohens) == 3 * len(roi_map)  # 3 pairs per ROI
@@ -355,10 +326,9 @@ class TestRunExperiment:
                                 [rho[r["condition_b"], r["roi"], s] for s in subjects])
             assert (float(r["d"]), int(r["degenerate"])) == (d.d, int(d.degenerate))
 
-        control = upper_triangle(pixel_rdm(load_stimulus_dir(cfg.stimuli_dir,
-                                                              resolution=cfg.resolution)))
+        control = pixel_rdm(load_stimulus_dir(cfg.stimuli_dir, resolution=cfg.resolution))
         for roi, tap in roi_map:
-            mean_brain = upper_triangle(average_rdms([brain_rdms[s, roi] for s in subjects]))
+            mean_brain = average_rdms([brain_rdms[s, roi] for s in subjects])
             rows = table(f"partial_rsa_{roi}")
             assert [r["condition"] for r in rows] == list(cfg.rules)
             for r in rows:
@@ -394,33 +364,25 @@ class TestRunExperiment:
         from brainalign.data import read_brain_rdm_csv
 
         bf = read_brain_rdm_csv(victim)
-        shuffled = tuple(reversed(bf.rdm.ids))
-        write_rdm_csv(RDM(values=bf.rdm.values, ids=shuffled), victim)
+        write_rdm_csv(bf.vec, tuple(reversed(bf.ids)), victim)
         with pytest.raises(DataFormatError, match="ordering"):
             run_experiment(cfg)
 
 
 def reference_setup(rng, n_stim=16):
-    """A reference net, its tap RDMs, and brain RDMs built from conv1."""
+    """The stimuli and a reference net's tap -> RDM vector."""
     spec = SynthSpec(num_train=8, num_test=0, num_classes=2, num_stimuli=n_stim,
                      stimulus_size=24, extraction_resolution=32,
                      noise_amplitude=0.0, channels=SMALL)
     _, stim, _ = synth_dataset(spec, 0)
     state = init_he_normal(42, channels=SMALL)
     feats = extract_all_taps(state, stim)
-    rdms = {t: rdm_from_features(feats[t], stim.ids) for t in feats}
-    return stim, rdms
-
-
-def vectors(rdms):
-    """tap -> upper-triangle vector, the form the analyses take."""
-    return {t: upper_triangle(r) for t, r in rdms.items()}
+    return stim, {t: rdm_from_features(feats[t], stim.ids) for t in feats}
 
 
 class TestSweep:
     def test_matrix_shape_and_argmax_recovery(self, rng=np.random.default_rng(1)):
-        stim, rdms = reference_setup(rng)
-        vecs = vectors(rdms)
+        stim, vecs = reference_setup(rng)
         brain = {roi: vecs["conv1"] for roi in ("V1", "V2")}
         brain["LOC"] = vecs["conv3"]
         brain["IT"] = vecs["fc1"]
@@ -432,14 +394,13 @@ class TestSweep:
 
     def test_noise_brain_gives_weak_correlations(self):
         rng = np.random.default_rng(3)
-        stim, rdms = reference_setup(rng, n_stim=40)
-        vecs = vectors(rdms)
+        stim, vecs = reference_setup(rng, n_stim=40)
         worst = 0.0
         for draw in range(20):
             n = rng.normal(size=(40, 40))
             vals = np.clip(1 + 0.3 * (n + n.T) / 2, 0, 2)
             np.fill_diagonal(vals, 0)
-            brain = {"V1": upper_triangle(vals)}
+            brain = {"V1": vals[np.triu_indices(40, k=1)]}
             sweep = best_layer_sweep(vecs, brain)
             worst = max(worst, np.abs(sweep["matrix"]).max())
         assert worst < 0.25  # 780 pairs of pure noise stay weak

@@ -492,11 +492,8 @@ class TestNoiseCeiling:
 
     def test_square_matrices_rejected(self, rng):
         # subjects come as upper-triangle vectors, never as RDM matrices
-        from brainalign.rdm import rdm_from_features
-
-        rdms = [rdm_from_features(rng.normal(size=(6, 5))) for _ in range(2)]
         with pytest.raises(ConfigurationError, match="1D"):
-            stats.noise_ceiling([r.values for r in rdms])
+            stats.noise_ceiling([rng.random(size=(6, 6)) for _ in range(2)])
 
 
 # ---------------------------------------------------------------------------
