@@ -32,7 +32,7 @@ spec = SynthSpec(num_train=8, num_test=0, num_classes=2, num_stimuli=40,
                  extraction_resolution=32, noise_amplitude=0.15,
                  channels=CHANNELS)
 _, stimuli, brain = synth_dataset(spec, seed=0)
-v1_subjects = [b.vec for b in brain if b.roi == "V1"]
+v1_subjects = list(brain["V1"].values())  # brain: ROI -> {subject: vector}
 brain_vec = np.mean(v1_subjects, axis=0)
 
 # Model RDMs: an untrained network vs a differently seeded one

@@ -23,7 +23,7 @@ from .data import (
     SynthSpec,
     load_brain_by_roi,
     load_stimulus_dir,
-    read_rdm_csv,
+    read_rdm_files,
     write_csv,
     write_rdm_csv,
     write_synth_dataset,
@@ -78,8 +78,8 @@ def _cmd_synth(args) -> int:
     paths = write_synth_dataset(spec, args.seed, args.out)
     cfg = ExperimentConfig(
         train_data=(str(paths["train"]),),
-        # an empty test set is a data error, so --test 0 names none
-        test_data=(str(paths["test"]),) if spec.num_test else (),
+        # an empty test set is a data error, so --test 0 writes and names none
+        test_data=(str(paths["test"]),) if "test" in paths else (),
         stimuli_dir=str(paths["stimuli"]), brain_rdm_dir=str(paths["brain"]),
         out_dir=str(Path(args.out) / "run"), resolution=spec.extraction_resolution,
         channels=spec.channels, num_classes=spec.num_classes,
@@ -129,14 +129,10 @@ def _load_model_rdms(path):
     """Model RDM vectors from CSVs (one file or a directory of them), keyed
     by file stem in sorted order, plus the stimulus ids they all share."""
     path = Path(path)
-    models = {p.stem: read_rdm_csv(p)
-              for p in (sorted(path.glob("*.csv")) if path.is_dir() else [path])}
-    if not models:
+    paths = sorted(path.glob("*.csv"), key=lambda p: p.stem) if path.is_dir() else [path]
+    if not paths:
         raise DataFormatError(f"{path}: no model RDM CSVs found")
-    orders = {ids for _, ids in models.values()}
-    if len(orders) > 1:
-        raise DataFormatError(f"{path}: model RDMs differ in stimulus ids or their order")
-    return {stem: vec for stem, (vec, _) in sorted(models.items())}, orders.pop()
+    return read_rdm_files(paths)
 
 
 def _cmd_rsa(args) -> int:

@@ -8,9 +8,11 @@ File conventions consumed here:
     installed; stimuli are ordered lexicographically by filename and the
     filename stem is the stimulus id.
   * RDM CSVs: the square matrix with a header row/column of stimulus
-    ids; in memory an RDM is its upper-triangle vector (see rdm). Brain
-    RDM filename stems are "<subject>_<ROI>"; model RDMs carry no
-    subject/ROI stem.
+    ids; in memory an RDM is its upper-triangle vector (see rdm). Every
+    set of RDM CSVs is read by read_rdm_files, which requires one shared
+    stimulus order. Brain RDM filename stems are "<subject>_<ROI>", and
+    a brain RDM set is held as ROI -> {subject: vector}, ROIs in filename
+    order and subjects sorted; model RDMs carry no subject/ROI stem.
 """
 
 from __future__ import annotations
@@ -70,18 +72,6 @@ class StimulusSet:
             raise DataFormatError(
                 f"{self.images.shape[0]} stimulus images but {len(self.ids)} ids")
         check_unique_ids(self.ids, "stimulus set")
-
-
-@dataclass
-class BrainRdmFile:
-    subject: str
-    roi: str
-    vec: np.ndarray          # upper-triangle RDM vector
-    ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.roi not in ROIS:
-            raise DataFormatError(f"unknown ROI {self.roi!r}; known: {ROIS}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,64 +350,67 @@ def read_rdm_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     return (values[i, j] + values[j, i]) / 2.0, ids
 
 
-def read_brain_rdm_csv(path) -> BrainRdmFile:
-    """Read one brain RDM CSV named "<subject>_<ROI>.csv" (see read_rdm_csv).
-    Its distances must lie in [0, 2] up to rdm.CLAMP_GUARD, the range of the
-    per-ROI mean they are averaged into."""
-    subject, roi = _parse_subject_roi(path)
-    vec, ids = read_rdm_csv(path)
-    bad = np.flatnonzero((vec < -CLAMP_GUARD) | (vec > 2.0 + CLAMP_GUARD))
-    if bad.size:
-        i, j = (int(k[bad[0]]) for k in pairs(len(ids)))
-        raise DataFormatError(f"{path}: distance {float(vec[bad[0]])!r} at "
-                              f"({ids[i]}, {ids[j]}) is outside [0, 2]")
-    return BrainRdmFile(subject=subject, roi=roi, vec=vec, ids=ids)
+def read_rdm_files(paths) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+    """Read RDM CSVs (see read_rdm_csv) in the order given; returns
+    ({file stem: vector}, the stimulus ids they share). A file whose ids or
+    their order differ from the first file's is a data error naming it."""
+    vecs, ids = {}, None
+    for path in paths:
+        vec, file_ids = read_rdm_csv(path)
+        if ids is None:
+            ids = file_ids
+        elif file_ids != ids:
+            raise DataFormatError(f"{path}: stimulus ids or their ordering differ "
+                                  f"from those of {paths[0]}")
+        vecs[Path(path).stem] = vec
+    return vecs, ids
 
 
-def load_brain_rdm_dir(directory) -> list[BrainRdmFile]:
-    """All brain RDM CSVs under a directory, sorted by filename."""
+def load_brain_rdm_dir(directory) -> tuple[dict[str, dict[str, np.ndarray]], tuple[str, ...]]:
+    """The brain RDM set under a directory: ROI -> {subject: vector}, ROIs
+    in filename order and subjects sorted, plus the stimulus ids every file
+    shares (see read_rdm_files).
+
+    Files are named "<subject>_<ROI>.csv". A subject may have one RDM per
+    ROI: "sub-01_V1.csv" and "sub-01_v1.csv" together are an error, not a
+    subject counted twice. Distances must lie in [0, 2] up to
+    rdm.CLAMP_GUARD, the range of the per-ROI mean they are averaged into.
+    """
     directory = Path(directory)
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise DataFormatError(f"{directory}: no brain RDM CSVs found")
-    return [read_brain_rdm_csv(p) for p in paths]
+    vecs, ids = read_rdm_files(paths)
+    brain: dict[str, dict[str, np.ndarray]] = {}
+    for path, vec in zip(paths, vecs.values()):
+        subject, roi = _parse_subject_roi(path)
+        bad = np.flatnonzero((vec < -CLAMP_GUARD) | (vec > 2.0 + CLAMP_GUARD))
+        if bad.size:
+            i, j = (int(k[bad[0]]) for k in pairs(len(ids)))
+            raise DataFormatError(f"{path}: distance {float(vec[bad[0]])!r} at "
+                                  f"({ids[i]}, {ids[j]}) is outside [0, 2]")
+        subjects = brain.setdefault(roi, {})
+        if subject in subjects:
+            raise DataFormatError(f"{directory}: subject {subject} has more than one "
+                                  f"brain RDM for ROI {roi}")
+        subjects[subject] = vec
+    return {roi: dict(sorted(subjects.items())) for roi, subjects in brain.items()}, ids
 
 
-def group_by_roi(brain_files, ids) -> dict[str, list[BrainRdmFile]]:
-    """Brain RDMs grouped by ROI, each group sorted by subject.
-
-    Every brain RDM must be keyed to exactly `ids`, in that order: a
-    mismatch is an error, never silently reordered. A subject may have one
-    RDM per ROI: "sub-01_V1.csv" and "sub-01_v1.csv" together are an error,
-    not a subject counted twice.
-    """
-    by_roi: dict[str, list[BrainRdmFile]] = {}
-    for b in brain_files:
-        if b.ids != tuple(ids):
-            raise DataFormatError(
-                f"brain RDM {b.subject}/{b.roi} stimulus ids do not match the "
-                f"expected stimulus ordering")
-        group = by_roi.setdefault(b.roi, [])
-        if any(other.subject == b.subject for other in group):
-            raise DataFormatError(f"subject {b.subject} has more than one brain RDM "
-                                  f"for ROI {b.roi}")
-        group.append(b)
-    for roi in by_roi:
-        by_roi[roi].sort(key=lambda b: b.subject)
-    return by_roi
-
-
-def load_brain_by_roi(directory, ids) -> tuple[dict[str, list[tuple[str, np.ndarray]]],
+def load_brain_by_roi(directory, ids) -> tuple[dict[str, dict[str, np.ndarray]],
                                                  dict[str, np.ndarray]]:
-    """The brain RDM vectors under `directory`, grouped and sorted as in
-    group_by_roi: ROI -> [(subject, vector)], and ROI -> the vector of its
-    subjects' mean RDM. Fewer than 3 stimuli give Spearman fewer than 3
+    """The brain RDM set under `directory` (see load_brain_rdm_dir), and
+    ROI -> the vector of its subjects' mean RDM. Every brain RDM must be
+    keyed to exactly `ids`, in that order: a mismatch is an error, never
+    silently reordered. Fewer than 3 stimuli give Spearman fewer than 3
     pairs: a data error."""
     if len(ids) < 3:
         raise DataFormatError(f"{directory}: RSA needs at least 3 stimuli, got {len(ids)}")
-    by_roi = group_by_roi(load_brain_rdm_dir(directory), ids)
-    return ({roi: [(b.subject, b.vec) for b in g] for roi, g in by_roi.items()},
-            {roi: average_rdms([b.vec for b in g]) for roi, g in by_roi.items()})
+    brain, brain_ids = load_brain_rdm_dir(directory)
+    if brain_ids != tuple(ids):
+        raise DataFormatError(f"{directory}: brain RDM stimulus ids do not match the "
+                              f"expected stimulus ordering")
+    return brain, {roi: average_rdms(subjects.values()) for roi, subjects in brain.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +493,8 @@ def synth_stimuli_raw(spec: SynthSpec, seed: int) -> np.ndarray:
 def synth_dataset(spec: SynthSpec, seed: int):
     """Deterministic synthetic substrate: a classifiable labeled blob set,
     a stimulus set, and per-subject brain RDMs derived from a reference
-    network's features. Returns (LabeledImageSet, StimulusSet, [BrainRdmFile])."""
+    network's features. Returns (LabeledImageSet, StimulusSet, brain RDM set
+    as ROI -> {subject: vector})."""
     return _synth_from_raw(spec, seed, synth_stimuli_raw(spec, seed))
 
 
@@ -515,36 +509,40 @@ def _synth_from_raw(spec: SynthSpec, seed: int, raw: np.ndarray):
     feats = extract_all_taps(reference, stimuli)
     brain_rng = named_rng(seed, "synth-brain")
     i, j = pairs(len(ids))
-    brain = []
+    brain = {}
     for roi, tap in DEFAULT_ROI_MAP:
         base = rdm_from_features(feats[tap], ids)
+        subjects = {}
         for subject in spec.subjects:
             # still one N x N draw per subject, so the noise stream is
             # unchanged; the vector is the symmetrized draw's upper triangle
             noise = brain_rng.normal(0.0, 1.0, size=(len(ids), len(ids)))
             noise = spec.noise_amplitude * (noise[i, j] + noise[j, i]) / 2.0
-            brain.append(BrainRdmFile(subject=subject, roi=roi, ids=ids,
-                                      vec=np.clip(base + noise, 0.0, 2.0)))
+            subjects[subject] = np.clip(base + noise, 0.0, 2.0)
+        brain[roi] = dict(sorted(subjects.items()))
     return labeled, stimuli, brain
 
 
 def write_synth_dataset(spec: SynthSpec, seed: int, out_dir) -> dict:
     """Materialize a synthetic dataset on disk in the formats the pipeline
     reads: CIFAR-style .bin train/test splits, PPM stimuli, RDM CSVs.
-    Returns the path map. Nothing is written unless generation succeeds."""
+    Returns the path map; it has no "test" entry, and no test.bin is
+    written, when num_test is 0. Nothing is written unless generation
+    succeeds."""
     raw = synth_stimuli_raw(spec, seed)
     labeled, stimuli, brain = _synth_from_raw(spec, seed, raw)
     out = Path(out_dir)
-    (out / "stimuli").mkdir(parents=True, exist_ok=True)
-    (out / "brain").mkdir(parents=True, exist_ok=True)
-    train = labeled.subset(slice(0, spec.num_train))
-    test = labeled.subset(slice(spec.num_train, None))
-    write_cifar10_binary(train, out / "train.bin")
-    write_cifar10_binary(test, out / "test.bin")
+    paths = {"train": out / "train.bin", "stimuli": out / "stimuli", "brain": out / "brain"}
+    paths["stimuli"].mkdir(parents=True, exist_ok=True)
+    paths["brain"].mkdir(parents=True, exist_ok=True)
+    write_cifar10_binary(labeled.subset(slice(0, spec.num_train)), paths["train"])
+    if spec.num_test:
+        paths["test"] = out / "test.bin"
+        write_cifar10_binary(labeled.subset(slice(spec.num_train, None)), paths["test"])
     # stimuli are written at their native size; loaders resize on read
     for sid, img in zip(stimuli.ids, raw):
-        write_ppm(img, out / "stimuli" / f"{sid}.ppm")
-    for b in brain:
-        write_rdm_csv(b.vec, b.ids, out / "brain" / f"{b.subject}_{b.roi}.csv")
-    return {"train": out / "train.bin", "test": out / "test.bin",
-            "stimuli": out / "stimuli", "brain": out / "brain"}
+        write_ppm(img, paths["stimuli"] / f"{sid}.ppm")
+    for roi, subjects in brain.items():
+        for subject, vec in subjects.items():
+            write_rdm_csv(vec, stimuli.ids, paths["brain"] / f"{subject}_{roi}.csv")
+    return paths

@@ -218,17 +218,20 @@ def _derived_seed(stats_seed: int, purpose: str) -> int:
 def score_conditions(conditions, brain_vec, roi: str, config) -> dict[str, dict]:
     """Headline scores at one ROI for `report` (name = rule) and `rsa`
     (name = model CSV stem). `conditions` maps a name to (per-seed vectors,
-    seed-mean vector). Returns name -> {rho: mean per-seed Spearman,
-    seed_std (0 for one seed), per_seed, ci: bootstrap CI of the seed-mean
+    None for a seed whose cell failed, and the seed-mean vector). Returns
+    name -> {rho: mean Spearman over the seeds that have a vector,
+    seed_std: their sample std (0 for one), per_seed: one Spearman per
+    seed, None where it has no vector, ci: bootstrap CI of the seed-mean
     vector, seeded by (stats_seed, name, roi) alone}.
     """
     scores = {}
     for name, (seed_vecs, mean_vec) in conditions.items():
-        rhos = [stats.spearman(v, brain_vec) for v in seed_vecs]
+        per_seed = [None if v is None else stats.spearman(v, brain_vec) for v in seed_vecs]
+        rhos = [r for r in per_seed if r is not None]
         scores[name] = {
             "rho": float(np.mean(rhos)),
             "seed_std": float(np.std(rhos, ddof=1)) if len(rhos) > 1 else 0.0,
-            "per_seed": rhos,
+            "per_seed": per_seed,
             "ci": list(stats.bootstrap_ci(
                 mean_vec, brain_vec, n_boot=config.n_boot, level=config.ci_level,
                 seed=_derived_seed(config.stats_seed, f"boot|{name}|{roi}"))),
@@ -394,11 +397,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     report["partial_rsa"] = {}
     for roi, tap in roi_map.items():
         brain_vec, subjects = mean_brain[roi], by_roi[roi]  # 2 or more, sorted on load
-        ceiling = stats.noise_ceiling([vec for _, vec in subjects],
+        ceiling = stats.noise_ceiling(subjects.values(),
                                       n_splits=config.noise_ceiling_splits,
                                       seed=_derived_seed(config.stats_seed, f"ceiling|{roi}"))
         scores = score_conditions(
-            {rule: ([by_tap[tap] for by_tap in cell_vecs[rule].values()], mean_vecs[rule][tap])
+            {rule: ([cell_vecs[rule][s][tap] if s in cell_vecs[rule] else None
+                     for s in config.seeds], mean_vecs[rule][tap])
              for rule in conditions}, brain_vec, roi, config)
         for score in scores.values():
             score.update(p_vs_random=None, fdr_significant_vs_random=None)
@@ -408,7 +412,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         rows = report["partial_rsa"][roi] = []
         for rule in conditions:
             model_vec = mean_vecs[rule][tap]
-            rhos[rule] = [stats.spearman(model_vec, vec) for _, vec in subjects]
+            rhos[rule] = [stats.spearman(model_vec, vec) for vec in subjects.values()]
             rho_std = stats.spearman(model_vec, brain_vec)
             partial = stats.partial_spearman(model_vec, brain_vec, control)
             rows.append({"condition": rule, "rho_std": rho_std,
@@ -427,7 +431,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     report["per_subject"] = [
         {"condition": rule, "subject": subject, "roi": roi, "rho": rho}
         for rule in conditions for roi in roi_map
-        for (subject, _), rho in zip(by_roi[roi], subject_rhos[roi][rule])]
+        for subject, rho in zip(by_roi[roi], subject_rhos[roi][rule])]
 
     pairwise = report["pairwise_tests"]
     flags = stats.fdr_bh([t["p_value"] for t in pairwise], alpha=config.alpha) if pairwise else []
@@ -467,7 +471,7 @@ def _write_tables(tables: Path, report: dict) -> None:
               [[rule, roi, entry["layer"], c["rho"], c["seed_std"], *c["ci"], c["p_vs_random"],
                 "" if c["fdr_significant_vs_random"] is None
                 else int(c["fdr_significant_vs_random"]),
-                len(c["per_seed"])]
+                sum(r is not None for r in c["per_seed"])]
                for roi, entry in rois.items() for rule, c in entry["conditions"].items()])
 
     write_csv(tables / "pairwise_tests.csv",

@@ -19,8 +19,8 @@ import scipy.stats as ss
 from brainalign import network, ops, stats
 from brainalign.data import (
     SynthSpec,
-    read_brain_rdm_csv,
     read_cifar10_binary,
+    read_rdm_csv,
     write_rdm_csv,
     write_synth_dataset,
 )
@@ -456,8 +456,8 @@ def test_criterion_11_format_fidelity(tmp_path):
     ids = tuple(f"s{i}" for i in range(n))
     vec = vals[np.triu_indices(n, k=1)]
     write_rdm_csv(vec, ids, tmp_path / "sub-01_V1.csv")
-    back = read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
-    rdm_ok = np.array_equal(back.vec, vec) and back.ids == ids
+    back, back_ids = read_rdm_csv(tmp_path / "sub-01_V1.csv")
+    rdm_ok = np.array_equal(back, vec) and back_ids == ids
 
     _report(11, "format fidelity", cifar_ok and rdm_ok,
             f"cifar bit-exact {cifar_ok}, rdm lossless {rdm_ok}")

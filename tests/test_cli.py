@@ -375,6 +375,7 @@ class TestExitCodes:
                      "--stimuli", "6", "--channels", "4,6,8"]) == 0
         text = (out / "synth.cfg").read_text()
         assert "test_data = \n" in text
+        assert not (out / "test.bin").exists()
         run = ["--out", str(tmp_path / "run"), "--rules", "random", "--seeds", "0"]
         assert main(["report", "--config", str(out / "synth.cfg")] + run) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())

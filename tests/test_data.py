@@ -196,9 +196,10 @@ class TestRdmCsv:
     def test_zero_matrix_valid(self, tmp_path):
         ids = ("a", "b", "c")
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ids, np.zeros((3, 3)))
-        bf = D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
-        assert bf.subject == "sub-01" and bf.roi == "V1"
-        assert bf.vec.shape == (3,) and not bf.vec.any() and bf.ids == ("a", "b", "c")
+        brain, brain_ids = D.load_brain_rdm_dir(tmp_path)
+        assert list(brain) == ["V1"] and list(brain["V1"]) == ["sub-01"]
+        vec = brain["V1"]["sub-01"]
+        assert vec.shape == (3,) and not vec.any() and brain_ids == ("a", "b", "c")
 
     def test_round_trip_lossless(self, rng, tmp_path):
         n = 8
@@ -231,15 +232,15 @@ class TestRdmCsv:
         m[0, 1], m[1, 0] = 0.2, 0.3
         write_matrix_csv(tmp_path / "sub-01_V2.csv", ("x", "y", "z"), m)
         with pytest.raises(DataFormatError, match=r"asymmetric at \(x, y\): 0\.2 vs 0\.3$"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V2.csv")
+            D.read_rdm_csv(tmp_path / "sub-01_V2.csv")
 
     def test_tiny_asymmetry_symmetrized(self, tmp_path, caplog):
         m = np.zeros((3, 3))
         m[0, 1], m[1, 0] = 0.2, 0.2 + 5e-8
         write_matrix_csv(tmp_path / "sub-01_IT.csv", ("x", "y", "z"), m)
         with caplog.at_level("WARNING"):
-            bf = D.read_brain_rdm_csv(tmp_path / "sub-01_IT.csv")
-        assert bf.vec[0] == (0.2 + (0.2 + 5e-8)) / 2.0  # the mean of the pair (x, y)
+            vec, _ = D.read_rdm_csv(tmp_path / "sub-01_IT.csv")
+        assert vec[0] == (0.2 + (0.2 + 5e-8)) / 2.0  # the mean of the pair (x, y)
         assert "symmetriz" in caplog.text
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -249,7 +250,7 @@ class TestRdmCsv:
         m[0, 2] = m[2, 0] = float(cell)
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ("x", "y", "z"), m)
         with pytest.raises(DataFormatError, match=r"non-finite value .* at \(x, z\)"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+            D.read_rdm_csv(tmp_path / "sub-01_V1.csv")
 
     def test_distance_past_2_rejected(self, tmp_path):
         # brain distances are averaged into a per-ROI mean RDM in [0, 2]
@@ -257,29 +258,29 @@ class TestRdmCsv:
         m[0, 2] = m[2, 0] = 2.5
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ("x", "y", "z"), m)
         with pytest.raises(DataFormatError, match=r"sub-01_V1\.csv: distance 2\.5 at \(x, z\)"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+            D.load_brain_rdm_dir(tmp_path)
 
     def test_nonzero_diagonal_rejected(self, tmp_path):
         m = np.zeros((2, 2))
         m[1, 1] = 0.01
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ("x", "y"), m)
         with pytest.raises(DataFormatError, match=r"nonzero diagonal at \(y, y\): 0\.01$"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+            D.read_rdm_csv(tmp_path / "sub-01_V1.csv")
 
     def test_non_square_rejected(self, tmp_path):
         (tmp_path / "sub-01_V1.csv").write_text("id,a,b\na,0.0,0.1\n")
         with pytest.raises(DataFormatError, match="non-square"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+            D.read_rdm_csv(tmp_path / "sub-01_V1.csv")
 
     def test_duplicate_ids_rejected(self, tmp_path):
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ("a", "a", "b"), np.zeros((3, 3)))
         with pytest.raises(DataFormatError, match="duplicate"):
-            D.read_brain_rdm_csv(tmp_path / "sub-01_V1.csv")
+            D.read_rdm_csv(tmp_path / "sub-01_V1.csv")
 
     def test_filename_without_roi_rejected(self, tmp_path):
         write_matrix_csv(tmp_path / "whatever.csv", ("a", "b"), np.zeros((2, 2)))
         with pytest.raises(DataFormatError, match="subject/ROI"):
-            D.read_brain_rdm_csv(tmp_path / "whatever.csv")
+            D.load_brain_rdm_dir(tmp_path)
 
 
 class TestGroupByRoi:
@@ -287,8 +288,8 @@ class TestGroupByRoi:
         ids = ("a", "b")
         for name in ("sub-02_V1", "sub-01_V1", "sub-01_IT"):
             write_matrix_csv(tmp_path / f"{name}.csv", ids, np.zeros((2, 2)))
-        by_roi = D.group_by_roi(D.load_brain_rdm_dir(tmp_path), ids)
-        assert {roi: [b.subject for b in g] for roi, g in by_roi.items()} == {
+        by_roi, _ = D.load_brain_rdm_dir(tmp_path)
+        assert {roi: list(g) for roi, g in by_roi.items()} == {
             "V1": ["sub-01", "sub-02"], "IT": ["sub-01"]}
 
     def test_duplicate_subject_roi_rejected(self, tmp_path):
@@ -298,7 +299,20 @@ class TestGroupByRoi:
             write_matrix_csv(tmp_path / f"{name}.csv", ids, np.zeros((2, 2)))
         with pytest.raises(DataFormatError,
                            match="subject sub-01 has more than one brain RDM for ROI V1"):
-            D.group_by_roi(D.load_brain_rdm_dir(tmp_path), ids)
+            D.load_brain_rdm_dir(tmp_path)
+
+    def test_subjects_sorted_by_name_not_by_filename(self, tmp_path):
+        # "a-_V1.csv" sorts before "a_V1.csv" ('-' < '_'), subject "a" before "a-"
+        for name in ("a_V1", "a-_V1"):
+            write_matrix_csv(tmp_path / f"{name}.csv", ("x", "y"), np.zeros((2, 2)))
+        by_roi, _ = D.load_brain_rdm_dir(tmp_path)
+        assert list(by_roi["V1"]) == ["a", "a-"]
+
+    def test_files_with_differing_ids_rejected_naming_the_second(self, tmp_path):
+        write_matrix_csv(tmp_path / "sub-01_V1.csv", ("a", "b"), np.zeros((2, 2)))
+        write_matrix_csv(tmp_path / "sub-02_V1.csv", ("b", "a"), np.zeros((2, 2)))
+        with pytest.raises(DataFormatError, match=r"sub-02_V1\.csv: stimulus ids .*ordering"):
+            D.load_brain_rdm_dir(tmp_path)
 
     def test_load_by_roi_gives_subject_and_mean_vectors(self, tmp_path):
         ids = ("a", "b", "c", "d")
@@ -310,8 +324,8 @@ class TestGroupByRoi:
         by_roi, mean = D.load_brain_by_roi(tmp_path, ids)
         assert list(by_roi) == list(mean) == ["IT", "V1"]  # filename order
         for roi, subjects in by_roi.items():
-            assert [s for s, _ in subjects] == ["sub-01", "sub-02"]
-            for subject, vec in subjects:
+            assert list(subjects) == ["sub-01", "sub-02"]
+            for subject, vec in subjects.items():
                 assert np.array_equal(vec, rdms[f"{subject}_{roi}"])
             assert np.array_equal(mean[roi], average_rdms(
                 [rdms[f"sub-0{i}_{roi}"] for i in (1, 2)]))
@@ -347,25 +361,25 @@ class TestSynth:
         labeled, stim, brain = D.synth_dataset(SPEC, seed=0)
         ref = init_he_normal(1000, channels=(4, 6, 8), num_classes=3)
         base = rdm_from_features(extract_all_taps(ref, stim)["conv1"], stim.ids)
-        v1 = next(b for b in brain if b.roi == "V1" and b.subject == "sub-01")
-        assert np.array_equal(v1.vec, base) and v1.ids == stim.ids
+        v1 = brain["V1"]["sub-01"]
+        assert np.array_equal(v1, base)
         # self-comparison RSA is 1 by construction
-        assert spearman(v1.vec, base) == pytest.approx(1.0)
+        assert spearman(v1, base) == pytest.approx(1.0)
 
     def test_deterministic_and_seed_sensitive(self):
         a1, s1, b1 = D.synth_dataset(SPEC, seed=0)
         a2, s2, b2 = D.synth_dataset(SPEC, seed=0)
         a3, _, _ = D.synth_dataset(SPEC, seed=1)
         assert np.array_equal(a1.images, a2.images)
-        assert np.array_equal(b1[0].vec, b2[0].vec)
+        assert np.array_equal(b1["V1"]["sub-01"], b2["V1"]["sub-01"])
         assert not np.array_equal(a1.images, a3.images)
 
     def test_counts_and_rois(self):
         labeled, stim, brain = D.synth_dataset(SPEC, seed=0)
         assert labeled.images.shape[0] == SPEC.num_train + SPEC.num_test
         assert stim.images.shape == (12, 3, 32, 32)
-        assert len(brain) == 4 * 3  # ROIs x subjects
-        assert {b.roi for b in brain} == set(D.ROIS)
+        assert {roi: list(subjects) for roi, subjects in brain.items()} == {
+            roi: ["sub-01", "sub-02", "sub-03"] for roi in D.ROIS}
 
     def test_write_synth_dataset_makes_the_stimuli_once(self, tmp_path, monkeypatch):
         calls = []
@@ -383,7 +397,10 @@ class TestSynth:
         disk_stim = D.load_stimulus_dir(paths["stimuli"], resolution=32)
         assert disk_stim.ids == stim.ids
         assert np.abs(disk_stim.images - stim.images).max() < 1e-12
-        disk_brain = D.load_brain_rdm_dir(paths["brain"])
-        mem = {(b.subject, b.roi): b.vec for b in brain}
-        for b in disk_brain:
-            assert np.array_equal(b.vec, mem[(b.subject, b.roi)]) and b.ids == stim.ids
+        disk_brain, disk_ids = D.load_brain_rdm_dir(paths["brain"])
+        assert disk_ids == stim.ids
+        assert {roi: list(subjects) for roi, subjects in disk_brain.items()} == {
+            roi: list(subjects) for roi, subjects in brain.items()}
+        for roi, subjects in disk_brain.items():
+            for subject, vec in subjects.items():
+                assert np.array_equal(vec, brain[roi][subject])

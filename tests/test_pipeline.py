@@ -237,6 +237,35 @@ class TestRunExperiment:
         assert report["conditions"] == ["random"]
         assert set(report["rois"]["V1"]["conditions"]) == {"random"}
 
+    def test_failed_seed_keeps_its_place_in_per_seed(self, tmp_path, monkeypatch):
+        # bp fails at seed 0 only: its seed-1 score stays under seed 1
+        cfg = tiny_config(tmp_path, rules=("random", "bp"), seeds=(0, 1))
+        import brainalign.pipeline as pl
+
+        real_train = pl.train
+
+        def failing_train(rule, params, dataset, seed, **kwargs):
+            if (rule, seed) == ("bp", 0):
+                raise RuntimeError("boom")
+            return real_train(rule, params, dataset, seed, **kwargs)
+
+        monkeypatch.setattr(pl, "train", failing_train)
+        report = run_experiment(cfg)
+        assert report["failures"] == [{"rule": "bp", "seed": 0,
+                                       "error": "RuntimeError: boom"}]
+        brain = Path(cfg.brain_rdm_dir)
+        with open(tmp_path / "run" / "tables" / "rsa_results.csv", newline="") as f:
+            n_seeds = {(r["condition"], r["roi"]): r["n_seeds"] for r in csv.DictReader(f)}
+        for roi, entry in report["rois"].items():
+            mean_brain = average_rdms(
+                [read_rdm_csv(p)[0] for p in sorted(brain.glob(f"*_{roi}.csv"))])
+            rho1 = spearman(read_rdm_csv(
+                tmp_path / "run" / "rdms" / f"bp_seed1_{entry['layer']}.csv")[0], mean_brain)
+            bp = entry["conditions"]["bp"]
+            assert bp["per_seed"] == [None, rho1]
+            assert bp["rho"] == rho1 and bp["seed_std"] == 0.0
+            assert n_seeds[("bp", roi)] == "1" and n_seeds[("random", roi)] == "2"
+
     def test_every_table_is_a_view_of_report_json(self, tmp_path):
         # ROIs mapped out of the brain files' filename order (IT LOC V1 V2), LOC unmapped
         roi_map = (("V2", "conv2"), ("IT", "fc1"), ("V1", "conv1"))
@@ -361,10 +390,8 @@ class TestRunExperiment:
         cfg = tiny_config(tmp_path, rules=("random",), seeds=(0,))
         brain_dir = Path(cfg.brain_rdm_dir)
         victim = sorted(brain_dir.glob("*.csv"))[0]
-        from brainalign.data import read_brain_rdm_csv
-
-        bf = read_brain_rdm_csv(victim)
-        write_rdm_csv(bf.vec, tuple(reversed(bf.ids)), victim)
+        vec, ids = read_rdm_csv(victim)
+        write_rdm_csv(vec, tuple(reversed(ids)), victim)
         with pytest.raises(DataFormatError, match="ordering"):
             run_experiment(cfg)
 
