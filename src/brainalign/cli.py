@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, TrainingDivergedError,
+    except (DataFormatError, OSError, TrainingDivergedError,
             UndefinedStatisticError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3

@@ -3,10 +3,13 @@ desk-scale data generator.
 
 File conventions consumed here:
   * CIFAR-10 binary batches: 3073-byte records, one label byte then
-    3x1024 channel-major pixel bytes.
+    3x1024 channel-major pixel bytes. An empty file adds no records, and
+    no file is read once `limit` records are held.
   * Stimulus directories: PPM (P6) images, optionally PNG when Pillow is
     installed; stimuli are ordered lexicographically by filename and the
-    filename stem is the stimulus id.
+    filename stem is the stimulus id. A PPM header is the magic "P6" at
+    byte 0, then width, height and maxval as 1-9 ASCII digits (no sign),
+    each after whitespace or '#' comments.
   * RDM CSVs: the square matrix with a header row/column of stimulus
     ids; in memory an RDM is its upper-triangle vector (see rdm). Every
     set of RDM CSVs is read by read_rdm_files, which requires one shared
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,44 +85,30 @@ class StimulusSet:
 def read_cifar10_binary(paths, limit=None) -> LabeledImageSet:
     """Read CIFAR-10 binary batch files in the order given.
 
-    Each record is 3073 bytes (label byte + 3x1024 channel-major pixels);
-    pixels are scaled to [0,1]. Takes the first `limit` records in file
-    order. A file whose size is not a multiple of 3073 raises a
-    DataFormatError with the offending byte offset.
+    Each record is 3073 bytes: a label byte, then 3x1024 channel-major
+    pixels scaled to [0,1]. Keeps the first `limit` records in file order
+    and reads no file once it holds them; an empty file adds none. A file
+    size not a multiple of 3073 is a DataFormatError naming the offset.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    records, labels = [], []
-    taken = 0
+    records = [np.empty((0, CIFAR_RECORD_BYTES), dtype=np.uint8)]
     for path in paths:
+        if limit is not None and sum(map(len, records)) >= limit:
+            break
         raw = Path(path).read_bytes()
         if len(raw) % CIFAR_RECORD_BYTES:
             offset = (len(raw) // CIFAR_RECORD_BYTES) * CIFAR_RECORD_BYTES
             raise DataFormatError(
                 f"{path}: truncated record at byte offset {offset} "
                 f"(file size {len(raw)} not a multiple of {CIFAR_RECORD_BYTES})")
-        n = len(raw) // CIFAR_RECORD_BYTES
-        if limit is not None:
-            n = min(n, limit - taken)
-        if n <= 0:
-            break
-        buf = np.frombuffer(raw, dtype=np.uint8,
-                            count=n * CIFAR_RECORD_BYTES).reshape(n, CIFAR_RECORD_BYTES)
-        labels.append(buf[:, 0].astype(np.int64))
-        records.append(buf[:, 1:].reshape(n, 3, 32, 32).astype(np.float64) / 255.0)
-        taken += n
-        if limit is not None and taken >= limit:
-            break
-    if not records:
-        images = np.zeros((0, 3, 32, 32))
-        lab = np.zeros(0, dtype=np.int64)
-    else:
-        images = np.concatenate(records, axis=0)
-        lab = np.concatenate(labels)
+        records.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
+    records = np.concatenate(records)[:limit]
+    lab = records[:, 0].astype(np.int64)
     bad = np.nonzero(lab >= 10)[0]
     if bad.size:
         raise DataFormatError(f"record {bad[0]}: label {lab[bad[0]]} out of range [0, 10)")
-    return LabeledImageSet(images, lab)
+    return LabeledImageSet(records[:, 1:].reshape(-1, 3, 32, 32) / 255.0, lab)
 
 
 def write_cifar10_binary(dataset: LabeledImageSet, path) -> None:
@@ -171,37 +161,26 @@ def center_crop_square(image) -> np.ndarray:
     return image[..., top : top + s, left : left + s]
 
 
-def _ppm_tokens(raw: bytes, path):
-    # header tokens, skipping whitespace and '#' comments
-    i, tokens = 0, []
-    while len(tokens) < 4:
-        if i >= len(raw):
-            raise DataFormatError(f"{path}: unexpected end of PPM header")
-        c = raw[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            i = raw.index(b"\n", i) + 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j : j + 1].isspace():
-                j += 1
-            tokens.append(raw[i:j])
-            i = j
-    return tokens, i + 1  # one whitespace byte separates header from pixels
+# magic, then width, height and maxval (ASCII digits) after whitespace or
+# '#'-to-newline comments, then one whitespace byte; the magic always matches.
+# Nine digits at most keep a field inside int()'s digit limit.
+_PPM_HEADER = re.compile(rb"(\S*)(?:" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s)?")
 
 
 def read_ppm(path) -> np.ndarray:
     """Decode a binary P6 PPM (maxval 255) to [3,H,W] floats in [0,1]."""
     raw = Path(path).read_bytes()
-    tokens, start = _ppm_tokens(raw, path)
-    if tokens[0] != b"P6":
-        raise DataFormatError(f"{path}: not a P6 PPM (magic {tokens[0]!r})")
-    w, h, maxval = (int(t) for t in tokens[1:])
+    header = _PPM_HEADER.match(raw)
+    if header[1] != b"P6" or header[2] is None:
+        raise DataFormatError(f"{path}: not a P6 PPM header of width, height and maxval "
+                              f"in 1-9 ASCII digits (magic {header[1]!r})")
+    w, h, maxval = (int(field) for field in header.groups()[1:])
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if not w or not h:
+        raise DataFormatError(f"{path}: empty {w}x{h} image")
     need = 3 * w * h
-    pixels = raw[start : start + need]
+    pixels = raw[header.end() : header.end() + need]
     if len(pixels) != need:
         raise DataFormatError(f"{path}: expected {need} pixel bytes, got {len(pixels)}")
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
@@ -294,6 +273,15 @@ def _parse_subject_roi(path):
         f"expected '<subject>_<ROI>' with ROI in {ROIS}")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text file; bytes the text encoding cannot decode are
+    a data error naming the file."""
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not text: {e}") from None
+
+
 def read_rdm_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read and validate one RDM CSV; returns (vector, ids).
 
@@ -301,12 +289,14 @@ def read_rdm_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     symmetric and zero-diagonal (warn past 1e-9, hard error past 1e-6).
     The vector is the upper triangle of the exactly symmetrized matrix.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
     ids = tuple(h.strip() for h in header[1:])
     n = len(ids)
+    if not n:
+        raise DataFormatError(f"{path}: no stimulus ids in the header row")
     check_unique_ids(ids, path)
     if len(lines) - 1 != n:
         raise DataFormatError(
@@ -447,8 +437,9 @@ class SynthSpec:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 1 <= self.num_classes <= 10:
             raise ConfigurationError(f"num_classes must be in 1..10, got {self.num_classes}")
-        if not self.subjects:
-            raise ConfigurationError("subjects must name at least one subject")
+        if not self.subjects or len(set(self.subjects)) != len(self.subjects):
+            raise ConfigurationError(
+                f"subjects must name at least one subject, each once, got {self.subjects}")
 
 
 def _blob(rng, size, n_blobs):

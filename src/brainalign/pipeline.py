@@ -39,6 +39,7 @@ from .data import (
     load_brain_by_roi,
     load_stimulus_dir,
     read_cifar10_binary,
+    read_lines,
     write_csv,
     write_rdm_csv,
 )
@@ -283,7 +284,7 @@ def load_features_dir(directory) -> tuple[dict[str, np.ndarray], tuple[str, ...]
     ids_path = directory / "stimulus_ids.txt"
     if not ids_path.exists():
         raise DataFormatError(f"{directory}: missing stimulus_ids.txt")
-    ids = tuple(ids_path.read_text().splitlines())
+    ids = tuple(read_lines(ids_path))
     check_unique_ids(ids, ids_path)
     feats = {}
     for tap in TAPS:

@@ -41,6 +41,14 @@ def synth_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def random_ckpt(synth_dir):
+    ckpt = synth_dir / "random.ckpt"
+    assert main(["train", "--config", str(synth_dir / "data" / "synth.cfg"),
+                 "--rule", "random", "--seed", "0", "--ckpt", str(ckpt)]) == 0
+    return ckpt
+
+
 class TestVerbs:
     def test_stagewise_run(self, synth_dir, tmp_path):
         cfg = str(synth_dir / "data" / "synth.cfg")
@@ -201,6 +209,32 @@ class TestExitCodes:
     def test_missing_data_is_3(self, tmp_path):
         assert main(["rsa", "--model-rdm", "/no/such.csv", "--brain-dir", "/no",
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_checkpoint_directory_is_3(self, synth_dir, tmp_path):
+        assert main(["extract", "--ckpt", str(tmp_path), "--resolution", "32",
+                     "--stimuli", str(synth_dir / "data" / "stimuli"),
+                     "--out", str(tmp_path / "f")]) == 3
+
+    def test_stimuli_file_is_3(self, random_ckpt, tmp_path):
+        assert main(["extract", "--ckpt", str(random_ckpt), "--resolution", "32",
+                     "--stimuli", str(random_ckpt), "--out", str(tmp_path / "f")]) == 3
+
+    @pytest.mark.parametrize("header", [b"P6\nab 2\n255\n", b"P6\n0 3\n255\n"],
+                             ids=["letters", "zero-width"])
+    def test_malformed_stimulus_is_3(self, random_ckpt, tmp_path, capsys, header):
+        (tmp_path / "stimuli").mkdir()
+        (tmp_path / "stimuli" / "bad.ppm").write_bytes(header)
+        assert main(["extract", "--ckpt", str(random_ckpt), "--resolution", "32",
+                     "--stimuli", str(tmp_path / "stimuli"), "--out", str(tmp_path / "f")]) == 3
+        assert "bad.ppm" in capsys.readouterr().err
+
+    def test_train_data_directory_report_is_3_and_writes_nothing(self, synth_dir, tmp_path):
+        train = synth_dir / "data" / "train.bin"
+        cfg = edited_config(synth_dir, tmp_path / "c.cfg", f"train_data = {train}\n",
+                            f"train_data = {tmp_path}\n")
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--rules", "random", "--seeds", "0"]) == 3
+        assert not (tmp_path / "run").exists()
 
     def test_bad_checkpoint_is_3(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -442,4 +476,14 @@ def test_duplicate_feature_ids_are_3(tmp_path, capsys):
                  "--out", str(tmp_path / "rdms")]) == 3
     err = capsys.readouterr().err
     assert "stimulus_ids.txt" in err and "duplicate stimulus ids ['stim-0']" in err
+    assert not (tmp_path / "rdms").exists()
+
+
+def test_undecodable_feature_ids_are_3(tmp_path, capsys):
+    save_features({"conv1": np.random.default_rng(0).normal(size=(3, 5))},
+                  ("stim-0", "stim-1", "stim-2"), tmp_path / "feats")
+    (tmp_path / "feats" / "stimulus_ids.txt").write_bytes(b"stim-0\nstim-\xff\nstim-2\n")
+    assert main(["rdm", "--features", str(tmp_path / "feats"),
+                 "--out", str(tmp_path / "rdms")]) == 3
+    assert "stimulus_ids.txt: not text" in capsys.readouterr().err
     assert not (tmp_path / "rdms").exists()

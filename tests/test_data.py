@@ -48,6 +48,13 @@ class TestCifarBinary:
         ds = D.read_cifar10_binary([path, path], limit=8)
         assert ds.images.shape[0] == 8
 
+    def test_empty_file_does_not_end_the_read(self, tmp_path):
+        one, empty = tmp_path / "one.bin", tmp_path / "empty.bin"
+        one.write_bytes(bytes([1]) + bytes(3072))
+        empty.write_bytes(b"")
+        for limit in (None, 2):
+            assert D.read_cifar10_binary([one, empty, one], limit=limit).labels.tolist() == [1, 1]
+
     def test_truncated_names_offset(self, tmp_path):
         rec = bytes([1]) + bytes(3072)
         path = tmp_path / "bad.bin"
@@ -130,6 +137,26 @@ class TestPpm:
         img = D.read_ppm(tmp_path / "c.ppm")
         assert img.shape == (3, 3, 3)
         assert img[0, 0, 0] == 0.0 and img[2, 0, 0] == 2 / 255
+
+    @pytest.mark.parametrize("header", [b"P6\t3\t3\t255\t", b"P6\r3\r3\r255\r",
+                                        b"P6 # c\n3 # d\n 3\n255\n"],
+                             ids=["tab", "cr", "comment-after-whitespace"])
+    def test_header_variants_decode_like_plain(self, tmp_path, header):
+        body = bytes(range(27))
+        (tmp_path / "plain.ppm").write_bytes(b"P6\n3 3\n255\n" + body)
+        (tmp_path / "v.ppm").write_bytes(header + body)
+        assert np.array_equal(D.read_ppm(tmp_path / "v.ppm"), D.read_ppm(tmp_path / "plain.ppm"))
+
+    @pytest.mark.parametrize("raw", [b"P6\nab 2\n255\n", b"P6\n1 1\n255#c" + bytes(3),
+                                     b"P6\n# no newline", b"P6\n+1 1\n255\n" + bytes(3),
+                                     b"P6\n0 3\n255\n", b"P6\n3 0\n255\n",
+                                     b"P6\n" + b"9" * 5000 + b" 1\n255\n"],
+                             ids=["letters", "comment-in-maxval", "unended-comment", "signed",
+                                  "zero-width", "zero-height", "5000-digit-width"])
+    def test_malformed_header_rejected(self, tmp_path, raw):
+        (tmp_path / "m.ppm").write_bytes(raw)
+        with pytest.raises(DataFormatError, match="m.ppm"):
+            D.read_ppm(tmp_path / "m.ppm")
 
     def test_wrong_magic(self, tmp_path):
         (tmp_path / "p5.ppm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
@@ -272,6 +299,14 @@ class TestRdmCsv:
         with pytest.raises(DataFormatError, match="non-square"):
             D.read_rdm_csv(tmp_path / "sub-01_V1.csv")
 
+    @pytest.mark.parametrize("raw, message", [(b"id\n", "no stimulus ids"),
+                                              (b"id,a\na,0\xff\n", "not text")],
+                             ids=["no-ids", "not-utf8"])
+    def test_malformed_text_rejected(self, tmp_path, raw, message):
+        (tmp_path / "m.csv").write_bytes(raw)
+        with pytest.raises(DataFormatError, match=f"m.csv: {message}"):
+            D.read_rdm_csv(tmp_path / "m.csv")
+
     def test_duplicate_ids_rejected(self, tmp_path):
         write_matrix_csv(tmp_path / "sub-01_V1.csv", ("a", "a", "b"), np.zeros((3, 3)))
         with pytest.raises(DataFormatError, match="duplicate"):
@@ -350,6 +385,7 @@ class TestSynth:
     @pytest.mark.parametrize("field, value", [
         ("num_train", 0), ("num_test", -1), ("num_classes", 0), ("num_classes", 11),
         ("num_stimuli", 2), ("stimulus_size", 0), ("noise_amplitude", -0.1), ("subjects", ()),
+        ("subjects", ("sub-01", "sub-01")),
     ])
     def test_spec_rejects_values_its_files_cannot_hold(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
