@@ -53,8 +53,8 @@ for name, grad, param in (("grad_x", gx, x), ("grad_w", gw, w), ("grad_b", gb, b
           np.abs(grad - fd(loss, param)).max(), "(absolute)")
 
 # Max pooling routes gradient to the argmax of each 2x2 window
-pooled, idx = ops.maxpool2x2_forward(out)
-g_in = ops.maxpool2x2_backward(np.ones_like(pooled), idx)
+pooled = ops.maxpool2x2_forward(out)
+g_in = ops.maxpool2x2_backward(np.ones_like(pooled), out, pooled)
 print("pool conserves gradient mass:", np.sum(g_in) == pooled.size)
 
 # Batch norm: train mode normalizes by batch statistics and tracks

@@ -36,7 +36,7 @@ print(f"{'rule':<8} {'train acc':>10} {'test acc':>10}")
 # is a RuleParams too, so a run's config can be passed as it is
 params = RuleParams(epochs=3, batch_size=32, lr=0.02)
 for rule in ("random", "bp", "fa", "pc", "stdp"):
-    state = train(rule, params, train_set, seed=0, channels=CHANNELS, num_classes=4)
+    state = train(rule, params, train_set, seed=0, channels=CHANNELS)
     tr = evaluate_accuracy(state, train_set.images, train_set.labels)
     te = evaluate_accuracy(state, test_set.images, test_set.labels)
     print(f"{rule:<8} {tr:>10.3f} {te:>10.3f}")

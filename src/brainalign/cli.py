@@ -100,8 +100,7 @@ def _cmd_train(args) -> int:
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
     state = train_rule(args.rule, cfg, dataset, args.seed,
-                       metrics_path=args.metrics, channels=cfg.channels,
-                       num_classes=cfg.num_classes)
+                       metrics_path=args.metrics, channels=cfg.channels)
     save_checkpoint(state, ckpt, rule=args.rule)
     print(f"checkpoint written to {ckpt}")
     return 0

@@ -435,6 +435,8 @@ class SynthSpec:
                           ("stimulus_size", 1), ("noise_amplitude", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not np.isfinite(self.noise_amplitude):
+            raise ConfigurationError(f"noise_amplitude must be finite, got {self.noise_amplitude}")
         if not 1 <= self.num_classes <= 10:
             raise ConfigurationError(f"num_classes must be in 1..10, got {self.num_classes}")
         if not self.subjects or len(set(self.subjects)) != len(self.subjects):

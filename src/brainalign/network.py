@@ -129,20 +129,20 @@ def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
 
 class BlockCache(NamedTuple):
     """One conv block's forward record. An eval-mode record keeps only
-    `out`; the other fields, which only a backward reads, are None."""
+    `out`; the other fields, which only a backward reads, are None.
+    `post_relu` and `out` are the pool's input and output, from which its
+    backward derives the argmax, so nothing may write them in between."""
 
-    x: np.ndarray | None          # block input
-    bn_cache: ops.BnCache | None
-    post_relu: np.ndarray | None  # post-BN, post-ReLU, pre-pool; > 0 is the ReLU mask
-    pool_idx: ops.PoolIndices | None  # holds post_relu and out, read by the pool backward
-    out: np.ndarray               # post-pool block output
+    out: np.ndarray                      # post-pool block output
+    x: np.ndarray | None = None          # block input
+    bn_cache: ops.BnCache | None = None
+    post_relu: np.ndarray | None = None  # post-BN, post-ReLU, pre-pool
 
 
 class ForwardCache(NamedTuple):
     blocks: tuple[BlockCache, BlockCache, BlockCache]
     gap: np.ndarray           # [B, C3] input to fc1
-    fc1_pre: np.ndarray
-    fc1_act: np.ndarray
+    fc1_act: np.ndarray       # post-ReLU; > 0 is the ReLU mask
     logits: np.ndarray
 
 
@@ -169,10 +169,10 @@ def _block_forward(block: ConvBlock, x, mode: str) -> BlockCache:
                                           out=z if mode == "eval" else None)
     del z
     np.maximum(act, 0.0, out=act)
-    out, pool_idx = ops.maxpool2x2_forward(act)
+    out = ops.maxpool2x2_forward(act)
     if mode == "eval":
-        return BlockCache(x=None, bn_cache=None, post_relu=None, pool_idx=None, out=out)
-    return BlockCache(x=x, bn_cache=bn_cache, post_relu=act, pool_idx=pool_idx, out=out)
+        return BlockCache(out)
+    return BlockCache(out, x, bn_cache, act)
 
 
 def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCache:
@@ -201,11 +201,9 @@ def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCa
 
 def fc_forward(state: NetworkState, gap) -> ForwardCache:
     """FC1 -> ReLU -> FC2 on [B, C3] features; the cache has no conv blocks."""
-    fc1_pre = ops.affine_forward(gap, state.fc1.w, state.fc1.b)
-    fc1_act = ops.relu_forward(fc1_pre)
+    fc1_act = ops.relu_forward(ops.affine_forward(gap, state.fc1.w, state.fc1.b))
     logits = ops.affine_forward(fc1_act, state.fc2.w, state.fc2.b)
-    return ForwardCache(blocks=(), gap=gap, fc1_pre=fc1_pre, fc1_act=fc1_act,
-                        logits=logits)
+    return ForwardCache(blocks=(), gap=gap, fc1_act=fc1_act, logits=logits)
 
 
 def forward(state: NetworkState, batch, mode: str = "eval"):
@@ -236,8 +234,8 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
     # Conv blocks, deepest first
     for i in (2, 1, 0):
         name, block, c = CONV_TAPS[i], state.conv_blocks()[i], cache.blocks[i]
-        delta = ops.maxpool2x2_backward(delta, c.pool_idx)
-        delta = ops.relu_backward(delta, c.post_relu)
+        # The ReLU mask at pooled resolution: each window's argmax is `out`.
+        delta = ops.maxpool2x2_backward(ops.relu_backward(delta, c.out), c.post_relu, c.out)
         delta, grads[f"{name}.gamma"], grads[f"{name}.beta"] = ops.batchnorm_backward(
             delta, c.bn_cache)
         grads[f"{name}.w"] = ops.conv2d_weight_grad(delta, c.x, block.spec)
@@ -259,7 +257,7 @@ def fc_backward(cache: ForwardCache, grad_logits, transport):
     grads = {}
     delta, grads["fc2.w"], grads["fc2.b"] = ops.affine_backward(
         grad_logits, cache.fc1_act, transport["fc2.w"])
-    delta = ops.relu_backward(delta, cache.fc1_pre)
+    delta = ops.relu_backward(delta, cache.fc1_act)
     delta, grads["fc1.w"], grads["fc1.b"] = ops.affine_backward(
         delta, cache.gap, transport["fc1.w"])
     return delta, grads

@@ -13,8 +13,8 @@ conv_windows into im2col blocks of at most _CONV_BLOCK_CELLS, whole
 images or, for a large image, runs of its output rows, and each block's
 GEMM writes straight into its slice of the output, where the bias is
 added. Max pooling takes the max of four strided corner views of the
-input into one array and keeps the input and output; the backward
-derives the argmax from them as an int8 corner index, breaks ties
+input into one array; the backward takes the pool's input and output
+and derives the argmax from them as an int8 corner index, breaks ties
 towards the first corner in row-major window order and truncates a
 trailing odd row or column. Batch norm (eps BN_EPS, running-stat
 momentum BN_MOMENTUM) writes eval mode into a given `out` (the input
@@ -203,43 +203,26 @@ def _pool_corners(x):
     return [x[:, :, i : 2 * Ho : 2, j : 2 * Wo : 2] for i in (0, 1) for j in (0, 1)]
 
 
-class PoolIndices(NamedTuple):
-    """What maxpool2x2_backward needs from the forward: the pooled input and
-    output themselves, not copies. Nobody may write either of them between
-    the forward and the backward, or the argmax read from them is wrong:
-    network.backward only reads the block maps, and pc_inference moves
-    copies of the block outputs."""
-
-    x: np.ndarray     # pooled input [B,C,H,W] (before odd-edge truncation)
-    out: np.ndarray   # pooled output [B,C,Ho,Wo]
-
-    @property
-    def in_shape(self) -> tuple[int, ...]:
-        return self.x.shape
-
-    @property
-    def argmax(self) -> np.ndarray:
-        """[B,C,Ho,Wo] int8 corner 0..3 in row-major window order: the count
-        of leading corners that differ from the max, so the first corner
-        equal to it (the row-major first-max tie-break this package
-        guarantees), and 3 for a window whose max is NaN. Computed anew on
-        each read."""
-        c0, c1, c2, _ = _pool_corners(self.x)
-        run = c0 != self.out   # True while every corner so far differs from the max
-        idx = run.view(np.int8).copy()
-        for corner in (c1, c2):
-            run &= corner != self.out
-            idx += run.view(np.int8)
-        return idx
+def _pool_argmax(x, out):
+    """[B,C,Ho,Wo] int8 corner 0..3 in row-major window order of the pool
+    of `x` whose output is `out`: the count of leading corners that differ
+    from the max, so the first corner equal to it (the row-major first-max
+    tie-break this package guarantees), and 3 for a window whose max is NaN."""
+    c0, c1, c2, _ = _pool_corners(x)
+    run = c0 != out   # True while every corner so far differs from the max
+    idx = run.view(np.int8).copy()
+    for corner in (c1, c2):
+        run &= corner != out
+        idx += run.view(np.int8)
+    return idx
 
 
 def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
-    Returns (output, PoolIndices). The output is an elementwise max of the
-    four corner views, taken into one array block by block (_map_blocks).
-    No argmax is computed here: the PoolIndices keep `x` and the output,
-    and the backward derives it.
+    The output is an elementwise max of the four corner views, taken into
+    one array block by block (_map_blocks). No argmax is computed here: the
+    backward derives it from this input and output.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
@@ -251,17 +234,21 @@ def maxpool2x2_forward(x):
         np.maximum(c0, c1, out=o)
         np.maximum(o, c2, out=o)
         np.maximum(o, c3, out=o)
-    return out, PoolIndices(x=x, out=out)
+    return out
 
 
-def maxpool2x2_backward(grad_out, indices: PoolIndices):
+def maxpool2x2_backward(grad_out, x, out):
     """Route each window's gradient to its argmax corner; zeros elsewhere,
-    the dropped odd edge included. The argmax is derived once per call."""
-    if grad_out.shape != indices.out.shape:
-        raise ConfigurationError(f"maxpool backward grad {grad_out.shape} does not match "
-                                 f"pooled shape {indices.out.shape}")
-    argmax = indices.argmax
-    grad_x = np.zeros(indices.in_shape)
+    the dropped odd edge included. `x` and `out` are the forward's own
+    input and output, unwritten since: the argmax is derived from them
+    once per call."""
+    pooled = x.shape[:2] + tuple(n // 2 for n in x.shape[2:])
+    if x.ndim != 4 or not grad_out.shape == out.shape == pooled:
+        raise ConfigurationError(f"maxpool backward grad {grad_out.shape} and output "
+                                 f"{out.shape} must both be the pooled shape {pooled} "
+                                 f"of input {x.shape}")
+    argmax = _pool_argmax(x, out)
+    grad_x = np.zeros(x.shape)
     for k, corner in enumerate(_pool_corners(grad_x)):
         np.copyto(corner, grad_out, where=argmax == k)
     return grad_x

@@ -105,6 +105,9 @@ class ExperimentConfig(RuleParams):
         for r in self.rules:
             if r not in RULES:
                 raise ConfigurationError(f"unknown rule {r!r}; known rules: {RULES}")
+        rois = [roi for roi, _ in self.roi_map]
+        if len(set(rois)) != len(rois):
+            raise ConfigurationError(f"duplicate ROIs in roi_map {self.roi_map}")
         for roi, tap in self.roi_map:
             if tap not in TAPS:
                 raise ConfigurationError(f"ROI map {roi}->{tap!r}: unknown tap; taps: {TAPS}")
@@ -360,8 +363,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             try:
                 state = train(rule, config, train_set, seed, eval_set=test_set,
                               metrics_path=out / "metrics" / f"{cell}.csv",
-                              channels=config.channels,
-                              num_classes=config.num_classes)
+                              channels=config.channels)
                 ckpt = out / "checkpoints" / f"{cell}.ckpt"
                 save_checkpoint(state, ckpt, rule=rule)
                 states_path.setdefault(rule, ckpt)

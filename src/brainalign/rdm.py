@@ -36,12 +36,14 @@ def _correlation_distance(matrix: np.ndarray, ids) -> np.ndarray:
     x = np.asarray(matrix, dtype=np.float64)
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    flat = np.nonzero(norms == 0)[0]
-    if flat.size:
-        names = [ids[i] for i in flat[:10]]
-        raise DataFormatError(
-            f"zero-variance feature rows for stimuli {names}"
-            + (" ..." if flat.size > 10 else ""))
+    # a NaN or inf value, or a sum of squares that overflows, gives a
+    # non-finite norm, and then a NaN distance
+    for bad, what in ((~np.isfinite(norms), "non-finite"), (norms == 0, "zero-variance")):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            names = [ids[i] for i in rows[:10]]
+            raise DataFormatError(f"{what} feature rows for stimuli {names}"
+                                  + (" ..." if rows.size > 10 else ""))
     dist = 1.0 - (centered @ centered.T) / np.outer(norms, norms)
     i, j = pairs(len(dist))
     return _clamp((dist[i, j] + dist[j, i]) / 2.0)  # exactly symmetric
@@ -49,7 +51,8 @@ def _correlation_distance(matrix: np.ndarray, ids) -> np.ndarray:
 
 def rdm_from_features(matrix, ids=None) -> np.ndarray:
     """Correlation-distance RDM vector from a [num_stimuli, feature_dim]
-    matrix. Rows with zero variance are an error naming their `ids`."""
+    matrix. Rows with zero variance or a non-finite norm are an error naming
+    their `ids`."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ConfigurationError(

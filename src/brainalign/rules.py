@@ -93,8 +93,9 @@ class RuleParams:
             raise ConfigurationError(f"stdp_t must be in [1, 32767], got {self.stdp_t}")
         for name in ("lr", "pc_alpha", "pc_eta_w", "stdp_tau_plus_ms", "stdp_tau_minus_ms",
                      "stdp_a_plus", "stdp_a_minus", "stdp_lr", "stdp_timestep_ms"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:   # NaN fails too
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,8 @@ def pc_infer_and_learn(state: NetworkState, pc: PcState, batch, labels,
 
     blocks = state.conv_blocks()
     for l in (1, 2):  # eps_3 does not exist: conv3 keeps its weights
-        routed = ops.maxpool2x2_backward(eps[l], cache.blocks[l - 1].pool_idx)
+        c = cache.blocks[l - 1]
+        routed = ops.maxpool2x2_backward(eps[l], c.post_relu, c.out)
         dw = ops.conv2d_weight_grad(routed, reps[l - 1], blocks[l - 1].spec) / B
         blocks[l - 1].w += cfg.pc_eta_w * dw
     for i in range(3):
@@ -374,9 +376,10 @@ def evaluate_accuracy(state: NetworkState, images, labels) -> float:
 
 
 def train(rule: str, params: RuleParams, dataset, seed: int, eval_set=None,
-          metrics_path=None, channels=DEFAULT_CHANNELS, num_classes: int = 10):
+          metrics_path=None, channels=DEFAULT_CHANNELS):
     """Train condition `rule` under `params` (an ExperimentConfig is one) on
-    a LabeledImageSet; returns the final NetworkState.
+    a LabeledImageSet; returns the final NetworkState, whose input channels
+    and class count are the dataset's.
 
     rule="random" returns the He init untouched. Per-epoch loss/accuracy is
     logged and optionally written to a fresh metrics CSV. Raises
@@ -388,7 +391,7 @@ def train(rule: str, params: RuleParams, dataset, seed: int, eval_set=None,
     images, labels = dataset.images, dataset.labels
     if images.shape[0] == 0:
         raise ConfigurationError("training dataset is empty")
-    state = init_he_normal(seed, channels=channels, num_classes=num_classes,
+    state = init_he_normal(seed, channels=channels, num_classes=dataset.num_classes,
                            in_channels=images.shape[1])
     if rule == "random":
         log.info("rule=random: returning untrained He init (seed %d)", seed)

@@ -94,7 +94,7 @@ def _check_vector_pair(x, y):
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise ConfigurationError(
-                f"{name} vector has a non-finite value at index {bad[0]}: {v[bad[0]]!r}")
+                f"{name} vector has a non-finite value at index {bad[0]}: {float(v[bad[0]])}")
     return x, y
 
 

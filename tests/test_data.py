@@ -385,7 +385,8 @@ class TestSynth:
     @pytest.mark.parametrize("field, value", [
         ("num_train", 0), ("num_test", -1), ("num_classes", 0), ("num_classes", 11),
         ("num_stimuli", 2), ("stimulus_size", 0), ("noise_amplitude", -0.1), ("subjects", ()),
-        ("subjects", ("sub-01", "sub-01")),
+        ("subjects", ("sub-01", "sub-01")), ("noise_amplitude", float("nan")),
+        ("noise_amplitude", float("inf")),
     ])
     def test_spec_rejects_values_its_files_cannot_hold(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

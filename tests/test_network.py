@@ -119,10 +119,10 @@ class TestForward:
         _, taps = forward(state, batch, mode="eval")
         x = batch
         for name, block, c in zip(CONV_TAPS, state.conv_blocks(), cache.blocks):
-            assert all(f is None for f in (c.x, c.bn_cache, c.post_relu, c.pool_idx))
+            assert all(f is None for f in (c.x, c.bn_cache, c.post_relu))
             z = ops.conv2d_forward(x, block.w, block.b, block.spec)
             act, _ = ops.batchnorm_forward(z, block.gamma, block.beta, block.stats, "eval")
-            x, _ = ops.maxpool2x2_forward(ops.relu_forward(act))
+            x = ops.maxpool2x2_forward(ops.relu_forward(act))
             assert np.array_equal(c.out, x)
             assert np.array_equal(taps[name], x)
 

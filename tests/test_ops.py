@@ -204,41 +204,42 @@ class TestConvOracle:
 class TestMaxPool:
     def test_unique_max_routes_gradient(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out, idx = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         assert out[0, 0, 0, 0] == 4.0
-        g = ops.maxpool2x2_backward(np.full((1, 1, 1, 1), 7.0), idx)
+        g = ops.maxpool2x2_backward(np.full((1, 1, 1, 1), 7.0), x, out)
         assert g[0, 0, 1, 1] == 7.0
         assert np.sum(g != 0) == 1
 
     def test_tie_break_first_in_scan_order(self):
-        out, idx = ops.maxpool2x2_forward(np.full((1, 1, 4, 4), 3.3))
-        assert np.all(idx.argmax == 0)
-        g = ops.maxpool2x2_backward(np.ones((1, 1, 2, 2)), idx)
+        x = np.full((1, 1, 4, 4), 3.3)
+        out = ops.maxpool2x2_forward(x)
+        assert np.all(ops._pool_argmax(x, out) == 0)
+        g = ops.maxpool2x2_backward(np.ones((1, 1, 2, 2)), x, out)
         # gradient lands on the top-left corner of every window
         assert np.array_equal(g[0, 0], np.array([[1, 0, 1, 0], [0, 0, 0, 0],
                                                  [1, 0, 1, 0], [0, 0, 0, 0]], dtype=float))
 
     def test_gradient_sum_conserved_exactly(self, rng):
         x = rng.normal(size=(3, 4, 8, 6))
-        out, idx = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         g_out = rng.normal(size=out.shape)
-        g_in = ops.maxpool2x2_backward(g_out, idx)
+        g_in = ops.maxpool2x2_backward(g_out, x, out)
         assert np.sum(g_in) == np.sum(g_out)
 
     def test_odd_dims_truncated(self, rng):
         x = rng.normal(size=(1, 2, 5, 7))
-        out, idx = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         assert out.shape == (1, 2, 2, 3)
-        g = ops.maxpool2x2_backward(np.ones_like(out), idx)
+        g = ops.maxpool2x2_backward(np.ones_like(out), x, out)
         assert g.shape == x.shape
         assert not g[:, :, 4, :].any() and not g[:, :, :, 6].any()
 
     def test_finite_differences_no_ties(self, rng):
         x = rng.permutation(2 * 3 * 6 * 6).reshape(2, 3, 6, 6).astype(float)
-        out, idx = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         proj = rng.normal(size=out.shape)
-        g = ops.maxpool2x2_backward(proj, idx)
-        num = numeric_grad(lambda v: float(np.sum(ops.maxpool2x2_forward(v)[0] * proj)), x)
+        g = ops.maxpool2x2_backward(proj, x, out)
+        num = numeric_grad(lambda v: float(np.sum(ops.maxpool2x2_forward(v) * proj)), x)
         assert relerr(g, num) < 1e-4
 
     @pytest.mark.parametrize("kind", ["integer_ties", "relu_zeros"])
@@ -248,9 +249,9 @@ class TestMaxPool:
             x = rng.integers(0, 3, shape).astype(float)
         else:
             x = np.maximum(rng.normal(size=shape), 0.0)
-        out, idx = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         g_out = rng.normal(size=out.shape)
-        g_in = ops.maxpool2x2_backward(g_out, idx)
+        g_in = ops.maxpool2x2_backward(g_out, x, out)
         want_out, want_idx = np.zeros(out.shape), np.zeros(out.shape, dtype=int)
         want_g = np.zeros(shape)
         for b, c, i, j in np.ndindex(out.shape):
@@ -259,7 +260,7 @@ class TestMaxPool:
             want_out[b, c, i, j], want_idx[b, c, i, j] = window[k], k
             want_g[b, c, 2 * i + k // 2, 2 * j + k % 2] = g_out[b, c, i, j]
         assert np.array_equal(out, want_out)
-        assert np.array_equal(idx.argmax, want_idx)
+        assert np.array_equal(ops._pool_argmax(x, out), want_idx)
         assert np.array_equal(g_in, want_g)
 
     # below one block, runs of channels, and one plane per block
@@ -268,16 +269,16 @@ class TestMaxPool:
         x = rng.normal(size=shape)
         c0, c1, c2, c3 = (x[:, :, i : shape[2] - 1 : 2, j : shape[3] - 1 : 2]
                           for i in (0, 1) for j in (0, 1))
-        out, _ = ops.maxpool2x2_forward(x)
+        out = ops.maxpool2x2_forward(x)
         assert np.array_equal(out, np.maximum(np.maximum(np.maximum(c0, c1), c2), c3))
 
-    def test_indices_keep_input_and_output_uncopied(self, rng):
-        # the argmax is derived from them in the backward, so neither may be
-        # written in between
-        x = rng.normal(size=(2, 3, 5, 4))
-        out, idx = ops.maxpool2x2_forward(x)
-        assert idx.x is x and idx.out is out
-        assert idx.in_shape == x.shape
+    @pytest.mark.parametrize("grad_shape, out_shape", [
+        ((1, 2, 2, 3), (1, 2, 2, 2)), ((1, 2, 2, 2), (1, 2, 2, 3)), ((1, 2, 3, 3), (1, 2, 3, 3))])
+    def test_backward_shape_mismatch_rejected(self, grad_shape, out_shape):
+        # grad_out, out and the pooled shape of x [1,2,5,7] must all agree
+        with pytest.raises(ConfigurationError, match="pooled shape"):
+            ops.maxpool2x2_backward(np.ones(grad_shape), np.ones((1, 2, 5, 7)),
+                                    np.ones(out_shape))
 
     def test_argmax_int8_nan_and_neg_inf_windows(self):
         nan, inf = np.nan, np.inf
@@ -285,9 +286,10 @@ class TestMaxPool:
                    [-inf] * 4, [-inf, 2, -inf, 2]]
         # window k, corners in row-major order, at columns 2k, 2k+1
         x = np.array(windows).reshape(-1, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, -1)
-        out, idx = ops.maxpool2x2_forward(x)
-        assert idx.argmax.dtype == np.int8
-        assert idx.argmax.ravel().tolist() == [3, 3, 3, 3, 0, 1]
+        out = ops.maxpool2x2_forward(x)
+        argmax = ops._pool_argmax(x, out)
+        assert argmax.dtype == np.int8
+        assert argmax.ravel().tolist() == [3, 3, 3, 3, 0, 1]
         assert np.array_equal(out.ravel(), [nan, nan, nan, nan, -inf, 2], equal_nan=True)
 
 
@@ -451,8 +453,8 @@ def test_forward_leaves_input_unchanged_and_unshared(rng, op):
         results = [ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4),
                                       ConvSpec(3, 4, 3, padding=1))]
     elif op == "pool":
-        out, idx = ops.maxpool2x2_forward(x)
-        results = [out, idx.argmax]
+        out = ops.maxpool2x2_forward(x)
+        results = [out, ops._pool_argmax(x, out)]
     else:
         out, cache = ops.batchnorm_forward(x, np.ones(3), np.zeros(3), RunningStats.fresh(3),
                                            op.removeprefix("bn_"))

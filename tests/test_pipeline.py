@@ -81,7 +81,10 @@ class TestConfig:
         ("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("pc_t_inf", 0),
         ("channels", (4, 6)), ("channels", (4, 0, 8)), ("resolution", 0), ("resolution", 64),
         ("stdp_t", 0), ("pc_alpha", 0.0), ("stdp_lr", -1.0), ("seeds", (0, 1, 0)),
-        ("rules", ()),
+        ("rules", ()), ("lr", float("nan")), ("lr", float("inf")), ("pc_alpha", float("nan")),
+        ("stdp_timestep_ms", float("inf")),
+        # a ROI mapped twice: to_text would keep only the last mapping
+        ("roi_map", (("V1", "conv1"), ("V1", "conv3"))),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -265,6 +268,28 @@ class TestRunExperiment:
             assert bp["per_seed"] == [None, rho1]
             assert bp["rho"] == rho1 and bp["seed_std"] == 0.0
             assert n_seeds[("bp", roi)] == "1" and n_seeds[("random", roi)] == "2"
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_features_flag_the_cell(self, tmp_path, monkeypatch):
+        # features that overflowed to inf at seed 1 fail those cells, not the run
+        cfg = tiny_config(tmp_path, rules=("random", "bp"), seeds=(0, 1))
+        import brainalign.pipeline as pl
+
+        real_extract = pl.extract_all_taps
+
+        def overflowing_extract(state, stimuli):
+            feats = real_extract(state, stimuli)
+            if state.rng_seed == 1:
+                feats["conv1"][0] = np.inf
+            return feats
+
+        monkeypatch.setattr(pl, "extract_all_taps", overflowing_extract)
+        report = run_experiment(cfg)
+        first = load_stimulus_dir(cfg.stimuli_dir, resolution=32).ids[0]
+        error = f"DataFormatError: non-finite feature rows for stimuli ['{first}']"
+        assert report["failures"] == [{"rule": r, "seed": 1, "error": error}
+                                      for r in ("random", "bp")]
+        assert report["conditions"] == ["random", "bp"]
 
     def test_every_table_is_a_view_of_report_json(self, tmp_path):
         # ROIs mapped out of the brain files' filename order (IT LOC V1 V2), LOC unmapped

@@ -56,6 +56,15 @@ class TestRdmFromFeatures:
             rdm_from_features(np.array([[1.0, 1, 1], [1, 2, 3]]), ("flat", "ok"))
         assert "flat" in str(e.value) and "ok" not in str(e.value)
 
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_row_lists_ids(self, bad):
+        # 1e200 is finite, but its sum of squares overflows
+        x = np.array([[1.0, 2, 3], [1, bad, 3], [3, 1, 2]])
+        with pytest.raises(DataFormatError,
+                           match=r"non-finite feature rows for stimuli \['b'\]$"):
+            rdm_from_features(x, ("a", "b", "c"))
+
     def test_needs_two_feature_dims(self):
         with pytest.raises(ConfigurationError):
             rdm_from_features(np.ones((3, 1)))

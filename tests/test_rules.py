@@ -59,7 +59,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         {"lr": 0.0}, {"pc_alpha": -1.0}, {"pc_t_inf": 0}, {"stdp_t": 0},
-        {"stdp_a_plus": 0.0}, {"batch_size": 0},
+        {"stdp_a_plus": 0.0}, {"batch_size": 0}, {"lr": np.nan}, {"pc_alpha": np.inf},
+        {"stdp_timestep_ms": np.inf},
     ])
     def test_bad_values(self, kw):
         with pytest.raises(ConfigurationError):
@@ -167,7 +168,7 @@ class TestFa:
         xb, yb = small_batch(rng)
         cache = forward_cached(copy.deepcopy(state), xb, "train")
         loss, grad_logits = ops.softmax_xent(cache.logits, yb)
-        delta = (grad_logits @ fb["fc2.w"].T) * (cache.fc1_pre > 0)
+        delta = (grad_logits @ fb["fc2.w"].T) * (cache.fc1_act > 0)
         expected_gw1 = cache.gap.T @ delta
         w_before = state.fc1.w.copy()
         fa_step(state, fb, xb, yb, lr=1.0)
@@ -398,8 +399,7 @@ def blob_set(seed=0, n=120, classes=4):
 class TestTrain:
     def test_random_rule_equals_he_init(self):
         ds = blob_set()
-        state = train("random", RuleParams(epochs=3), ds, seed=9,
-                      channels=SMALL, num_classes=4)
+        state = train("random", RuleParams(epochs=3), ds, seed=9, channels=SMALL)
         init = init_he_normal(9, channels=SMALL, num_classes=4)
         for (k, a), (_, b) in zip(state.parameter_arrays().items(),
                                   init.parameter_arrays().items()):
@@ -408,15 +408,15 @@ class TestTrain:
     def test_bp_learns_separable_set(self):
         ds = blob_set(n=160, classes=2)
         params = RuleParams(epochs=6, batch_size=32, lr=0.02)
-        state = train("bp", params, ds, seed=0, channels=SMALL, num_classes=2)
+        state = train("bp", params, ds, seed=0, channels=SMALL)
         assert evaluate_accuracy(state, ds.images, ds.labels) > 0.9
 
     @pytest.mark.parametrize("rule", ["bp", "fa", "pc", "stdp"])
     def test_deterministic_per_seed(self, rule):
         ds = blob_set(n=48)
         params = RuleParams(epochs=1, batch_size=16)
-        s1 = train(rule, params, ds, seed=1, channels=SMALL, num_classes=4)
-        s2 = train(rule, params, ds, seed=1, channels=SMALL, num_classes=4)
+        s1 = train(rule, params, ds, seed=1, channels=SMALL)
+        s2 = train(rule, params, ds, seed=1, channels=SMALL)
         for (k, a), (_, b) in zip(s1.parameter_arrays().items(),
                                   s2.parameter_arrays().items()):
             assert np.array_equal(a, b), (rule, k)
@@ -425,7 +425,7 @@ class TestTrain:
         ds = blob_set(n=32)
         path = tmp_path / "metrics.csv"
         train("bp", RuleParams(epochs=2, batch_size=16), ds, seed=0,
-              metrics_path=path, channels=SMALL, num_classes=4)
+              metrics_path=path, channels=SMALL)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,loss,train_acc,test_acc,rule,seed"
         assert len(lines) == 3
@@ -441,7 +441,7 @@ class TestTrain:
         ds = LabeledImageSet(images, np.zeros(32, dtype=np.int64))
         params = RuleParams(epochs=2, batch_size=16)
         with pytest.raises(TrainingDivergedError) as e:
-            train("bp", params, ds, seed=0, channels=SMALL, num_classes=4)
+            train("bp", params, ds, seed=0, channels=SMALL)
         assert e.value.epoch == 0
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -450,7 +450,7 @@ class TestTrain:
         ds = blob_set(n=16)
         params = RuleParams(epochs=1, batch_size=16, pc_alpha=1e40)
         with pytest.raises(TrainingDivergedError) as e:
-            train("pc", params, ds, seed=0, channels=SMALL, num_classes=4)
+            train("pc", params, ds, seed=0, channels=SMALL)
         assert e.value.epoch == 0
 
     def test_empty_dataset_rejected(self):
