@@ -10,7 +10,7 @@ against central finite differences.
 import numpy as np
 
 from brainalign import ops
-from brainalign.ops import ConvSpec, RunningStats
+from brainalign.ops import ConvSpec
 
 rng = np.random.default_rng(0)
 
@@ -58,9 +58,10 @@ g_in = ops.maxpool2x2_backward(np.ones_like(pooled), out, pooled)
 print("pool conserves gradient mass:", np.sum(g_in) == pooled.size)
 
 # Batch norm: train mode normalizes by batch statistics and tracks
-# running estimates for eval mode
-stats = RunningStats.fresh(3)
-normed, cache = ops.batchnorm_forward(out, np.ones(3), np.zeros(3), stats, "train")
+# running estimates, updated in place, for eval mode
+running_mean, running_var = np.zeros(3), np.ones(3)
+normed, cache = ops.batchnorm_forward(out, np.ones(3), np.zeros(3), running_mean, running_var,
+                                      "train")
 print("per-channel mean after BN:", np.abs(normed.mean(axis=(0, 2, 3))).max())
 print("per-channel var after BN: ", normed.var(axis=(0, 2, 3)))
 

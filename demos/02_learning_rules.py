@@ -51,7 +51,7 @@ for _ in range(3):
     bp_step(s_bp, xb, yb, 0.01)
     fa_step(s_fa, feedback_from_transposes(s_fa), xb, yb, 0.01)
 diff = max(np.abs(a - b).max() for a, b in zip(
-    s_bp.parameter_arrays().values(), s_fa.parameter_arrays().values()))
+    s_bp.arrays.values(), s_fa.arrays.values()))
 print("\nFA with B = W vs BP, max parameter difference:", diff)
 
 # The timing kernel: potentiation for post-after-pre, depression otherwise

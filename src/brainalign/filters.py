@@ -67,7 +67,7 @@ def _minmax_grid(filters: np.ndarray) -> np.ndarray:
 def summarize_filters(state, rule: str = "") -> FilterSummary:
     """Score every conv1 filter of a NetworkState and export the first 16
     as a min-max normalized grid for external plotting."""
-    weights = state.conv1.w
+    weights = state.arrays["conv1.w"]
     results = [gabor_peakedness(w) for w in weights]
     scores = np.array([r.score for r in results])
     degenerate = np.array([r.degenerate for r in results])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigurationError, DataFormatError
-from .ops import ConvSpec, RunningStats
+from .ops import ConvSpec
 from .seeding import named_rng
 
 log = logging.getLogger(__name__)
@@ -34,58 +34,35 @@ CHECKPOINT_MAGIC = "PLRSA-CKPT-v1"
 
 
 @dataclass
-class ConvBlock:
-    spec: ConvSpec
-    w: np.ndarray
-    b: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-    stats: RunningStats
-
-
-@dataclass
-class AffineLayer:
-    w: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
 class NetworkState:
-    """All parameters plus BN running statistics of the five-layer net."""
+    """The five-layer net as one name -> array map: per conv block "<tap>.w",
+    ".b", ".gamma", ".beta", ".running_mean" and ".running_var", then
+    "fc1.w", "fc1.b", "fc2.w" and "fc2.b", in that order (the checkpoint's
+    array order and `apply_sgd`'s update order). Every layer's geometry is
+    read from its weights. `bn_batches_seen[i]` counts the train-mode
+    batches conv block i has normalised."""
 
-    conv1: ConvBlock
-    conv2: ConvBlock
-    conv3: ConvBlock
-    fc1: AffineLayer
-    fc2: AffineLayer
+    arrays: dict[str, np.ndarray]
     rng_seed: int
-    in_channels: int = 3
-    num_classes: int = 10
+    bn_batches_seen: list[int]
     _warned_fresh_eval: bool = field(default=False, repr=False, compare=False)
 
     @property
     def channels(self) -> tuple[int, int, int]:
-        return (self.conv1.spec.out_channels, self.conv2.spec.out_channels,
-                self.conv3.spec.out_channels)
+        return tuple(self.arrays[f"{tap}.w"].shape[0] for tap in CONV_TAPS)
 
-    def conv_blocks(self) -> tuple[ConvBlock, ConvBlock, ConvBlock]:
-        return (self.conv1, self.conv2, self.conv3)
+    @property
+    def in_channels(self) -> int:
+        return self.arrays["conv1.w"].shape[1]
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of every parameter and BN running stat."""
-        out: dict[str, np.ndarray] = {}
-        for name, block in zip(CONV_TAPS, self.conv_blocks()):
-            out[f"{name}.w"] = block.w
-            out[f"{name}.b"] = block.b
-            out[f"{name}.gamma"] = block.gamma
-            out[f"{name}.beta"] = block.beta
-            out[f"{name}.running_mean"] = block.stats.mean
-            out[f"{name}.running_var"] = block.stats.var
-        out["fc1.w"] = self.fc1.w
-        out["fc1.b"] = self.fc1.b
-        out["fc2.w"] = self.fc2.w
-        out["fc2.b"] = self.fc2.b
-        return out
+    @property
+    def num_classes(self) -> int:
+        return self.arrays["fc2.w"].shape[1]
+
+    def conv_spec(self, tap: str) -> ConvSpec:
+        """Conv block `tap`'s geometry: stride 1 and padding 1, so its 3x3
+        kernel keeps the map size for the pool to halve."""
+        return ConvSpec.for_weights(self.arrays[f"{tap}.w"], stride=1, padding=1)
 
 
 def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
@@ -95,32 +72,27 @@ def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
     Deterministic per seed: the same seed always yields a bitwise-identical
     state.
     """
-    if len(channels) != 3:
-        raise ConfigurationError(f"exactly three conv widths expected, got {channels}")
+    if len(channels) != 3 or min(in_channels, *channels) < 1:
+        raise ConfigurationError(f"three conv widths >= 1 on >= 1 input channels expected, "
+                                 f"got {channels} on {in_channels}")
     rng = named_rng(seed, "init")
-    blocks = []
+    arrays = {}
     c_in = in_channels
-    for c_out in channels:
-        spec = ConvSpec(c_in, c_out, kernel_size=3, stride=1, padding=1)
-        fan_in = c_in * spec.kernel_size ** 2
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.weight_shape)
-        blocks.append(ConvBlock(
-            spec=spec, w=w, b=np.zeros(c_out),
-            gamma=np.ones(c_out), beta=np.zeros(c_out),
-            stats=RunningStats.fresh(c_out),
-        ))
+    for tap, c_out in zip(CONV_TAPS, channels):
+        shape = (c_out, c_in, 3, 3)
+        arrays[f"{tap}.w"] = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
+        arrays[f"{tap}.b"] = np.zeros(c_out)
+        arrays[f"{tap}.gamma"] = np.ones(c_out)
+        arrays[f"{tap}.beta"] = np.zeros(c_out)
+        arrays[f"{tap}.running_mean"] = np.zeros(c_out)
+        arrays[f"{tap}.running_var"] = np.ones(c_out)
         c_in = c_out
-    fc1 = AffineLayer(
-        w=rng.normal(0.0, np.sqrt(2.0 / channels[-1]), size=(channels[-1], FC1_WIDTH)),
-        b=np.zeros(FC1_WIDTH),
-    )
-    fc2 = AffineLayer(
-        w=rng.normal(0.0, np.sqrt(2.0 / FC1_WIDTH), size=(FC1_WIDTH, num_classes)),
-        b=np.zeros(num_classes),
-    )
-    return NetworkState(blocks[0], blocks[1], blocks[2], fc1, fc2,
-                        rng_seed=int(seed), in_channels=in_channels,
-                        num_classes=num_classes)
+    arrays["fc1.w"] = rng.normal(0.0, np.sqrt(2.0 / channels[-1]),
+                                 size=(channels[-1], FC1_WIDTH))
+    arrays["fc1.b"] = np.zeros(FC1_WIDTH)
+    arrays["fc2.w"] = rng.normal(0.0, np.sqrt(2.0 / FC1_WIDTH), size=(FC1_WIDTH, num_classes))
+    arrays["fc2.b"] = np.zeros(num_classes)
+    return NetworkState(arrays, int(seed), [0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +131,20 @@ def _check_batch(state: NetworkState, batch):
         )
 
 
-def _block_forward(block: ConvBlock, x, mode: str) -> BlockCache:
-    """conv -> BN -> ReLU -> pool, keeping one full-size map: the BN
-    output is rectified in place. Train mode's BN output is a fresh array;
-    eval mode's BN overwrites the conv output, and its record keeps only
-    the pooled output, so the full-size map is freed when this returns."""
-    z = ops.conv2d_forward(x, block.w, block.b, block.spec)
-    act, bn_cache = ops.batchnorm_forward(z, block.gamma, block.beta, block.stats, mode,
-                                          out=z if mode == "eval" else None)
+def _block_forward(state: NetworkState, i: int, x, mode: str) -> BlockCache:
+    """Conv block i: conv -> BN -> ReLU -> pool, keeping one full-size map:
+    the BN output is rectified in place. Train mode's BN output is a fresh
+    array and counts one batch in `bn_batches_seen[i]`; eval mode's BN
+    overwrites the conv output, and its record keeps only the pooled
+    output, so the full-size map is freed when this returns."""
+    tap, a = CONV_TAPS[i], state.arrays
+    z = ops.conv2d_forward(x, a[f"{tap}.w"], a[f"{tap}.b"], state.conv_spec(tap))
+    act, bn_cache = ops.batchnorm_forward(z, a[f"{tap}.gamma"], a[f"{tap}.beta"],
+                                          a[f"{tap}.running_mean"], a[f"{tap}.running_var"],
+                                          mode, out=z if mode == "eval" else None)
     del z
+    if mode == "train":
+        state.bn_batches_seen[i] += 1
     np.maximum(act, 0.0, out=act)
     out = ops.maxpool2x2_forward(act)
     if mode == "eval":
@@ -187,13 +164,13 @@ def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCa
     """
     _check_batch(state, batch)
     if (mode == "eval" and not state._warned_fresh_eval
-            and any(b.stats.batches_seen == 0 for b in state.conv_blocks())):
+            and 0 in state.bn_batches_seen):
         log.warning("batchnorm eval before any train step: using init stats (mean 0, var 1)")
         state._warned_fresh_eval = True
     x = batch
     caches = []
-    for block in state.conv_blocks():
-        c = _block_forward(block, x, mode)
+    for i in range(len(CONV_TAPS)):
+        c = _block_forward(state, i, x, mode)
         caches.append(c)
         x = c.out
     return fc_forward(state, ops.global_avg_pool(x))._replace(blocks=tuple(caches))
@@ -201,8 +178,9 @@ def forward_cached(state: NetworkState, batch, mode: str = "train") -> ForwardCa
 
 def fc_forward(state: NetworkState, gap) -> ForwardCache:
     """FC1 -> ReLU -> FC2 on [B, C3] features; the cache has no conv blocks."""
-    fc1_act = ops.relu_forward(ops.affine_forward(gap, state.fc1.w, state.fc1.b))
-    logits = ops.affine_forward(fc1_act, state.fc2.w, state.fc2.b)
+    a = state.arrays
+    fc1_act = ops.relu_forward(ops.affine_forward(gap, a["fc1.w"], a["fc1.b"]))
+    logits = ops.affine_forward(fc1_act, a["fc2.w"], a["fc2.b"])
     return ForwardCache(blocks=(), gap=gap, fc1_act=fc1_act, logits=logits)
 
 
@@ -222,27 +200,27 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
     """Backward pass from a logits gradient down to every parameter.
 
     Returns name -> gradient for every trained parameter, keyed like
-    `parameter_arrays` (the BN running stats have none). The error travels
+    `state.arrays` (the BN running stats have none). The error travels
     between layers through the transport weights: `feedback` (FA's fixed
     random tensors, see rules) when given, else the forward weights, which
     makes this exact backpropagation. Transport is the only difference: BN
     parameter gradients and pool/ReLU routing stay local either way.
     """
-    transport = feedback or state.parameter_arrays()
+    transport = feedback or state.arrays
     delta, grads = fc_backward(cache, grad_logits, transport)
     delta = ops.global_avg_pool_backward(delta, cache.blocks[2].out.shape)
     # Conv blocks, deepest first
     for i in (2, 1, 0):
-        name, block, c = CONV_TAPS[i], state.conv_blocks()[i], cache.blocks[i]
+        name, c = CONV_TAPS[i], cache.blocks[i]
+        spec = state.conv_spec(name)
         # The ReLU mask at pooled resolution: each window's argmax is `out`.
         delta = ops.maxpool2x2_backward(ops.relu_backward(delta, c.out), c.post_relu, c.out)
         delta, grads[f"{name}.gamma"], grads[f"{name}.beta"] = ops.batchnorm_backward(
             delta, c.bn_cache)
-        grads[f"{name}.w"] = ops.conv2d_weight_grad(delta, c.x, block.spec)
+        grads[f"{name}.w"] = ops.conv2d_weight_grad(delta, c.x, spec)
         grads[f"{name}.b"] = delta.sum(axis=(0, 2, 3))
         if i > 0:
-            delta = ops.conv2d_input_grad(delta, transport[f"{name}.w"], block.spec,
-                                          c.x.shape[2:])
+            delta = ops.conv2d_input_grad(delta, transport[f"{name}.w"], spec, c.x.shape[2:])
     return grads
 
 
@@ -266,11 +244,11 @@ def fc_backward(cache: ForwardCache, grad_logits, transport):
 def apply_sgd(state: NetworkState, grads: dict[str, np.ndarray], lr: float) -> None:
     """One plain SGD step, in place, on every parameter `grads` names.
 
-    Updates run in `parameter_arrays` order, not in `backward`'s fc2-first
+    Updates run in `state.arrays` order, not in `backward`'s fc2-first
     order: the order in which the `lr * g` temporaries are freed steers the
     allocator (likely glibc's dynamic mmap threshold), and fc2-first raised
     the peak RSS of a later 224 px extraction by 4.7 MiB."""
-    for name, p in state.parameter_arrays().items():
+    for name, p in state.arrays.items():
         if name in grads:
             p -= lr * grads[name]
 
@@ -317,14 +295,14 @@ def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
     The file is written to `<path>.tmp` and renamed onto `path`, so a save
     that fails leaves any checkpoint already at `path` as it was.
     """
-    arrays = state.parameter_arrays()
+    arrays = state.arrays
     manifest = {
         "rule": rule,
         "seed": state.rng_seed,
         "in_channels": state.in_channels,
         "channels": list(state.channels),
         "num_classes": state.num_classes,
-        "bn_batches_seen": [b.stats.batches_seen for b in state.conv_blocks()],
+        "bn_batches_seen": list(state.bn_batches_seen),
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     tmp = os.fspath(path) + ".tmp"
@@ -343,8 +321,8 @@ def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (NetworkState, rule tag). The manifest must
-    list exactly the network's arrays, each with its exact shape, and the
-    file must end after the last array."""
+    list exactly the network's arrays, each with its exact shape, every
+    array must be finite, and the file must end after the last array."""
     with open(path, "rb") as f:
         magic = f.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
@@ -361,12 +339,11 @@ def load_checkpoint(path):
                     or any(type(n) is not int or n < 0 for n in seen)):
                 raise DataFormatError(
                     f"{path}: bn_batches_seen must be 3 integers >= 0, got {seen!r}")
-            for block, n in zip(state.conv_blocks(), seen):
-                block.stats.batches_seen = n
+            state.bn_batches_seen = seen
             rule = manifest["rule"]
         except (ValueError, KeyError, TypeError, ConfigurationError) as e:
             raise DataFormatError(f"{path}: bad checkpoint manifest ({e!r})") from None
-        arrays = state.parameter_arrays()
+        arrays = state.arrays
         expected = [(name, a.shape) for name, a in arrays.items()]
         if sorted(entries) != sorted(expected):
             raise DataFormatError(f"{path}: checkpoint arrays differ from the network's in "
@@ -376,6 +353,8 @@ def load_checkpoint(path):
             if len(buf) != 8 * arrays[name].size:
                 raise DataFormatError(f"{path}: truncated checkpoint at array {name!r}")
             arrays[name][...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise DataFormatError(f"{path}: non-finite value in checkpoint array {name!r}")
         if f.read(1):
             raise DataFormatError(f"{path}: trailing bytes after the last checkpoint array")
     return state, rule

@@ -79,6 +79,12 @@ class ConvSpec:
             )
         return out
 
+    @classmethod
+    def for_weights(cls, w, stride: int = 1, padding: int = 0) -> "ConvSpec":
+        """The spec whose weight shape is `w`'s [O,C,k,k]."""
+        out_channels, in_channels, kernel_size, _ = w.shape
+        return cls(in_channels, out_channels, kernel_size, stride, padding)
+
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.out_channels, self.in_channels, self.kernel_size, self.kernel_size)
@@ -258,33 +264,20 @@ def maxpool2x2_backward(grad_out, x, out):
 # Batch normalisation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance, mutated by train-mode forwards."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    batches_seen: int = 0
-
-    @classmethod
-    def fresh(cls, channels: int) -> "RunningStats":
-        return cls(mean=np.zeros(channels), var=np.ones(channels), batches_seen=0)
-
-
 class BnCache(NamedTuple):
     xhat: np.ndarray
     inv_std: np.ndarray   # [C]
     gamma: np.ndarray
 
 
-def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str, out=None):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str, out=None):
     """Per-channel batch norm over a [B,C,H,W] tensor, with BN_EPS added to
     the variance.
 
-    Train mode normalises by batch statistics and updates `stats` in place
-    (momentum BN_MOMENTUM, unbiased variance for the running estimate,
-    matching the common framework default). Eval mode normalises by the
-    running stats.
+    Train mode normalises by batch statistics and updates `running_mean`
+    and `running_var` in place (momentum BN_MOMENTUM, unbiased variance for
+    the running estimate, matching the common framework default). Eval mode
+    normalises by the running stats.
 
     `out` follows numpy's convention, in eval mode only: the result is
     written into it, and it may be `x` itself. Without `out` the input is
@@ -315,20 +308,19 @@ def batchnorm_forward(x, gamma, beta, stats: RunningStats, mode: str, out=None):
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std.reshape(1, C, 1, 1)
         var_unbiased = var * (n / (n - 1)) if n > 1 else var
-        stats.mean += BN_MOMENTUM * (mu - stats.mean)
-        stats.var += BN_MOMENTUM * (var_unbiased - stats.var)
-        stats.batches_seen += 1
+        running_mean += BN_MOMENTUM * (mu - running_mean)
+        running_var += BN_MOMENTUM * (var_unbiased - running_var)
         # `out` reuses the squares' buffer; it must never alias the cached
         # xhat, because callers rectify it in place before the backward.
         np.multiply(xhat, gamma.reshape(1, C, 1, 1), out=out)
         out += beta.reshape(1, C, 1, 1)
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         if out is None:
             out = np.empty(x.shape)
         mean, inv_std, gamma, beta = (a.reshape(1, C, 1, 1)
-                                      for a in (stats.mean, inv_std, gamma, beta))
+                                      for a in (running_mean, inv_std, gamma, beta))
         for images, channels in _map_blocks(x.shape):
             o = out[images, channels]
             np.subtract(x[images, channels], mean[:, channels], out=o)

@@ -366,7 +366,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
                               channels=config.channels)
                 ckpt = out / "checkpoints" / f"{cell}.ckpt"
                 save_checkpoint(state, ckpt, rule=rule)
-                states_path.setdefault(rule, ckpt)
                 if test_set is not None:
                     report["accuracy"].setdefault(rule, {})[str(seed)] = evaluate_accuracy(
                         state, test_set.images, test_set.labels)
@@ -376,6 +375,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 for tap, vec in vecs.items():
                     write_rdm_csv(vec, stimuli.ids, out / "rdms" / f"{cell}_{tap}.csv")
                 cell_vecs[rule][seed] = vecs
+                states_path.setdefault(rule, ckpt)
             except Exception as e:  # flagged, not fatal: the run continues
                 log.exception("cell %s failed", cell)
                 report["failures"].append(
@@ -449,7 +449,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for rule in conditions:
         report["best_layer"][rule] = best_layer_sweep(mean_vecs[rule], mean_brain)
 
-    # Conv1 filter summaries (first available seed's checkpoint per rule)
+    # Conv1 filter summaries (the checkpoint of the first seed whose cell succeeded)
     for rule in conditions:
         state, _ = load_checkpoint(states_path[rule])
         summary = summarize_filters(state, rule=rule)

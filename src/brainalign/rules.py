@@ -44,6 +44,7 @@ from . import ops
 from .data import write_csv
 from .errors import ConfigurationError, TrainingDivergedError
 from .network import (
+    CONV_TAPS,
     DEFAULT_CHANNELS,
     NetworkState,
     apply_sgd,
@@ -120,7 +121,7 @@ def make_feedback_weights(state: NetworkState, seed: int) -> dict[str, np.ndarra
     memory layout the transport GEMM's rounding."""
     rng = named_rng(seed, "feedback")
     feedback = {}
-    for name, w in state.parameter_arrays().items():
+    for name, w in state.arrays.items():
         if w.ndim == 4:  # conv kernel [out, in, k, k]
             feedback[name] = rng.normal(0.0, np.sqrt(2.0 / np.prod(w.shape[1:])), size=w.shape)
         elif name.endswith(".w"):  # FC [in, out]
@@ -132,13 +133,12 @@ def feedback_from_transposes(state: NetworkState) -> dict[str, np.ndarray]:
     """Feedback tensors equal to (copies of) the forward weights, under
     which the FA backward is BP, bit for bit: `backward` transports the
     error through the forward weights when it is given no feedback."""
-    return {name: a.copy() for name, a in state.parameter_arrays().items()
-            if name.endswith(".w")}
+    return {name: a.copy() for name, a in state.arrays.items() if name.endswith(".w")}
 
 
 def fa_step(state: NetworkState, feedback: dict[str, np.ndarray], batch, labels, lr: float):
     """One feedback-alignment step: BP's update rule with B-transported deltas."""
-    expected = {n: a.shape for n, a in state.parameter_arrays().items() if n.endswith(".w")}
+    expected = {n: a.shape for n, a in state.arrays.items() if n.endswith(".w")}
     got = {n: b.shape for n, b in feedback.items()}
     if got != expected:
         raise ConfigurationError(
@@ -154,38 +154,31 @@ def fa_step(state: NetworkState, feedback: dict[str, np.ndarray], batch, labels,
 # Predictive coding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PcState:
-    """Prediction weights of the generative (top-down) pathway.
-
-    p[i] predicts level i from level i+1 through a stride-2 transposed
-    convolution; specs[i] is the matching forward-direction geometry
-    (level i grid -> level i+1 grid).
-    """
-
-    p: list
-    specs: list
-
-
-def init_pc_state(state: NetworkState, seed: int) -> PcState:
+def init_pc_state(state: NetworkState, seed: int) -> list[np.ndarray]:
+    """Prediction weights of the generative (top-down) pathway: pc[i]
+    [C_{i+1}, C_i, 2, 2] predicts level i from level i+1 through the
+    transposed convolution of its _pc_spec."""
     rng = named_rng(seed, "pc_init")
     dims = (state.in_channels,) + state.channels
-    p, specs = [], []
-    for i in range(3):
-        spec = ConvSpec(in_channels=dims[i], out_channels=dims[i + 1],
-                        kernel_size=2, stride=2, padding=0)
-        fan_in = dims[i + 1] * spec.kernel_size ** 2
-        p.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=spec.weight_shape))
-        specs.append(spec)
-    return PcState(p=p, specs=specs)
+    pc = []
+    for c_in, c_out in zip(dims, dims[1:]):
+        shape = (c_out, c_in, 2, 2)
+        pc.append(rng.normal(0.0, np.sqrt(2.0 / (c_out * 2 * 2)), size=shape))
+    return pc
 
 
-def pc_errors(pc: PcState, reps):
+def _pc_spec(p) -> ConvSpec:
+    """The forward-direction geometry of prediction weights `p` (level i
+    grid -> level i+1 grid): stride 2, no padding."""
+    return ConvSpec.for_weights(p, stride=2)
+
+
+def pc_errors(pc, reps):
     """Top-down predictions and errors eps_l = r_l - r_hat_l for every
     predicted level (all but the top)."""
     eps = []
-    for i in range(len(pc.p)):
-        r_hat = ops.conv2d_input_grad(reps[i + 1], pc.p[i], pc.specs[i], reps[i].shape[2:])
+    for i, p in enumerate(pc):
+        r_hat = ops.conv2d_input_grad(reps[i + 1], p, _pc_spec(p), reps[i].shape[2:])
         eps.append(reps[i] - r_hat)
     return eps
 
@@ -194,25 +187,25 @@ def pc_energy(eps) -> float:
     return float(sum(np.sum(e * e) for e in eps))
 
 
-def pc_representation_grads(pc: PcState, eps):
+def pc_representation_grads(pc, eps):
     """dF/dr_l for the free levels l = 1..L, with F = sum_l ||eps_l||^2.
 
     Level l feels its own error (2*eps_l, absent at the top) minus the
     back-projected error of the level it predicts (the adjoint of the
     transposed convolution is the forward convolution).
     """
-    top = len(pc.p)
+    top = len(pc)
     grads = []
     for l in range(1, top + 1):
-        zero_bias = np.zeros(pc.specs[l - 1].out_channels)
-        g = -2.0 * ops.conv2d_forward(eps[l - 1], pc.p[l - 1], zero_bias, pc.specs[l - 1])
+        p = pc[l - 1]
+        g = -2.0 * ops.conv2d_forward(eps[l - 1], p, np.zeros(p.shape[0]), _pc_spec(p))
         if l < top:
             g = g + 2.0 * eps[l]
         grads.append(g)
     return grads
 
 
-def pc_inference(pc: PcState, reps, t_inf: int, alpha: float):
+def pc_inference(pc, reps, t_inf: int, alpha: float):
     """Run t_inf gradient-descent steps on F over r_1..r_3 (input clamped).
 
     Returns (settled representations, final errors, energy trace). The
@@ -234,8 +227,7 @@ def pc_inference(pc: PcState, reps, t_inf: int, alpha: float):
     return reps, eps, energies
 
 
-def pc_infer_and_learn(state: NetworkState, pc: PcState, batch, labels,
-                       cfg: RuleParams):
+def pc_infer_and_learn(state: NetworkState, pc, batch, labels, cfg: RuleParams):
     """One predictive-coding pass over a batch. Mutates state and pc.
 
     (a) feedforward pass initialises the representations (train-mode BN,
@@ -254,15 +246,14 @@ def pc_infer_and_learn(state: NetworkState, pc: PcState, batch, labels,
     reps, eps, energies = pc_inference(pc, reps0, cfg.pc_t_inf, cfg.pc_alpha)
     B = batch.shape[0]
 
-    blocks = state.conv_blocks()
     for l in (1, 2):  # eps_3 does not exist: conv3 keeps its weights
-        c = cache.blocks[l - 1]
+        tap, c = CONV_TAPS[l - 1], cache.blocks[l - 1]
         routed = ops.maxpool2x2_backward(eps[l], c.post_relu, c.out)
-        dw = ops.conv2d_weight_grad(routed, reps[l - 1], blocks[l - 1].spec) / B
-        blocks[l - 1].w += cfg.pc_eta_w * dw
-    for i in range(3):
-        dp = ops.conv2d_weight_grad(reps[i + 1], eps[i], pc.specs[i]) / B
-        pc.p[i] += cfg.pc_eta_w * dp
+        dw = ops.conv2d_weight_grad(routed, reps[l - 1], state.conv_spec(tap)) / B
+        state.arrays[f"{tap}.w"] += cfg.pc_eta_w * dw
+    for i, p in enumerate(pc):
+        dp = ops.conv2d_weight_grad(reps[i + 1], eps[i], _pc_spec(p)) / B
+        p += cfg.pc_eta_w * dp
 
     feats = ops.global_avg_pool(reps[3])
     loss, logits = _readout_step(state, feats, labels, cfg.lr)
@@ -342,12 +333,13 @@ def stdp_step(state: NetworkState, batch, labels, cfg: RuleParams, spike_rng):
     kernel, then a BP readout step on the cached features. Mutates state."""
     cache = forward_cached(state, batch, mode="train")
     pre_maps = [batch, cache.blocks[0].out, cache.blocks[1].out]
-    for block, c, pre in zip(state.conv_blocks(), cache.blocks, pre_maps):
+    for tap, c, pre in zip(CONV_TAPS, cache.blocks, pre_maps):
         p_pre = pre / max(float(pre.max()), 1e-8)
         p_post = c.post_relu / max(float(c.post_relu.max()), 1e-8)
         t_pre = first_spike_times(p_pre, cfg.stdp_t, spike_rng)
         t_post = first_spike_times(p_post, cfg.stdp_t, spike_rng)
-        block.w += cfg.stdp_lr * stdp_conv_delta(t_pre, t_post, block.spec, cfg)
+        state.arrays[f"{tap}.w"] += cfg.stdp_lr * stdp_conv_delta(
+            t_pre, t_post, state.conv_spec(tap), cfg)
     loss, logits = _readout_step(state, cache.gap, labels, cfg.lr)
     return loss, logits
 
@@ -360,7 +352,7 @@ def _readout_step(state: NetworkState, feats, labels, lr: float):
     """BP/SGD step on FC1+FC2 only, from fixed [B, C3] features."""
     cache = fc_forward(state, feats)
     loss, grad_logits = ops.softmax_xent(cache.logits, labels)
-    _, grads = fc_backward(cache, grad_logits, state.parameter_arrays())
+    _, grads = fc_backward(cache, grad_logits, state.arrays)
     apply_sgd(state, grads, lr)  # FC gradients only: the conv blocks stay as they are
     return loss, cache.logits
 

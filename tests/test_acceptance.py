@@ -25,7 +25,7 @@ from brainalign.data import (
     write_synth_dataset,
 )
 from brainalign.network import forward_cached, init_he_normal
-from brainalign.ops import ConvSpec, RunningStats
+from brainalign.ops import ConvSpec
 from brainalign.pipeline import ExperimentConfig, run_experiment
 from brainalign.rdm import pairs, rdm_from_features
 from brainalign.rules import (
@@ -96,10 +96,10 @@ def test_criterion_01_gradient_correctness():
         proj = rng.normal(size=x.shape)
 
         def f(v, g=gamma, b=beta):
-            o, _ = ops.batchnorm_forward(v, g, b, RunningStats.fresh(c), "train")
+            o, _ = ops.batchnorm_forward(v, g, b, np.zeros(c), np.ones(c), "train")
             return float(np.sum(o * proj))
 
-        _, cache = ops.batchnorm_forward(x, gamma, beta, RunningStats.fresh(c), "train")
+        _, cache = ops.batchnorm_forward(x, gamma, beta, np.zeros(c), np.ones(c), "train")
         gx, gg, gb = ops.batchnorm_backward(proj, cache)
         worst = max(worst, relerr(gx, numeric_grad(f, x)))
         worst = max(worst, relerr(gg, numeric_grad(lambda v: f(x, g=v), gamma)))
@@ -147,7 +147,7 @@ def test_criterion_01_gradient_correctness():
         cache = forward_cached(st, batch, "train")
         _, grad_logits = ops.softmax_xent(cache.logits, labels)
         grads = network.backward(st, cache, grad_logits)
-        params = st.parameter_arrays()
+        params = st.arrays
         for name in ("conv1.w", "conv2.gamma", "conv3.b", "fc1.w", "fc2.w"):
             tensor, analytic = params[name], grads[name]
             sel = tuple(rng.integers(0, s, 4) for s in tensor.shape)
@@ -194,7 +194,7 @@ def test_criterion_02_fa_bp_reduction():
         bp_step(s_bp, xb, yb, 0.01)
         fa_step(s_fa, feedback_from_transposes(s_fa), xb, yb, 0.01)
     worst = max(np.abs(a - b).max() for (_, a), (_, b) in
-                zip(s_bp.parameter_arrays().items(), s_fa.parameter_arrays().items()))
+                zip(s_bp.arrays.items(), s_fa.arrays.items()))
     _report(2, "FA->BP reduction", worst < 1e-10, f"max param diff {worst:.2e}")
 
 

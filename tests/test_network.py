@@ -41,7 +41,7 @@ class TestInit:
         # fc1 has fan_in = channels[-1]; with 8 channels std = sqrt(2/8) = 0.5.
         # Pool draws across seeds to pass the 10k-sample mark.
         draws = np.concatenate([
-            init_he_normal(seed, channels=(4, 4, 8)).fc1.w.ravel()
+            init_he_normal(seed, channels=(4, 4, 8)).arrays["fc1.w"].ravel()
             for seed in range(3)
         ])
         assert draws.size > 10000
@@ -50,21 +50,21 @@ class TestInit:
     def test_same_seed_bitwise_identical(self):
         a = init_he_normal(3, channels=SMALL)
         b = init_he_normal(3, channels=SMALL)
-        for (ka, va), (kb, vb) in zip(a.parameter_arrays().items(),
-                                      b.parameter_arrays().items()):
+        for (ka, va), (kb, vb) in zip(a.arrays.items(), b.arrays.items()):
             assert ka == kb and np.array_equal(va, vb)
 
     def test_biases_zero_bn_identity(self, state):
-        for block in state.conv_blocks():
-            assert not block.b.any()
-            assert np.all(block.gamma == 1.0) and not block.beta.any()
-            assert not block.stats.mean.any() and np.all(block.stats.var == 1.0)
-        assert not state.fc1.b.any() and not state.fc2.b.any()
+        a = state.arrays
+        for tap in CONV_TAPS:
+            assert not a[f"{tap}.b"].any()
+            assert np.all(a[f"{tap}.gamma"] == 1.0) and not a[f"{tap}.beta"].any()
+            assert not a[f"{tap}.running_mean"].any() and np.all(a[f"{tap}.running_var"] == 1.0)
+        assert not a["fc1.b"].any() and not a["fc2.b"].any()
 
     def test_different_seeds_differ(self):
         a = init_he_normal(0, channels=SMALL)
         b = init_he_normal(1, channels=SMALL)
-        assert not np.array_equal(a.conv1.w, b.conv1.w)
+        assert not np.array_equal(a.arrays["conv1.w"], b.arrays["conv1.w"])
 
 
 class TestForward:
@@ -109,19 +109,21 @@ class TestForward:
 
     @pytest.mark.parametrize("resolution", [32, 224])
     def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution):
-        for block in state.conv_blocks():
-            c = block.spec.out_channels
-            block.stats.mean[:] = rng.normal(size=c)
-            block.stats.var[:] = rng.uniform(0.5, 2.0, size=c)
-            block.stats.batches_seen = 1
+        a = state.arrays
+        for tap, c in zip(CONV_TAPS, state.channels):
+            a[f"{tap}.running_mean"][:] = rng.normal(size=c)
+            a[f"{tap}.running_var"][:] = rng.uniform(0.5, 2.0, size=c)
+        state.bn_batches_seen = [1, 1, 1]
         batch = rng.random(size=(2, 3, resolution, resolution))
         cache = forward_cached(state, batch, mode="eval")
         _, taps = forward(state, batch, mode="eval")
         x = batch
-        for name, block, c in zip(CONV_TAPS, state.conv_blocks(), cache.blocks):
+        for name, c in zip(CONV_TAPS, cache.blocks):
             assert all(f is None for f in (c.x, c.bn_cache, c.post_relu))
-            z = ops.conv2d_forward(x, block.w, block.b, block.spec)
-            act, _ = ops.batchnorm_forward(z, block.gamma, block.beta, block.stats, "eval")
+            z = ops.conv2d_forward(x, a[f"{name}.w"], a[f"{name}.b"], state.conv_spec(name))
+            act, _ = ops.batchnorm_forward(z, a[f"{name}.gamma"], a[f"{name}.beta"],
+                                           a[f"{name}.running_mean"],
+                                           a[f"{name}.running_var"], "eval")
             x = ops.maxpool2x2_forward(ops.relu_forward(act))
             assert np.array_equal(c.out, x)
             assert np.array_equal(taps[name], x)
@@ -146,7 +148,7 @@ class TestForward:
         cache = forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
         _, grad_logits = ops.softmax_xent(cache.logits, np.array([0, 1]))
         grads = backward(state, cache, grad_logits)
-        params = state.parameter_arrays()
+        params = state.arrays
         assert set(grads) == {n for n in params if "running" not in n}
         for name, g in grads.items():
             assert g.shape == params[name].shape, name
@@ -189,6 +191,14 @@ class TestFeatureExtraction:
             cat = np.concatenate([fa[t], fb[t]])
             assert np.abs(both[t] - cat).max() < 1e-12
 
+    def test_train_pass_counts_one_batch_per_block(self, state, rng, caplog):
+        forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
+        assert state.bn_batches_seen == [1, 1, 1]
+        with caplog.at_level("WARNING"):
+            forward(state, rng.random(size=(2, 3, 32, 32)), mode="eval")
+        assert state.bn_batches_seen == [1, 1, 1]
+        assert "batchnorm eval before any train step" not in caplog.text
+
     def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog, monkeypatch):
         # three fresh BN blocks and two batches, but one network
         monkeypatch.setattr(network, "_extraction_batch_size", lambda resolution: 2)
@@ -201,18 +211,28 @@ class TestFeatureExtraction:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, state, rng, tmp_path):
         # move the state off its init values first
-        state.conv1.w += 0.01
-        state.conv2.stats.mean += 0.5
-        state.conv2.stats.batches_seen = 7
+        state.arrays["conv1.w"] += 0.01
+        state.arrays["conv2.running_mean"] += 0.5
+        state.bn_batches_seen[1] = 7
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path, rule="bp")
         loaded, rule = load_checkpoint(path)
         assert rule == "bp"
-        for (ka, va), (kb, vb) in zip(state.parameter_arrays().items(),
-                                      loaded.parameter_arrays().items()):
+        for (ka, va), (kb, vb) in zip(state.arrays.items(), loaded.arrays.items()):
             assert ka == kb and np.array_equal(va, vb)
-        assert loaded.conv2.stats.batches_seen == 7
+        assert loaded.bn_batches_seen == [0, 7, 0]
         assert loaded.rng_seed == state.rng_seed
+
+    def test_round_trip_keeps_geometry(self, tmp_path):
+        state = init_he_normal(5, channels=SMALL, num_classes=4, in_channels=1)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        loaded, _ = load_checkpoint(path)
+        assert {k: v.shape for k, v in loaded.arrays.items()} == \
+            {k: v.shape for k, v in state.arrays.items()}
+        assert (loaded.channels, loaded.in_channels, loaded.num_classes) == (SMALL, 1, 4)
+        assert [loaded.conv_spec(t) for t in CONV_TAPS] == [
+            ops.ConvSpec(1, 4, 3, 1, 1), ops.ConvSpec(4, 6, 3, 1, 1), ops.ConvSpec(6, 8, 3, 1, 1)]
 
     def test_versioned_header(self, state, tmp_path):
         path = tmp_path / "net.ckpt"
@@ -225,9 +245,9 @@ class TestCheckpoint:
         before = path.read_bytes()
         # the third array cannot become float64, so the save fails after
         # writing the header, the manifest and two arrays
-        arrays = list(state.parameter_arrays().items())
+        arrays = list(state.arrays.items())
         broken = dict(arrays[:2] + [("boom", np.array([object()]))] + arrays[2:])
-        monkeypatch.setattr(state, "parameter_arrays", lambda: broken)
+        monkeypatch.setattr(state, "arrays", broken)
         with pytest.raises(TypeError):
             save_checkpoint(state, path, rule="fa")
         assert path.read_bytes() == before
@@ -263,9 +283,19 @@ class TestCheckpoint:
     def test_missing_array_rejected(self, state, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        arrays = list(state.parameter_arrays().values())
+        arrays = list(state.arrays.values())
         self._rewrite(path, lambda m: m["arrays"].pop(), arrays[:-1])  # drops fc2.b
         with pytest.raises(DataFormatError, match="fc2.b"):
+            load_checkpoint(path)
+
+    def test_non_finite_array_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        arrays = dict(state.arrays)
+        arrays["fc1.w"] = arrays["fc1.w"].copy()
+        arrays["fc1.w"][0, 0] = np.nan
+        self._rewrite(path, arrays=arrays.values())
+        with pytest.raises(DataFormatError, match="non-finite.*'fc1.w'"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, state, tmp_path):
@@ -279,7 +309,7 @@ class TestCheckpoint:
         # a [1] bias would otherwise broadcast across all conv1 channels
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        arrays = dict(state.parameter_arrays())
+        arrays = dict(state.arrays)
         arrays["conv1.b"] = arrays["conv1.b"][:1]
 
         def shrink(m):
@@ -294,6 +324,13 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         self._rewrite(path, lambda m: m.pop("channels"))
         with pytest.raises(DataFormatError, match="manifest.*channels"):
+            load_checkpoint(path)
+
+    def test_zero_width_channels_rejected(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        self._rewrite(path, lambda m: m.update(channels=[0, 6, 8]))
+        with pytest.raises(DataFormatError, match="manifest.*conv widths >= 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("seen", [[], [5], [5, 0], [-3, 5, 5], [1, 2, 3, 4],

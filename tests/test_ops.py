@@ -6,7 +6,7 @@ import pytest
 
 from brainalign import ops
 from brainalign.errors import ConfigurationError
-from brainalign.ops import ConvSpec, RunningStats
+from brainalign.ops import ConvSpec
 
 from helpers import numeric_grad, relerr
 
@@ -301,32 +301,31 @@ class TestBatchNorm:
     def test_train_mode_normalizes(self, rng):
         x = rng.normal(2.0, 3.0, size=(8, 3, 6, 6))
         out, _ = ops.batchnorm_forward(x, np.ones(3), np.zeros(3),
-                                       RunningStats.fresh(3), "train")
+                                       np.zeros(3), np.ones(3), "train")
         assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(out.var(axis=(0, 2, 3)) - 1).max() < 1e-4
 
     def test_gamma_zero_gives_beta(self, rng):
         x = rng.normal(size=(4, 2, 5, 5))
         beta = np.array([0.7, -0.2])
-        out, _ = ops.batchnorm_forward(x, np.zeros(2), beta, RunningStats.fresh(2), "train")
+        out, _ = ops.batchnorm_forward(x, np.zeros(2), beta, np.zeros(2), np.ones(2), "train")
         assert np.allclose(out[:, 0], 0.7) and np.allclose(out[:, 1], -0.2)
 
     def test_running_stats_update_and_eval(self, rng):
-        stats = RunningStats.fresh(2)
+        mean, var = np.zeros(2), np.ones(2)
         x = rng.normal(1.0, 2.0, size=(16, 2, 4, 4))
-        ops.batchnorm_forward(x, np.ones(2), np.zeros(2), stats, "train")
-        assert stats.batches_seen == 1
+        ops.batchnorm_forward(x, np.ones(2), np.zeros(2), mean, var, "train")
         # momentum 0.1 from (0, 1) init
         mu = x.mean(axis=(0, 2, 3))
-        assert np.allclose(stats.mean, 0.1 * mu)
-        out, cache = ops.batchnorm_forward(x, np.ones(2), np.zeros(2), stats, "eval")
+        assert np.allclose(mean, 0.1 * mu)
+        out, cache = ops.batchnorm_forward(x, np.ones(2), np.zeros(2), mean, var, "eval")
         assert cache is None
 
     def test_eval_before_train_uses_init_stats(self, rng):
         # the warning for it is logged per network (test_network.py)
         x = rng.normal(size=(4, 2, 3, 3))
         out, _ = ops.batchnorm_forward(x, np.ones(2), np.zeros(2),
-                                       RunningStats.fresh(2), "eval")
+                                       np.zeros(2), np.ones(2), "eval")
         assert np.allclose(out, x / np.sqrt(1 + ops.BN_EPS))
 
     @pytest.mark.parametrize("layout", ["contiguous", "reversed_rows"])
@@ -335,30 +334,30 @@ class TestBatchNorm:
         if layout == "reversed_rows":
             x = x[:, :, ::-1]
         gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
-        stats, want_stats = (RunningStats(np.full(3, 0.2), np.full(3, 1.5)) for _ in range(2))
-        out, cache = ops.batchnorm_forward(x, gamma, beta, stats, "train")
+        mean, var = np.full(3, 0.2), np.full(3, 1.5)
+        want_mean, want_var = mean.copy(), var.copy()
+        out, cache = ops.batchnorm_forward(x, gamma, beta, mean, var, "train")
         c = (1, 3, 1, 1)
         n = x.shape[0] * x.shape[2] * x.shape[3]
-        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + ops.BN_EPS)
+        mu, batch_var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(batch_var + ops.BN_EPS)
         xhat = (x - mu.reshape(c)) * inv_std.reshape(c)
-        want_stats.mean += ops.BN_MOMENTUM * (mu - want_stats.mean)
-        want_stats.var += ops.BN_MOMENTUM * (var * (n / (n - 1)) - want_stats.var)
+        want_mean += ops.BN_MOMENTUM * (mu - want_mean)
+        want_var += ops.BN_MOMENTUM * (batch_var * (n / (n - 1)) - want_var)
         assert np.array_equal(cache.inv_std, inv_std)
         assert np.array_equal(cache.xhat, xhat)
         assert np.array_equal(out, gamma.reshape(c) * xhat + beta.reshape(c))
-        assert np.array_equal(stats.mean, want_stats.mean)
-        assert np.array_equal(stats.var, want_stats.var)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
 
     def test_eval_matches_reference_expression(self, rng):
         x = rng.normal(1.5, 2.0, size=(4, 3, 5, 5))
         gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
-        stats = RunningStats(mean=rng.normal(size=3), var=rng.uniform(0.5, 2, size=3),
-                             batches_seen=3)
-        out, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval")
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2, size=3)
+        out, _ = ops.batchnorm_forward(x, gamma, beta, mean, var, "eval")
         c = (1, 3, 1, 1)
-        inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
-        want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
+        inv_std = 1.0 / np.sqrt(var + ops.BN_EPS)
+        want = gamma.reshape(c) * ((x - mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
         assert np.array_equal(out, want)
 
     # below one block, runs of channels, and one plane per block
@@ -368,12 +367,11 @@ class TestBatchNorm:
         C = shape[1]
         x = rng.normal(1.5, 2.0, size=shape)
         gamma, beta = rng.normal(1.0, 0.3, size=C), rng.normal(size=C)
-        stats = RunningStats(mean=rng.normal(size=C), var=rng.uniform(0.5, 2, size=C),
-                             batches_seen=3)
+        mean, var = rng.normal(size=C), rng.uniform(0.5, 2, size=C)
         c = (1, C, 1, 1)
-        inv_std = 1.0 / np.sqrt(stats.var + ops.BN_EPS)
-        want = gamma.reshape(c) * ((x - stats.mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
-        out, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval",
+        inv_std = 1.0 / np.sqrt(var + ops.BN_EPS)
+        want = gamma.reshape(c) * ((x - mean.reshape(c)) * inv_std.reshape(c)) + beta.reshape(c)
+        out, _ = ops.batchnorm_forward(x, gamma, beta, mean, var, "eval",
                                        out=x if in_place else None)
         assert (out is x) == in_place
         assert np.array_equal(out, want)
@@ -381,17 +379,16 @@ class TestBatchNorm:
     def test_eval_out_is_filled_in_place(self, rng):
         x = rng.normal(1.5, 2.0, size=(4, 3, 5, 5))
         gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
-        stats = RunningStats(mean=rng.normal(size=3), var=rng.uniform(0.5, 2, size=3),
-                             batches_seen=3)
-        fresh, _ = ops.batchnorm_forward(x, gamma, beta, stats, "eval")
-        out, cache = ops.batchnorm_forward(x, gamma, beta, stats, "eval", out=x)
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2, size=3)
+        fresh, _ = ops.batchnorm_forward(x, gamma, beta, mean, var, "eval")
+        out, cache = ops.batchnorm_forward(x, gamma, beta, mean, var, "eval", out=x)
         assert out is x and cache is None
         assert np.array_equal(x, fresh)
 
     def test_train_rejects_out(self, rng):
         x = rng.normal(size=(4, 2, 3, 3))
         with pytest.raises(ConfigurationError, match="train mode takes no `out`"):
-            ops.batchnorm_forward(x, np.ones(2), np.zeros(2), RunningStats.fresh(2), "train",
+            ops.batchnorm_forward(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), "train",
                                   out=np.empty_like(x))
 
     def test_train_output_does_not_alias_cached_xhat(self, rng):
@@ -399,7 +396,7 @@ class TestBatchNorm:
         # then reads xhat
         x = rng.normal(size=(4, 2, 5, 5))
         out, cache = ops.batchnorm_forward(x, np.ones(2), np.zeros(2),
-                                           RunningStats.fresh(2), "train")
+                                           np.zeros(2), np.ones(2), "train")
         xhat = cache.xhat.copy()
         assert not np.shares_memory(out, cache.xhat)
         np.maximum(out, 0.0, out=out)
@@ -412,10 +409,10 @@ class TestBatchNorm:
         proj = rng.normal(size=x.shape)
 
         def fwd(v, g=gamma, b=beta):
-            out, _ = ops.batchnorm_forward(v, g, b, RunningStats.fresh(3), "train")
+            out, _ = ops.batchnorm_forward(v, g, b, np.zeros(3), np.ones(3), "train")
             return float(np.sum(out * proj))
 
-        out, cache = ops.batchnorm_forward(x, gamma, beta, RunningStats.fresh(3), "train")
+        out, cache = ops.batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), "train")
         gx, gg, gb = ops.batchnorm_backward(proj, cache)
         assert relerr(gx, numeric_grad(fwd, x)) < 1e-4
         assert relerr(gg, numeric_grad(lambda v: fwd(x, g=v), gamma)) < 1e-4
@@ -426,7 +423,7 @@ class TestBatchNorm:
         x = rng.normal(1.5, 2.0, size=(6, 3, 5, 7))
         gamma = rng.normal(1.0, 0.3, size=3)
         _, cache = ops.batchnorm_forward(x, gamma, rng.normal(size=3),
-                                         RunningStats.fresh(3), "train")
+                                         np.zeros(3), np.ones(3), "train")
         grad_out = rng.normal(size=x.shape)
         if layout == "reversed_rows":
             grad_out = grad_out[:, :, ::-1]
@@ -456,7 +453,7 @@ def test_forward_leaves_input_unchanged_and_unshared(rng, op):
         out = ops.maxpool2x2_forward(x)
         results = [out, ops._pool_argmax(x, out)]
     else:
-        out, cache = ops.batchnorm_forward(x, np.ones(3), np.zeros(3), RunningStats.fresh(3),
+        out, cache = ops.batchnorm_forward(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3),
                                            op.removeprefix("bn_"))
         results = [out] + ([cache.xhat] if cache else [])
     assert x.tobytes() == before

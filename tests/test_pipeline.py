@@ -21,7 +21,8 @@ from brainalign.data import (
     write_synth_dataset,
 )
 from brainalign.errors import ConfigurationError, DataFormatError
-from brainalign.network import extract_all_taps, init_he_normal
+from brainalign.filters import summarize_filters
+from brainalign.network import extract_all_taps, init_he_normal, load_checkpoint
 from brainalign.pipeline import ExperimentConfig, best_layer_sweep, run_experiment
 from brainalign.rdm import average_rdms, pixel_rdm, rdm_from_features
 from brainalign.rules import RULES, RuleParams
@@ -268,6 +269,27 @@ class TestRunExperiment:
             assert bp["per_seed"] == [None, rho1]
             assert bp["rho"] == rho1 and bp["seed_std"] == 0.0
             assert n_seeds[("bp", roi)] == "1" and n_seeds[("random", roi)] == "2"
+
+    def test_filters_come_from_the_first_seed_whose_cell_succeeded(self, tmp_path,
+                                                                   monkeypatch):
+        # bp seed 0 saves a checkpoint with a NaN conv1 weight, then fails at its RDM
+        cfg = tiny_config(tmp_path, rules=("random", "bp"), seeds=(0, 1))
+        import brainalign.pipeline as pl
+
+        real_train = pl.train
+
+        def nan_train(rule, params, dataset, seed, **kwargs):
+            state = real_train(rule, params, dataset, seed, **kwargs)
+            if (rule, seed) == ("bp", 0):
+                state.arrays["conv1.w"][0, 0, 0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(pl, "train", nan_train)
+        report = run_experiment(cfg)
+        assert [(f["rule"], f["seed"]) for f in report["failures"]] == [("bp", 0)]
+        state, _ = load_checkpoint(tmp_path / "run" / "checkpoints" / "bp_seed1.ckpt")
+        summary = summarize_filters(state)
+        assert report["filters"]["bp"] == {"mean": summary.mean, "std": summary.std}
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_features_flag_the_cell(self, tmp_path, monkeypatch):

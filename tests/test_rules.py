@@ -11,10 +11,9 @@ import pytest
 from brainalign import ops
 from brainalign.data import LabeledImageSet, SynthSpec, synth_dataset
 from brainalign.errors import ConfigurationError, TrainingDivergedError
-from brainalign.network import forward_cached, init_he_normal
+from brainalign.network import CONV_TAPS, forward_cached, init_he_normal
 from brainalign.ops import ConvSpec
 from brainalign.rules import (
-    PcState,
     RuleParams,
     _pair_kernel_table,
     _readout_step,
@@ -79,12 +78,12 @@ class TestConfig:
 class TestBp:
     def test_zero_lr_leaves_weights(self, rng):
         state = init_he_normal(0, channels=SMALL)
-        before = {k: v.copy() for k, v in state.parameter_arrays().items()
+        before = {k: v.copy() for k, v in state.arrays.items()
                   if "running" not in k}
         xb, yb = small_batch(rng)
         bp_step(state, xb, yb, lr=0.0)
         for k, v in before.items():
-            assert np.array_equal(state.parameter_arrays()[k], v), k
+            assert np.array_equal(state.arrays[k], v), k
 
     def test_fc2_update_matches_closed_form(self, rng):
         # the readout layer update is (softmax - onehot) x^T / B, computable by hand
@@ -95,9 +94,9 @@ class TestBp:
         onehot = np.zeros_like(sm)
         onehot[np.arange(len(yb)), yb] = 1
         expected_gw = cache.fc1_act.T @ ((sm - onehot) / len(yb))
-        w_before = state.fc2.w.copy()
+        w_before = state.arrays["fc2.w"].copy()
         bp_step(state, xb, yb, lr=0.5)
-        assert np.abs((w_before - state.fc2.w) - 0.5 * expected_gw).max() < 1e-12
+        assert np.abs((w_before - state.arrays["fc2.w"]) - 0.5 * expected_gw).max() < 1e-12
 
     def test_descent_for_small_lr(self, rng):
         state = init_he_normal(2, channels=SMALL)
@@ -118,9 +117,8 @@ class TestBp:
         bp, readout = copy.deepcopy(state), copy.deepcopy(state)
         bp_step(bp, xb, yb, lr=0.1)
         _readout_step(readout, gap, yb, lr=0.1)
-        for layer in ("fc1", "fc2"):
-            assert np.array_equal(getattr(bp, layer).w, getattr(readout, layer).w), layer
-            assert np.array_equal(getattr(bp, layer).b, getattr(readout, layer).b), layer
+        for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"):
+            assert np.array_equal(bp.arrays[name], readout.arrays[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +133,7 @@ class TestFa:
             xb, yb = small_batch(rng)
             bp_step(sA, xb, yb, 0.01)
             fa_step(sB, feedback_from_transposes(sB), xb, yb, 0.01)
-        for (k, a), (_, b) in zip(sA.parameter_arrays().items(),
-                                  sB.parameter_arrays().items()):
+        for (k, a), (_, b) in zip(sA.arrays.items(), sB.arrays.items()):
             assert np.abs(a - b).max() < 1e-12, k
 
     def test_transposed_feedback_is_bp_bit_for_bit(self, rng):
@@ -147,8 +144,7 @@ class TestFa:
             xb, yb = small_batch(rng)
             bp_step(sA, xb, yb, 0.01)
             fa_step(sB, feedback_from_transposes(sB), xb, yb, 0.01)
-        for (k, a), (_, b) in zip(sA.parameter_arrays().items(),
-                                  sB.parameter_arrays().items()):
+        for (k, a), (_, b) in zip(sA.arrays.items(), sB.arrays.items()):
             assert np.array_equal(a, b), k
 
     def test_output_layer_grads_equal_bp(self, rng):
@@ -158,8 +154,8 @@ class TestFa:
         xb, yb = small_batch(rng)
         bp_step(sA, xb, yb, 0.1)
         fa_step(sB, make_feedback_weights(sB, seed=99), xb, yb, 0.1)
-        assert np.array_equal(sA.fc2.w, sB.fc2.w)
-        assert np.array_equal(sA.fc2.b, sB.fc2.b)
+        assert np.array_equal(sA.arrays["fc2.w"], sB.arrays["fc2.w"])
+        assert np.array_equal(sA.arrays["fc2.b"], sB.arrays["fc2.b"])
 
     def test_fc1_grad_matches_hand_transport_formula(self, rng):
         # pencil-and-paper check of delta = f'(z1) * (B delta2) at the FC level
@@ -170,9 +166,9 @@ class TestFa:
         loss, grad_logits = ops.softmax_xent(cache.logits, yb)
         delta = (grad_logits @ fb["fc2.w"].T) * (cache.fc1_act > 0)
         expected_gw1 = cache.gap.T @ delta
-        w_before = state.fc1.w.copy()
+        w_before = state.arrays["fc1.w"].copy()
         fa_step(state, fb, xb, yb, lr=1.0)
-        assert np.abs((w_before - state.fc1.w) - expected_gw1).max() < 1e-12
+        assert np.abs((w_before - state.arrays["fc1.w"]) - expected_gw1).max() < 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
         state = init_he_normal(0, channels=SMALL)
@@ -199,11 +195,11 @@ class TestPc:
         # zero input -> all representations, predictions and errors are zero
         state = init_he_normal(0, channels=SMALL)
         pc = init_pc_state(state, 0)
-        w_before = [b.w.copy() for b in state.conv_blocks()]
+        w_before = {t: state.arrays[f"{t}.w"].copy() for t in CONV_TAPS}
         cfg = RuleParams()
         pc_infer_and_learn(state, pc, np.zeros((2, 3, 32, 32)), np.array([0, 1]), cfg)
-        for b, w in zip(state.conv_blocks(), w_before):
-            assert np.array_equal(b.w, w)
+        for t, w in w_before.items():
+            assert np.array_equal(state.arrays[f"{t}.w"], w)
 
     def test_energy_non_increasing(self, rng):
         violations = 0
@@ -246,9 +242,8 @@ class TestPc:
 
     def test_single_level_scalar_step_matches_hand_arithmetic(self):
         # one 2x2 input level predicted from one scalar top unit
-        spec = ConvSpec(1, 1, 2, stride=2, padding=0)
         p = np.array([[[[0.5, -0.3], [0.2, 0.1]]]])
-        pc = PcState(p=[p], specs=[spec])
+        pc = [p]
         r0 = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         r1 = np.array([[[[0.7]]]])
         eps0_hand = r0[0, 0] - r1[0, 0, 0, 0] * p[0, 0]
@@ -263,13 +258,13 @@ class TestPc:
         pc = init_pc_state(state, 4)
         cfg = RuleParams()
         xb, yb = small_batch(rng)
-        fc2_before = state.fc2.w.copy()
-        conv3_before = state.conv3.w.copy()
-        conv1_before = state.conv1.w.copy()
+        fc2_before = state.arrays["fc2.w"].copy()
+        conv3_before = state.arrays["conv3.w"].copy()
+        conv1_before = state.arrays["conv1.w"].copy()
         pc_infer_and_learn(state, pc, xb, yb, cfg)
-        assert not np.array_equal(state.fc2.w, fc2_before)      # readout learned
-        assert not np.array_equal(state.conv1.w, conv1_before)  # error-driven update
-        assert np.array_equal(state.conv3.w, conv3_before)      # top of hierarchy
+        assert not np.array_equal(state.arrays["fc2.w"], fc2_before)      # readout learned
+        assert not np.array_equal(state.arrays["conv1.w"], conv1_before)  # error-driven update
+        assert np.array_equal(state.arrays["conv3.w"], conv3_before)      # top of hierarchy
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +361,11 @@ class TestStdpMachinery:
         state = init_he_normal(8, channels=SMALL)
         cfg = RuleParams()
         xb, yb = small_batch(rng)
-        conv_before = state.conv1.w.copy()
-        fc_before = state.fc1.w.copy()
+        conv_before = state.arrays["conv1.w"].copy()
+        fc_before = state.arrays["fc1.w"].copy()
         stdp_step(state, xb, yb, cfg, named_rng(8, "spikes"))
-        assert not np.array_equal(state.conv1.w, conv_before)
-        assert not np.array_equal(state.fc1.w, fc_before)
+        assert not np.array_equal(state.arrays["conv1.w"], conv_before)
+        assert not np.array_equal(state.arrays["fc1.w"], fc_before)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +396,7 @@ class TestTrain:
         ds = blob_set()
         state = train("random", RuleParams(epochs=3), ds, seed=9, channels=SMALL)
         init = init_he_normal(9, channels=SMALL, num_classes=4)
-        for (k, a), (_, b) in zip(state.parameter_arrays().items(),
-                                  init.parameter_arrays().items()):
+        for (k, a), (_, b) in zip(state.arrays.items(), init.arrays.items()):
             assert np.array_equal(a, b), k
 
     def test_bp_learns_separable_set(self):
@@ -417,8 +411,7 @@ class TestTrain:
         params = RuleParams(epochs=1, batch_size=16)
         s1 = train(rule, params, ds, seed=1, channels=SMALL)
         s2 = train(rule, params, ds, seed=1, channels=SMALL)
-        for (k, a), (_, b) in zip(s1.parameter_arrays().items(),
-                                  s2.parameter_arrays().items()):
+        for (k, a), (_, b) in zip(s1.arrays.items(), s2.arrays.items()):
             assert np.array_equal(a, b), (rule, k)
 
     def test_metrics_csv_written(self, tmp_path):
