@@ -50,20 +50,20 @@ lo, hi = bootstrap_ci(vec_a, brain_vec, n_boot=1000, seed=0)
 print(f"bootstrap 95% CI for net A: [{lo:+.3f}, {hi:+.3f}]")
 
 test = permutation_test(vec_a, vec_b, brain_vec, n_perm=999, seed=0)
-print(f"difference {test.delta_rho:+.3f}, permutation p = {test.p_value:.4f}")
+print(f"difference {test['delta_rho']:+.3f}, permutation p = {test['p_value']:.4f}")
 
-flags = fdr_bh([test.p_value, 0.03, 0.2, 0.8], alpha=0.05)
+flags = fdr_bh([test["p_value"], 0.03, 0.2, 0.8], alpha=0.05)
 print("FDR flags over a small p-value family:", flags)
 
 nc = noise_ceiling(v1_subjects, seed=0)
-print(f"noise ceiling at V1: lower {nc.lower:.3f}, upper {nc.upper:.3f}")
+print(f"noise ceiling at V1: lower {nc['lower']:.3f}, upper {nc['upper']:.3f}")
 
 control = pixel_rdm(stimuli)
 part = partial_spearman(vec_a, brain_vec, control)
-print(f"partial rho after pixel control: {part.rho:+.3f} "
-      f"(plain {rho_a:+.3f}, degenerate={part.degenerate})")
+print(f"partial rho after pixel control: {part['rho']:+.3f} "
+      f"(plain {rho_a:+.3f}, degenerate={part['degenerate']})")
 
 per_subject_a = [spearman(vec_a, v) for v in v1_subjects]
 per_subject_b = [spearman(vec_b, v) for v in v1_subjects]
 d = cohens_d_paired(per_subject_a, per_subject_b)
-print(f"paired Cohen's d over subjects: {d.d:+.2f}")
+print(f"paired Cohen's d over subjects: {d['d']:+.2f}")

@@ -22,8 +22,6 @@ from .pipeline import ExperimentConfig, best_layer_sweep, run_experiment
 from .rdm import average_rdms, pixel_rdm, rdm_from_features
 from .rules import RULES, RuleParams, stdp_kernel, train
 from .stats import (
-    NoiseCeiling,
-    PairwiseTest,
     bootstrap_ci,
     cohens_d_paired,
     fdr_bh,
@@ -43,8 +41,7 @@ __all__ = [
     "ExperimentConfig", "best_layer_sweep", "run_experiment",
     "average_rdms", "pixel_rdm", "rdm_from_features",
     "RULES", "RuleParams", "stdp_kernel", "train",
-    "NoiseCeiling", "PairwiseTest", "bootstrap_ci",
-    "cohens_d_paired", "fdr_bh", "noise_ceiling",
+    "bootstrap_ci", "cohens_d_paired", "fdr_bh", "noise_ceiling",
     "partial_spearman", "permutation_test", "spearman",
     "__version__",
 ]

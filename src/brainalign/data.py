@@ -252,14 +252,15 @@ ASYM_ERROR = 1e-6
 def write_rdm_csv(vec, ids, path) -> None:
     """Write an RDM vector as its square, zero-diagonal matrix with a header
     row/column of stimulus ids. Values use repr(float), so a write -> read
-    round trip is lossless."""
-    square = np.zeros((len(ids), len(ids)))
+    round trip is lossless. Each pair is formatted once into both triangles,
+    and every string is held at once (about 20 MB at 720 stimuli)."""
+    cells = np.full((len(ids), len(ids)), "0.0", dtype=object)
     i, j = pairs(len(ids))
-    square[i, j] = square[j, i] = vec
+    cells[i, j] = cells[j, i] = [repr(v) for v in np.asarray(vec, dtype=np.float64).tolist()]
     with open(path, "w", newline="") as f:
         f.write("id," + ",".join(ids) + "\n")
-        for sid, row in zip(ids, square):
-            f.write(sid + "," + ",".join(map(repr, row.tolist())) + "\n")
+        for sid, row in zip(ids, cells.tolist()):
+            f.write(sid + "," + ",".join(row) + "\n")
 
 
 def _parse_subject_roi(path):

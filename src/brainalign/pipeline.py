@@ -23,7 +23,7 @@ import json
 import logging
 import shutil
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations, product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -313,7 +313,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full pipeline for every (rule, seed) cell and write the
     run directory. Returns the report dict (also written as report.json).
 
-    A failing cell is flagged in the report and the run continues.
+    A failing cell is flagged in the report, leaves no file or accuracy
+    behind, and the run continues.
     """
     train_set = read_labeled_set(config.train_data, config.train_limit, config.num_classes)
     test_set = (read_labeled_set(config.test_data, None, config.num_classes)
@@ -360,26 +361,32 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for rule in config.rules:
         for seed in config.seeds:
             cell = f"{rule}_seed{seed}"
+            ckpt = out / "checkpoints" / f"{cell}.ckpt"
+            metrics = out / "metrics" / f"{cell}.csv"
+            rdm_paths = {tap: out / "rdms" / f"{cell}_{tap}.csv" for tap in TAPS}
             try:
                 state = train(rule, config, train_set, seed, eval_set=test_set,
-                              metrics_path=out / "metrics" / f"{cell}.csv",
-                              channels=config.channels)
-                ckpt = out / "checkpoints" / f"{cell}.ckpt"
+                              metrics_path=metrics, channels=config.channels)
                 save_checkpoint(state, ckpt, rule=rule)
-                if test_set is not None:
-                    report["accuracy"].setdefault(rule, {})[str(seed)] = evaluate_accuracy(
-                        state, test_set.images, test_set.labels)
+                accuracy = (evaluate_accuracy(state, test_set.images, test_set.labels)
+                            if test_set is not None else None)
                 feats = extract_all_taps(state, stimuli)
                 save_features(feats, stimuli.ids, out / "features" / cell)
                 vecs = {tap: rdm_from_features(feats[tap], stimuli.ids) for tap in TAPS}
                 for tap, vec in vecs.items():
-                    write_rdm_csv(vec, stimuli.ids, out / "rdms" / f"{cell}_{tap}.csv")
-                cell_vecs[rule][seed] = vecs
-                states_path.setdefault(rule, ckpt)
+                    write_rdm_csv(vec, stimuli.ids, rdm_paths[tap])
             except Exception as e:  # flagged, not fatal: the run continues
                 log.exception("cell %s failed", cell)
                 report["failures"].append(
                     {"rule": rule, "seed": seed, "error": f"{type(e).__name__}: {e}"})
+                for path in (ckpt, metrics, *rdm_paths.values()):  # leave nothing behind
+                    path.unlink(missing_ok=True)
+                shutil.rmtree(out / "features" / cell, ignore_errors=True)
+                continue
+            cell_vecs[rule][seed] = vecs
+            states_path.setdefault(rule, ckpt)
+            if accuracy is not None:
+                report["accuracy"].setdefault(rule, {})[str(seed)] = accuracy
 
     # Seed-averaged model RDMs per condition and tap
     conditions = report["conditions"] = [r for r in config.rules if cell_vecs[r]]
@@ -409,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
              for rule in conditions}, brain_vec, roi, config)
         for score in scores.values():
             score.update(p_vs_random=None, fdr_significant_vs_random=None)
-        report["rois"][roi] = {"layer": tap, "noise_ceiling": asdict(ceiling),
+        report["rois"][roi] = {"layer": tap, "noise_ceiling": ceiling,
                                "conditions": scores}
         rhos = subject_rhos[roi] = {}
         rows = report["partial_rsa"][roi] = []
@@ -419,18 +426,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
             rho_std = stats.spearman(model_vec, brain_vec)
             partial = stats.partial_spearman(model_vec, brain_vec, control)
             rows.append({"condition": rule, "rho_std": rho_std,
-                         "rho_partial": partial.rho, "delta": partial.rho - rho_std,
-                         "degenerate": partial.degenerate})
+                         "rho_partial": partial["rho"], "delta": partial["rho"] - rho_std,
+                         "degenerate": partial["degenerate"]})
         roi_seed = _derived_seed(config.stats_seed, f"perm|{roi}")
         for a, b in combinations(conditions, 2):
-            t = stats.permutation_test(mean_vecs[a][tap], mean_vecs[b][tap],
-                                       brain_vec, n_perm=config.n_perm, seed=roi_seed)
             report["pairwise_tests"].append(
-                {"roi": roi, "a": a, "b": b, "rho_a": t.rho_a, "rho_b": t.rho_b,
-                 "delta_rho": t.delta_rho, "p_value": t.p_value})
-            d = stats.cohens_d_paired(rhos[a], rhos[b])
-            report["cohens_d"].append({"roi": roi, "a": a, "b": b, "d": d.d,
-                                       "degenerate": d.degenerate})
+                {"roi": roi, "a": a, "b": b,
+                 **stats.permutation_test(mean_vecs[a][tap], mean_vecs[b][tap], brain_vec,
+                                          n_perm=config.n_perm, seed=roi_seed)})
+            report["cohens_d"].append(
+                {"roi": roi, "a": a, "b": b, **stats.cohens_d_paired(rhos[a], rhos[b])})
     report["per_subject"] = [
         {"condition": rule, "subject": subject, "roi": roi, "rho": rho}
         for rule in conditions for roi in roi_map

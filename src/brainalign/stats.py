@@ -26,9 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -228,18 +226,10 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
 # Permutation test
 # ---------------------------------------------------------------------------
 
-class PairwiseTest(NamedTuple):
-    """Permutation test of one condition pair against one brain vector."""
-
-    rho_a: float
-    rho_b: float
-    delta_rho: float
-    p_value: float
-
-
 def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
-                     seed: int = 0) -> PairwiseTest:
+                     seed: int = 0) -> dict:
     """Two-sided permutation test of delta_rho = rho(A, brain) - rho(B, brain).
+    Returns {"rho_a", "rho_b", "delta_rho", "p_value"}.
 
     Each permutation shuffles the brain vector once and recomputes delta
     against both models with the same shuffled vector. Two calls with the
@@ -276,7 +266,7 @@ def permutation_test(model_a_vec, model_b_vec, brain_vec, n_perm: int = 1000,
         exceed += int(np.count_nonzero(np.abs(null.sum(axis=1)) >= abs(delta_obs)))
         done += take
     p = (exceed + 1) / (n_perm + 1)
-    return PairwiseTest(rho_a=rho_a, rho_b=rho_b, delta_rho=delta_obs, p_value=p)
+    return {"rho_a": rho_a, "rho_b": rho_b, "delta_rho": delta_obs, "p_value": p}
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +296,21 @@ def fdr_bh(p_values, alpha: float = 0.05) -> list[bool]:
 # Partial Spearman
 # ---------------------------------------------------------------------------
 
-class PartialSpearman(NamedTuple):
-    rho: float
-    degenerate: bool
-
-
-def partial_spearman(model_vec, brain_vec, control_vec) -> PartialSpearman:
+def partial_spearman(model_vec, brain_vec, control_vec) -> dict:
     """Spearman between model and brain after residualizing both against a
-    control vector via rank-based linear regression.
+    control vector via rank-based linear regression. Returns {"rho",
+    "degenerate"}.
 
     A constant control falls back to the plain Spearman (with a warning).
-    If residualizing annihilates a vector (model == control, say), the
-    result is 0.0 with the degenerate flag set.
+    If residualizing annihilates a vector (model == control, say), rho is
+    0.0 with the degenerate flag set.
     """
     model, brain = _check_vector_pair(model_vec, brain_vec)
     control, _ = _check_vector_pair(control_vec, brain_vec)
     if np.ptp(control) == 0:
         warnings.warn("constant control vector: partial Spearman falls back to "
                       "plain Spearman", stacklevel=2)
-        return PartialSpearman(rho=spearman(model, brain), degenerate=False)
+        return {"rho": spearman(model, brain), "degenerate": False}
     rm = rank_average(model)
     rb = rank_average(brain)
     rc = rank_average(control)
@@ -341,23 +327,13 @@ def partial_spearman(model_vec, brain_vec, control_vec) -> PartialSpearman:
         raise UndefinedStatisticError("correlation undefined for a constant vector")
     nm, nb = np.sqrt(em @ em), np.sqrt(eb @ eb)
     if nm <= 1e-10 * scale_m or nb <= 1e-10 * scale_b:
-        return PartialSpearman(rho=0.0, degenerate=True)
-    return PartialSpearman(rho=float((em @ eb) / (nm * nb)), degenerate=False)
+        return {"rho": 0.0, "degenerate": True}
+    return {"rho": float((em @ eb) / (nm * nb)), "degenerate": False}
 
 
 # ---------------------------------------------------------------------------
 # Noise ceiling
 # ---------------------------------------------------------------------------
-
-@dataclass
-class NoiseCeiling:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ConfigurationError(f"noise ceiling lower {self.lower} > upper {self.upper}")
-
 
 def _split_halves(n_subjects: int, n_splits: int, rng):
     half = (n_subjects + 1) // 2
@@ -371,7 +347,7 @@ def _split_halves(n_subjects: int, n_splits: int, rng):
     return [all_splits[i] for i in sorted(chosen)]
 
 
-def noise_ceiling(subject_vecs, n_splits: int = 100, seed: int = 0) -> NoiseCeiling:
+def noise_ceiling(subject_vecs, n_splits: int = 100, seed: int = 0) -> dict:
     """Split-half reliability of the subjects' upper-triangle RDM vectors
     with Spearman-Brown correction.
 
@@ -380,7 +356,8 @@ def noise_ceiling(subject_vecs, n_splits: int = 100, seed: int = 0) -> NoiseCeil
     bound, and r_sb = 2r / (1 + r) the upper bound, each averaged over
     splits and clamped to [-1, 1]. With few subjects all distinct splits
     are enumerated (three 1-vs-2 splits for S = 3); otherwise n_splits
-    random splits are drawn.
+    random splits are drawn. Returns {"lower", "upper"}; a negative
+    split-half reliability flattens upper to lower.
     """
     vecs = [np.asarray(v, dtype=np.float64) for v in subject_vecs]
     s = len(vecs)
@@ -403,20 +380,16 @@ def noise_ceiling(subject_vecs, n_splits: int = 100, seed: int = 0) -> NoiseCeil
         log.warning("negative split-half reliability (%.3g): flattening noise "
                     "ceiling to the lower bound", lower)
         upper = lower
-    return NoiseCeiling(lower=lower, upper=upper)
+    return {"lower": lower, "upper": upper}
 
 
 # ---------------------------------------------------------------------------
 # Cohen's d (paired)
 # ---------------------------------------------------------------------------
 
-class CohensD(NamedTuple):
-    d: float
-    degenerate: bool
-
-
-def cohens_d_paired(scores_a, scores_b) -> CohensD:
-    """d = mean(a - b) / sd(a - b), sample sd (n-1 denominator).
+def cohens_d_paired(scores_a, scores_b) -> dict:
+    """d = mean(a - b) / sd(a - b), sample sd (n-1 denominator). Returns
+    {"d", "degenerate"}.
 
     Zero sd of differences yields a signed-infinity sentinel with the
     degenerate flag set.
@@ -430,6 +403,6 @@ def cohens_d_paired(scores_a, scores_b) -> CohensD:
     sd = float(np.std(diff, ddof=1))
     mean = float(diff.mean())
     if sd == 0:
-        return CohensD(d=math.copysign(math.inf, mean) if mean != 0 else math.inf,
-                       degenerate=True)
-    return CohensD(d=mean / sd, degenerate=False)
+        return {"d": math.copysign(math.inf, mean) if mean != 0 else math.inf,
+                "degenerate": True}
+    return {"d": mean / sd, "degenerate": False}

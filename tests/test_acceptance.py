@@ -292,7 +292,7 @@ def test_criterion_05_statistical_oracles():
         em = rm - np.polyval(np.polyfit(rc, rm, 1), rc)
         eb = rb - np.polyval(np.polyfit(rc, rb, 1), rc)
         oracle = float(np.corrcoef(em, eb)[0, 1])
-        worst = max(worst, abs(stats.partial_spearman(mvec, bvec, cvec).rho - oracle))
+        worst = max(worst, abs(stats.partial_spearman(mvec, bvec, cvec)["rho"] - oracle))
 
     ut_ok = True  # the RDM vector's pair order
     for n in range(2, 15):
@@ -314,7 +314,7 @@ def test_criterion_06_permutation_calibration():
         va = rdm_from_features(rng.normal(size=(25, 12)))
         vb = rdm_from_features(rng.normal(size=(25, 12)))
         vbrain = rdm_from_features(rng.normal(size=(25, 12)))
-        ps.append(stats.permutation_test(va, vb, vbrain, n_perm=400, seed=i).p_value)
+        ps.append(stats.permutation_test(va, vb, vbrain, n_perm=400, seed=i)["p_value"])
     ps = np.array(ps)
     ks = ss.kstest(ps, "uniform").statistic
     fpr = float(np.mean(ps <= 0.05))

@@ -254,6 +254,15 @@ class TestRdmCsv:
         assert (tmp_path / "new.csv").read_bytes() == want.encode()
         assert "-0.0" in want and "5e-324" in want and "1e+300" in want
 
+    def test_write_pins_exact_bytes(self, tmp_path):
+        # each pair is formatted once and mirrored into both triangles
+        D.write_rdm_csv(np.array([-0.0, 1e-17, 2.0]), ("a", "b", "c"), tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b"id,a,b,c\n"
+            b"a,0.0,-0.0,1e-17\n"
+            b"b,-0.0,0.0,2.0\n"
+            b"c,1e-17,2.0,0.0\n")
+
     def test_asymmetric_names_cell(self, tmp_path):
         m = np.zeros((3, 3))
         m[0, 1], m[1, 0] = 0.2, 0.3

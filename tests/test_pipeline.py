@@ -291,6 +291,35 @@ class TestRunExperiment:
         summary = summarize_filters(state)
         assert report["filters"]["bp"] == {"mean": summary.mean, "std": summary.std}
 
+    def test_failed_cell_leaves_no_accuracy_or_files(self, tmp_path, monkeypatch):
+        # three of four cells fail at their RDM, after training, metrics,
+        # checkpoint, accuracy and features: only bp seed 0 keeps an accuracy
+        # and files
+        cfg = tiny_config(tmp_path, rules=("bp", "random"), seeds=(0, 1))
+        import brainalign.pipeline as pl
+
+        real_rdm = pl.rdm_from_features
+        calls = []
+
+        def failing_rdm(features, ids):
+            calls.append(1)
+            if len(calls) > len(pl.TAPS):  # every cell after the first
+                raise RuntimeError("boom")
+            return real_rdm(features, ids)
+
+        monkeypatch.setattr(pl, "rdm_from_features", failing_rdm)
+        report = run_experiment(cfg)
+        assert [(f["rule"], f["seed"]) for f in report["failures"]] == [
+            ("bp", 1), ("random", 0), ("random", 1)]
+        assert report["accuracy"] == {"bp": {"0": report["accuracy"]["bp"]["0"]}}
+        run = tmp_path / "run"
+        for sub, cell_files in (("checkpoints", ["bp_seed0.ckpt"]),
+                                ("metrics", ["bp_seed0.csv"]),
+                                ("features", ["bp_seed0"]),
+                                ("rdms", sorted([f"bp_seed0_{t}.csv" for t in pl.TAPS]
+                                                + [f"bp_mean_{t}.csv" for t in pl.TAPS]))):
+            assert sorted(p.name for p in (run / sub).iterdir()) == cell_files
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_features_flag_the_cell(self, tmp_path, monkeypatch):
         # features that overflowed to inf at seed 1 fail those cells, not the run
@@ -400,7 +429,7 @@ class TestRunExperiment:
         for r in cohens:
             d = cohens_d_paired([rho[r["condition_a"], r["roi"], s] for s in subjects],
                                 [rho[r["condition_b"], r["roi"], s] for s in subjects])
-            assert (float(r["d"]), int(r["degenerate"])) == (d.d, int(d.degenerate))
+            assert (float(r["d"]), int(r["degenerate"])) == (d["d"], int(d["degenerate"]))
 
         control = pixel_rdm(load_stimulus_dir(cfg.stimuli_dir, resolution=cfg.resolution))
         for roi, tap in roi_map:
@@ -411,8 +440,8 @@ class TestRunExperiment:
                 rho_std = spearman(model(r["condition"], tap), mean_brain)
                 partial = partial_spearman(model(r["condition"], tap), mean_brain, control)
                 assert float(r["rho_std"]) == rho_std
-                assert float(r["rho_partial"]) == partial.rho
-                assert float(r["delta"]) == partial.rho - rho_std
+                assert float(r["rho_partial"]) == partial["rho"]
+                assert float(r["delta"]) == partial["rho"] - rho_std
         assert not (out / "tables" / "partial_rsa_LOC.csv").exists()
 
     def test_report_json_matches_returned_report(self, tmp_path):

@@ -286,7 +286,7 @@ class TestPermutation:
             if tied:
                 a, b, brain = np.round(a), np.round(b, 1), np.round(brain)
             t = stats.permutation_test(a, b, brain, n_perm=n_perm, seed=seed)
-            assert t.p_value == _gather_permutation(a, b, brain, n_perm, seed)[0]
+            assert t["p_value"] == _gather_permutation(a, b, brain, n_perm, seed)[0]
 
     def test_cell_bound_keeps_the_stream(self, monkeypatch):
         # 5-row chunks (the cell bound at 45 values) draw the same permutations
@@ -309,7 +309,7 @@ class TestPermutation:
 
         monkeypatch.setattr(stats, "_PERM_CHUNK_CELLS", 45 * 5 + 4)
         monkeypatch.setattr(stats.np.random, "default_rng", Spy)
-        assert stats.permutation_test(a, b, brain, n_perm=129, seed=5).p_value == p
+        assert stats.permutation_test(a, b, brain, n_perm=129, seed=5)["p_value"] == p
         assert shapes == [(5, 45)] * 25 + [(4, 45)]
 
     def test_chunk_rows_do_not_change_the_nulls(self, monkeypatch):
@@ -325,22 +325,22 @@ class TestPermutation:
             p_values = set()
             for chunk in (1, 5, 128):
                 monkeypatch.setattr(stats, "_PERM_CHUNK", chunk)
-                p_values.add(stats.permutation_test(a, b, brain, n_perm=200, seed=seed).p_value)
+                p_values.add(stats.permutation_test(a, b, brain, n_perm=200, seed=seed)["p_value"])
             assert len(p_values) == 1, seed
 
     def test_identical_models_give_p_one(self, rng):
         x = rng.normal(size=100)
         b = rng.normal(size=100)
         t = stats.permutation_test(x, x, b, n_perm=99, seed=0)
-        assert t.delta_rho == 0.0
-        assert t.p_value == 1.0
+        assert t["delta_rho"] == 0.0
+        assert t["p_value"] == 1.0
 
     def test_swap_symmetry_exact(self, rng):
         a, b, brain = rng.normal(size=(3, 150))
         t1 = stats.permutation_test(a, b, brain, n_perm=300, seed=4)
         t2 = stats.permutation_test(b, a, brain, n_perm=300, seed=4)
-        assert t1.delta_rho == -t2.delta_rho
-        assert t1.p_value == t2.p_value
+        assert t1["delta_rho"] == -t2["delta_rho"]
+        assert t1["p_value"] == t2["p_value"]
 
     def test_minimum_p_is_one_over_n_plus_one(self, rng):
         # a strong true difference should bottom out at 1/(n_perm+1)
@@ -348,14 +348,14 @@ class TestPermutation:
         brain = z + 0.1 * rng.normal(size=400)
         unrelated = rng.normal(size=400)
         t = stats.permutation_test(z, unrelated, brain, n_perm=199, seed=0)
-        assert t.p_value == pytest.approx(1 / 200)
+        assert t["p_value"] == pytest.approx(1 / 200)
 
     def test_null_calibration_and_fpr(self):
         ps = []
         for i in range(300):
             r = np.random.default_rng(10_000 + i)
             a, b, brain = r.normal(size=(3, 120))
-            ps.append(stats.permutation_test(a, b, brain, n_perm=200, seed=i).p_value)
+            ps.append(stats.permutation_test(a, b, brain, n_perm=200, seed=i)["p_value"])
         ps = np.array(ps)
         assert ss.kstest(ps, "uniform").statistic < 0.1
         assert 0.02 <= np.mean(ps <= 0.05) <= 0.08
@@ -366,7 +366,7 @@ class TestPermutation:
         a, b, brain = rng.normal(size=(3, 80))
         t1 = stats.permutation_test(a, b, brain, n_perm=100, seed=77)
         t2 = stats.permutation_test(a, b, brain, n_perm=100, seed=77)
-        assert t1.p_value == t2.p_value and t1.delta_rho == t2.delta_rho
+        assert t1["p_value"] == t2["p_value"] and t1["delta_rho"] == t2["delta_rho"]
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +429,21 @@ class TestPartialSpearman:
         b = 0.6 * m + rng.normal(size=3000)
         c = rng.normal(size=3000)
         res = stats.partial_spearman(m, b, c)
-        assert not res.degenerate
-        assert res.rho == pytest.approx(stats.spearman(m, b), abs=0.02)
+        assert not res["degenerate"]
+        assert res["rho"] == pytest.approx(stats.spearman(m, b), abs=0.02)
 
     def test_self_control_annihilates(self, rng):
         m = rng.normal(size=100)
         b = rng.normal(size=100)
         res = stats.partial_spearman(m, b, m)
-        assert res.rho == 0.0 and res.degenerate
+        assert res["rho"] == 0.0 and res["degenerate"]
 
     def test_constant_control_falls_back_with_warning(self, rng):
         m, b = rng.normal(size=(2, 100))
         with pytest.warns(UserWarning, match="constant control"):
             res = stats.partial_spearman(m, b, np.full(100, 2.0))
-        assert res.rho == pytest.approx(stats.spearman(m, b), abs=1e-12)
-        assert not res.degenerate
+        assert res["rho"] == pytest.approx(stats.spearman(m, b), abs=1e-12)
+        assert not res["degenerate"]
 
     def test_orthogonal_control_leaves_spearman_exact(self):
         # control ranks [-1, 1, 1, -1] (centered) are orthogonal to the
@@ -452,7 +452,7 @@ class TestPartialSpearman:
         brain = np.array([2.0, 1.0, 4.0, 3.0])
         control = np.array([1.0, 2.0, 2.0, 1.0])
         res = stats.partial_spearman(model, brain, control)
-        assert res.rho == pytest.approx(stats.spearman(model, brain), abs=1e-12)
+        assert res["rho"] == pytest.approx(stats.spearman(model, brain), abs=1e-12)
 
     def test_matches_manual_rank_regression(self, rng):
         # brute-force oracle: rank, OLS-residualize, Pearson
@@ -461,7 +461,7 @@ class TestPartialSpearman:
         em = rm - np.polyval(np.polyfit(rc, rm, 1), rc)
         eb = rb - np.polyval(np.polyfit(rc, rb, 1), rc)
         oracle = np.corrcoef(em, eb)[0, 1]
-        assert stats.partial_spearman(m, b, c).rho == pytest.approx(oracle, abs=1e-10)
+        assert stats.partial_spearman(m, b, c)["rho"] == pytest.approx(oracle, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +472,23 @@ class TestNoiseCeiling:
     def test_spearman_brown_formula(self):
         # two subjects whose vectors have Spearman r = 0.5
         nc = stats.noise_ceiling([np.array([1.0, 2, 3]), np.array([1.0, 3, 2])])
-        assert nc.lower == pytest.approx(0.5, abs=1e-12)
-        assert nc.upper == pytest.approx(2 * 0.5 / 1.5, abs=1e-12)
+        assert nc["lower"] == pytest.approx(0.5, abs=1e-12)
+        assert nc["upper"] == pytest.approx(2 * 0.5 / 1.5, abs=1e-12)
 
     def test_identical_subjects_ceiling_one(self, rng):
         v = rng.normal(size=45)
         nc = stats.noise_ceiling([v, v, v])
-        assert nc.lower == pytest.approx(1.0, abs=1e-9)
-        assert nc.upper == pytest.approx(1.0, abs=1e-9)
+        assert nc["lower"] == pytest.approx(1.0, abs=1e-9)
+        assert nc["upper"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_reliability_flattens_upper_to_lower(self, caplog):
+        # two subjects with Spearman r = -0.5: Spearman-Brown gives -2/3 < r,
+        # so the upper bound is flattened to the lower one, with a warning
+        with caplog.at_level("WARNING", logger="brainalign.stats"):
+            nc = stats.noise_ceiling([np.array([1.0, 2, 3]), np.array([2.0, 3, 1])])
+        assert nc["lower"] == pytest.approx(-0.5, abs=1e-12)
+        assert nc["upper"] == nc["lower"]
+        assert "negative split-half reliability" in caplog.text
 
     def test_three_subjects_enumerates_all_splits(self, rng):
         vecs = [rng.normal(size=40) for _ in range(3)]
@@ -504,20 +513,20 @@ class TestNoiseCeiling:
 class TestCohensD:
     def test_hand_arithmetic(self):
         res = stats.cohens_d_paired([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])
-        assert res.d == pytest.approx(2.0, abs=1e-12)
-        assert not res.degenerate
+        assert res["d"] == pytest.approx(2.0, abs=1e-12)
+        assert not res["degenerate"]
 
     def test_equal_scores_flagged_sentinel(self):
         res = stats.cohens_d_paired([1.0, 2.0], [1.0, 2.0])
-        assert res.degenerate and math.isinf(res.d)
+        assert res["degenerate"] and math.isinf(res["d"])
 
     def test_constant_positive_difference(self):
         res = stats.cohens_d_paired([3.0, 4.0, 5.0], [1.0, 2.0, 3.0])
-        assert res.degenerate and res.d == math.inf
+        assert res["degenerate"] and res["d"] == math.inf
 
     def test_constant_negative_difference(self):
         res = stats.cohens_d_paired([1.0, 2.0], [4.0, 5.0])
-        assert res.degenerate and res.d == -math.inf
+        assert res["degenerate"] and res["d"] == -math.inf
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
