@@ -57,8 +57,9 @@ pooled = ops.maxpool2x2_forward(out)
 g_in = ops.maxpool2x2_backward(np.ones_like(pooled), out, pooled)
 print("pool conserves gradient mass:", np.sum(g_in) == pooled.size)
 
-# Batch norm: train mode normalizes by batch statistics and tracks
-# running estimates, updated in place, for eval mode
+# Batch norm: train mode normalizes by batch statistics into a fresh
+# array and tracks running estimates, updated in place, for eval mode
+# (which normalizes its input in place)
 running_mean, running_var = np.zeros(3), np.ones(3)
 normed, cache = ops.batchnorm_forward(out, np.ones(3), np.zeros(3), running_mean, running_var,
                                       "train")

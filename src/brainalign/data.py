@@ -83,15 +83,13 @@ class StimulusSet:
 # ---------------------------------------------------------------------------
 
 def read_cifar10_binary(paths, limit=None) -> LabeledImageSet:
-    """Read CIFAR-10 binary batch files in the order given.
+    """Read a list of CIFAR-10 binary batch files in the order given.
 
     Each record is 3073 bytes: a label byte, then 3x1024 channel-major
     pixels scaled to [0,1]. Keeps the first `limit` records in file order
     and reads no file once it holds them; an empty file adds none. A file
     size not a multiple of 3073 is a DataFormatError naming the offset.
     """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
     records = [np.empty((0, CIFAR_RECORD_BYTES), dtype=np.uint8)]
     for path in paths:
         if limit is not None and sum(map(len, records)) >= limit:
@@ -219,16 +217,20 @@ def load_stimulus_dir(directory, resolution: int = 224) -> StimulusSet:
     """Load a stimulus directory in lexicographic filename order.
 
     Non-square images are center-cropped to square before the bilinear
-    resize to `resolution`. Filename stems become the stimulus ids.
+    resize to `resolution`, into one preallocated [N,3,R,R] array.
+    Filename stems become the stimulus ids.
     """
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir()
                    if p.suffix.lower() in STIMULUS_SUFFIXES)
     if not paths:
         raise DataFormatError(f"{directory}: no stimulus images found")
-    images = [resize_bilinear(center_crop_square(read_image(p)), resolution)
-              for p in paths]
-    return StimulusSet(images=np.stack(images), ids=tuple(p.stem for p in paths))
+    if resolution < 1:
+        raise ConfigurationError(f"resize target must be >= 1 pixel, got {resolution}")
+    images = np.empty((len(paths), 3, resolution, resolution))
+    for image, p in zip(images, paths):
+        image[...] = resize_bilinear(center_crop_square(read_image(p)), resolution)
+    return StimulusSet(images=images, ids=tuple(p.stem for p in paths))
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,15 @@ unstructured noise scores in the low single digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .data import write_csv
 from .errors import ConfigurationError
 
 
-class Peakedness(NamedTuple):
-    score: float
-    degenerate: bool
-
-
-def gabor_peakedness(filt) -> Peakedness:
-    """Spectral peak-to-mean ratio of one [C,k,k] (or [k,k]) kernel.
+def gabor_peakedness(filt) -> dict:
+    """Spectral peak-to-mean ratio of one [C,k,k] (or [k,k]) kernel, as
+    {"score", "degenerate"}.
 
     Channels are averaged to a single map and the mean (DC) is removed
     before the FFT; the DC bin is excluded from both max and mean. A
@@ -40,20 +33,8 @@ def gabor_peakedness(filt) -> Peakedness:
     non_dc = mag[1:]  # bin (0,0) is ravel index 0
     mean = non_dc.mean()
     if mean == 0.0:
-        return Peakedness(score=1.0, degenerate=True)
-    return Peakedness(score=float(non_dc.max() / mean), degenerate=False)
-
-
-@dataclass
-class FilterSummary:
-    """Per-filter peakedness scores for one condition's first conv layer."""
-
-    rule: str
-    scores: np.ndarray            # [num_filters]
-    mean: float
-    std: float                    # sample std (ddof=1)
-    degenerate: np.ndarray        # [num_filters] bool
-    grid: np.ndarray              # [min(16, num_filters), C, k, k] in [0,1]
+        return {"score": 1.0, "degenerate": True}
+    return {"score": float(non_dc.max() / mean), "degenerate": False}
 
 
 def _minmax_grid(filters: np.ndarray) -> np.ndarray:
@@ -64,29 +45,35 @@ def _minmax_grid(filters: np.ndarray) -> np.ndarray:
     return grid
 
 
-def summarize_filters(state, rule: str = "") -> FilterSummary:
+def summarize_filters(state, rule: str = "") -> dict:
     """Score every conv1 filter of a NetworkState and export the first 16
-    as a min-max normalized grid for external plotting."""
+    as a min-max normalized grid for external plotting.
+
+    Returns {"rule", "scores" [num_filters], "mean", "std" (sample, ddof=1),
+    "degenerate" [num_filters] bool, "grid" [min(16, num_filters), C, k, k]
+    in [0, 1]}.
+    """
     weights = state.arrays["conv1.w"]
     results = [gabor_peakedness(w) for w in weights]
-    scores = np.array([r.score for r in results])
-    degenerate = np.array([r.degenerate for r in results])
+    scores = np.array([r["score"] for r in results])
     std = float(np.std(scores, ddof=1)) if scores.size > 1 else 0.0
-    return FilterSummary(rule=rule, scores=scores, mean=float(scores.mean()),
-                         std=std, degenerate=degenerate,
-                         grid=_minmax_grid(weights[:16]))
+    return {"rule": rule, "scores": scores, "mean": float(scores.mean()), "std": std,
+            "degenerate": np.array([r["degenerate"] for r in results]),
+            "grid": _minmax_grid(weights[:16])}
 
 
-def write_filter_scores_csv(summary: FilterSummary, path) -> None:
-    rows = [[summary.rule, i, s, int(d)]
-            for i, (s, d) in enumerate(zip(summary.scores, summary.degenerate))]
-    rows += [[summary.rule, "mean", summary.mean, ""], [summary.rule, "std", summary.std, ""]]
+def write_filter_scores_csv(summary: dict, path) -> None:
+    rule = summary["rule"]
+    rows = [[rule, i, s, int(d)]
+            for i, (s, d) in enumerate(zip(summary["scores"], summary["degenerate"]))]
+    rows += [[rule, "mean", summary["mean"], ""], [rule, "std", summary["std"], ""]]
     write_csv(path, ["rule", "filter", "peakedness", "degenerate"], rows)
 
 
-def write_filter_grid_csv(summary: FilterSummary, path) -> None:
+def write_filter_grid_csv(summary: dict, path) -> None:
     """One row per exported filter: index then the [C,k,k] values flattened
     row-major."""
-    c, k = summary.grid.shape[1], summary.grid.shape[2]
+    grid = summary["grid"]
+    c, k = grid.shape[1], grid.shape[2]
     write_csv(path, ["filter"] + [f"v{j}" for j in range(c * k * k)],
-              [[i] + g.ravel().tolist() for i, g in enumerate(summary.grid)])
+              [[i] + g.ravel().tolist() for i, g in enumerate(grid)])

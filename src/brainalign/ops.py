@@ -270,7 +270,7 @@ class BnCache(NamedTuple):
     gamma: np.ndarray
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str, out=None):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str):
     """Per-channel batch norm over a [B,C,H,W] tensor, with BN_EPS added to
     the variance.
 
@@ -279,12 +279,11 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str, out=
     the running estimate, matching the common framework default). Eval mode
     normalises by the running stats.
 
-    `out` follows numpy's convention, in eval mode only: the result is
-    written into it, and it may be `x` itself. Without `out` the input is
-    never written. Train mode raises ConfigurationError if given `out`.
-    Eval mode runs its ufunc chain block by block (_map_blocks).
+    Train mode never writes `x`. Eval mode normalises `x` in place, block
+    by block (_map_blocks), and returns it: its one caller owns the conv
+    output it passes.
 
-    Returns (output, BnCache) in train mode and (output, None) in eval mode.
+    Returns (output, BnCache) in train mode and (x, None) in eval mode.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"batchnorm expects a 4D tensor, got {x.shape}")
@@ -296,9 +295,6 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str, out=
     # Each branch fills one array with in-place ufuncs, in the order of
     # (x - mean) * inv_std * gamma + beta, so no full-size temporary is made.
     if mode == "train":
-        if out is not None:
-            raise ConfigurationError("batchnorm train mode takes no `out`: its output "
-                                     "must not alias the input or the cached xhat")
         n = x.shape[0] * x.shape[2] * x.shape[3]
         mu = x.mean(axis=(0, 2, 3))
         xhat = x - mu.reshape(1, C, 1, 1)
@@ -317,17 +313,15 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str, out=
         return out, BnCache(xhat=xhat, inv_std=inv_std, gamma=gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        if out is None:
-            out = np.empty(x.shape)
         mean, inv_std, gamma, beta = (a.reshape(1, C, 1, 1)
                                       for a in (running_mean, inv_std, gamma, beta))
         for images, channels in _map_blocks(x.shape):
-            o = out[images, channels]
-            np.subtract(x[images, channels], mean[:, channels], out=o)
+            o = x[images, channels]
+            o -= mean[:, channels]
             o *= inv_std[:, channels]
             o *= gamma[:, channels]
             o += beta[:, channels]
-        return out, None
+        return x, None
     raise ConfigurationError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
 
 

@@ -460,7 +460,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         summary = summarize_filters(state, rule=rule)
         write_filter_scores_csv(summary, out / "tables" / f"filters_{rule}.csv")
         write_filter_grid_csv(summary, out / "tables" / f"filter_grid_{rule}.csv")
-        report["filters"][rule] = {"mean": summary.mean, "std": summary.std}
+        report["filters"][rule] = {"mean": summary["mean"], "std": summary["std"]}
 
     _write_tables(out / "tables", report)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -49,16 +49,14 @@ def _correlation_distance(matrix: np.ndarray, ids) -> np.ndarray:
     return _clamp((dist[i, j] + dist[j, i]) / 2.0)  # exactly symmetric
 
 
-def rdm_from_features(matrix, ids=None) -> np.ndarray:
+def rdm_from_features(matrix, ids) -> np.ndarray:
     """Correlation-distance RDM vector from a [num_stimuli, feature_dim]
-    matrix. Rows with zero variance or a non-finite norm are an error naming
-    their `ids`."""
+    matrix whose rows are the stimuli `ids`. Rows with zero variance or a
+    non-finite norm are an error naming their ids."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ConfigurationError(
             f"feature matrix must be [N, D>=2], got {matrix.shape}")
-    if ids is None:
-        ids = tuple(f"row-{i:04d}" for i in range(matrix.shape[0]))
     return _correlation_distance(matrix, ids)
 
 

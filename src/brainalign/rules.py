@@ -362,7 +362,7 @@ def evaluate_accuracy(state: NetworkState, images, labels) -> float:
     correct = 0
     for start in range(0, images.shape[0], EVAL_BATCH_SIZE):
         batch = slice(start, start + EVAL_BATCH_SIZE)
-        logits, _ = forward(state, images[batch], mode="eval")
+        logits, _ = forward(state, images[batch])
         correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
     return correct / images.shape[0]
 

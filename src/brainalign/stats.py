@@ -184,8 +184,9 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
 
     Resamples pair indices with replacement and recomputes Spearman each
     time. Degenerate resamples (either vector constant) are skipped and
-    redrawn; more than 1% of n_boot degenerates is an error. Returns
-    (lo, hi), deterministic per seed.
+    redrawn; more than 1% of n_boot degenerates among the draws up to the
+    n_boot-th kept one is an error. Returns (lo, hi), deterministic per
+    seed.
 
     No resample is sorted. A resample changes only how many times each
     pair appears, never the order of the values, so x and y are ranked
@@ -206,13 +207,16 @@ def bootstrap_ci(model_vec, brain_vec, n_boot: int = 10000, level: float = 0.95,
     rhos = np.empty(n_boot)
     filled = degenerate = 0
     while filled < n_boot:
-        idx = rng.integers(0, n, size=(_BOOT_CHUNK, n))
+        # int32 indices are the int64 draws, bit for bit, at half the memory
+        idx = rng.integers(0, n, size=(_BOOT_CHUNK, n), dtype=np.int32)
         ok = ~(_constant_rows(x, idx) | _constant_rows(y, idx))
-        degenerate += int(np.count_nonzero(~ok))
+        kept = np.flatnonzero(ok)[: n_boot - filled]
+        # only the draws up to the one that completes n_boot are used
+        used = kept[-1] + 1 if filled + kept.size == n_boot else _BOOT_CHUNK
+        degenerate += used - kept.size
         if degenerate > cap:
             raise UndefinedStatisticError(
                 f"more than {cap} degenerate bootstrap resamples; data too close to constant")
-        kept = np.flatnonzero(ok)[: n_boot - filled]
         for start in range(0, kept.size, block):
             rows = kept[start : start + block]
             rhos[filled : filled + rows.size] = _count_spearman(idx[rows], x_layout, y_layout)

@@ -1,5 +1,6 @@
 """Shared test utilities: the finite-difference oracle, error metrics, a
-tree hash, a StimulusSet builder and the square form of an RDM vector.
+tree hash, stimulus ids, a StimulusSet builder and the square form of an
+RDM vector.
 
 numeric_grad is deliberately independent of any backward-pass code: it
 only ever calls forward functions, perturbing one element at a time with
@@ -49,9 +50,14 @@ def treehash(root):
     return h.hexdigest()
 
 
+def stim_ids(n):
+    """Stimulus ids s0, s1, ..., s{n-1}."""
+    return tuple(f"s{i}" for i in range(n))
+
+
 def stimulus_set(images):
-    """A StimulusSet of `images` with ids s0, s1, ..."""
-    return StimulusSet(images=images, ids=tuple(f"s{i}" for i in range(len(images))))
+    """A StimulusSet of `images` with ids stim_ids(len(images))."""
+    return StimulusSet(images=images, ids=stim_ids(len(images)))
 
 
 def square(vec, n):

@@ -39,7 +39,7 @@ from brainalign.rules import (
     train,
 )
 
-from helpers import numeric_grad, relerr, treehash
+from helpers import numeric_grad, relerr, stim_ids, treehash
 
 SMALL = (4, 6, 8)
 
@@ -309,11 +309,12 @@ def test_criterion_05_statistical_oracles():
 
 def test_criterion_06_permutation_calibration():
     ps = []
+    ids = stim_ids(25)
     for i in range(500):
         rng = np.random.default_rng(20_000 + i)
-        va = rdm_from_features(rng.normal(size=(25, 12)))
-        vb = rdm_from_features(rng.normal(size=(25, 12)))
-        vbrain = rdm_from_features(rng.normal(size=(25, 12)))
+        va = rdm_from_features(rng.normal(size=(25, 12)), ids)
+        vb = rdm_from_features(rng.normal(size=(25, 12)), ids)
+        vbrain = rdm_from_features(rng.normal(size=(25, 12)), ids)
         ps.append(stats.permutation_test(va, vb, vbrain, n_perm=400, seed=i)["p_value"])
     ps = np.array(ps)
     ks = ss.kstest(ps, "uniform").statistic
@@ -441,7 +442,7 @@ def test_criterion_11_format_fidelity(tmp_path):
     labels = [7, 0, 9]
     raw = b"".join(bytes([l]) + p.tobytes() for l, p in zip(labels, pixels))
     (tmp_path / "batch.bin").write_bytes(raw)
-    ds = read_cifar10_binary(tmp_path / "batch.bin")
+    ds = read_cifar10_binary([tmp_path / "batch.bin"])
     cifar_ok = (ds.labels.tolist() == labels
                 and np.array_equal(ds.images, pixels.astype(np.float64) / 255.0))
 

@@ -2,6 +2,8 @@
 a brute-force oracle, PPM round trips, RDM CSV validation, and the
 synthetic dataset contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestCifarBinary:
     def test_crafted_record(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(bytes([7]) + bytes([255]) * 3072)
-        ds = D.read_cifar10_binary(path)
+        ds = D.read_cifar10_binary([path])
         assert ds.labels.tolist() == [7]
         assert ds.images.shape == (1, 3, 32, 32)
         assert np.all(ds.images == 1.0)
@@ -34,7 +36,7 @@ class TestCifarBinary:
         pixels = bytes([200] * 1024 + [100] * 1024 + [50] * 1024)
         path = tmp_path / "batch.bin"
         path.write_bytes(bytes([0]) + pixels)
-        ds = D.read_cifar10_binary(path)
+        ds = D.read_cifar10_binary([path])
         assert np.all(ds.images[0, 0] == 200 / 255)
         assert np.all(ds.images[0, 1] == 100 / 255)
         assert np.all(ds.images[0, 2] == 50 / 255)
@@ -43,8 +45,8 @@ class TestCifarBinary:
         rec = bytes([1]) + bytes(3072)
         path = tmp_path / "batch.bin"
         path.write_bytes(rec * 5)
-        assert D.read_cifar10_binary(path, limit=0).images.shape[0] == 0
-        assert D.read_cifar10_binary(path, limit=3).images.shape[0] == 3
+        assert D.read_cifar10_binary([path], limit=0).images.shape[0] == 0
+        assert D.read_cifar10_binary([path], limit=3).images.shape[0] == 3
         ds = D.read_cifar10_binary([path, path], limit=8)
         assert ds.images.shape[0] == 8
 
@@ -60,19 +62,19 @@ class TestCifarBinary:
         path = tmp_path / "bad.bin"
         path.write_bytes(rec * 2 + b"junk")
         with pytest.raises(DataFormatError, match=str(2 * 3073)):
-            D.read_cifar10_binary(path)
+            D.read_cifar10_binary([path])
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes([11]) + bytes(3072))
         with pytest.raises(DataFormatError, match="label 11"):
-            D.read_cifar10_binary(path)
+            D.read_cifar10_binary([path])
 
     def test_write_read_round_trip(self, rng, tmp_path):
         imgs = np.rint(rng.random(size=(5, 3, 32, 32)) * 255) / 255
         labels = np.array([0, 9, 3, 1, 4])
         D.write_cifar10_binary(D.LabeledImageSet(imgs, labels), tmp_path / "rt.bin")
-        back = D.read_cifar10_binary(tmp_path / "rt.bin")
+        back = D.read_cifar10_binary([tmp_path / "rt.bin"])
         assert np.array_equal(back.images, imgs)
         assert np.array_equal(back.labels, labels)
 
@@ -189,6 +191,18 @@ class TestStimulusDir:
         quantized = np.rint(img * 255) / 255
         expected = D.resize_bilinear(D.center_crop_square(quantized), 32)
         assert np.abs(stim.images[0] - expected).max() < 1e-12
+
+    def test_fills_one_array(self, rng, tmp_path):
+        # the [N,3,R,R] array plus one image's resize temporaries: 1.21x
+        for i in range(16):
+            D.write_ppm(rng.random(size=(3, 64, 64)), tmp_path / f"s{i:02d}.ppm")
+        tracemalloc.start()
+        try:
+            stim = D.load_stimulus_dir(tmp_path, resolution=224)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * stim.images.nbytes
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(DataFormatError, match="no stimulus images"):
@@ -438,7 +452,7 @@ class TestSynth:
     def test_write_synth_dataset_files_match_memory(self, tmp_path):
         paths = D.write_synth_dataset(SPEC, 0, tmp_path)
         labeled, stim, brain = D.synth_dataset(SPEC, 0)
-        train = D.read_cifar10_binary(paths["train"])
+        train = D.read_cifar10_binary([paths["train"]])
         assert train.images.shape[0] == SPEC.num_train
         disk_stim = D.load_stimulus_dir(paths["stimuli"], resolution=32)
         assert disk_stim.ids == stim.ids

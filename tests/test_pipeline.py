@@ -289,7 +289,7 @@ class TestRunExperiment:
         assert [(f["rule"], f["seed"]) for f in report["failures"]] == [("bp", 0)]
         state, _ = load_checkpoint(tmp_path / "run" / "checkpoints" / "bp_seed1.ckpt")
         summary = summarize_filters(state)
-        assert report["filters"]["bp"] == {"mean": summary.mean, "std": summary.std}
+        assert report["filters"]["bp"] == {"mean": summary["mean"], "std": summary["std"]}
 
     def test_failed_cell_leaves_no_accuracy_or_files(self, tmp_path, monkeypatch):
         # three of four cells fail at their RDM, after training, metrics,

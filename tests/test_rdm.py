@@ -7,7 +7,7 @@ import pytest
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.rdm import average_rdms, pixel_rdm, rdm_from_features
 
-from helpers import square, stimulus_set
+from helpers import square, stim_ids, stimulus_set
 
 
 @pytest.fixture
@@ -31,11 +31,11 @@ class TestRdmFromFeatures:
 
     def test_pair_order_n3(self):
         # d(a,b) = 1 - 0.5, d(a,c) = 1 + 1, d(b,c) = 1 + 0.5
-        r = rdm_from_features(np.array([[1.0, 2, 3], [1, 3, 2], [3, 2, 1]]))
+        r = rdm_from_features(np.array([[1.0, 2, 3], [1, 3, 2], [3, 2, 1]]), ("a", "b", "c"))
         assert r == pytest.approx([0.5, 2.0, 1.5], abs=1e-12)  # (0,1), (0,2), (1,2)
 
     def test_n720_length(self, rng):
-        assert rdm_from_features(rng.normal(size=(720, 3))).shape == (258840,)
+        assert rdm_from_features(rng.normal(size=(720, 3)), stim_ids(720)).shape == (258840,)
 
     def test_is_upper_triangle_of_square_reference_bit_for_bit(self, rng):
         # tied values within rows, duplicate rows, and rows that are affine
@@ -49,7 +49,7 @@ class TestRdmFromFeatures:
         d = 1.0 - (c @ c.T) / np.outer(norms, norms)
         reference = np.clip((d + d.T) / 2.0, 0.0, 2.0)
         want = reference[np.triu_indices(len(x), k=1)]
-        assert np.array_equal(rdm_from_features(x), want)
+        assert np.array_equal(rdm_from_features(x, stim_ids(len(x))), want)
 
     def test_zero_variance_row_lists_ids(self):
         with pytest.raises(DataFormatError) as e:
@@ -67,25 +67,25 @@ class TestRdmFromFeatures:
 
     def test_needs_two_feature_dims(self):
         with pytest.raises(ConfigurationError):
-            rdm_from_features(np.ones((3, 1)))
+            rdm_from_features(np.ones((3, 1)), ("a", "b", "c"))
 
     def test_affine_rescaling_invariance(self, rng):
         x = rng.normal(size=(6, 20))
         a = rng.uniform(0.5, 2.0, size=(6, 1))
         b = rng.normal(size=(6, 1))
-        d1 = rdm_from_features(x)
-        d2 = rdm_from_features(a * x + b)
+        d1 = rdm_from_features(x, stim_ids(6))
+        d2 = rdm_from_features(a * x + b, stim_ids(6))
         assert np.abs(d1 - d2).max() < 1e-12
 
     def test_permutation_equivariance(self, rng):
         x = rng.normal(size=(7, 15))
         perm = rng.permutation(7)
-        d = square(rdm_from_features(x), 7)
-        dp = square(rdm_from_features(x[perm]), 7)
+        d = square(rdm_from_features(x, stim_ids(7)), 7)
+        dp = square(rdm_from_features(x[perm], stim_ids(7)), 7)
         assert np.abs(d[np.ix_(perm, perm)] - dp).max() < 1e-13
 
     def test_exact_invariants(self, rng):
-        r = rdm_from_features(rng.normal(size=(10, 8)))
+        r = rdm_from_features(rng.normal(size=(10, 8)), stim_ids(10))
         assert r.shape == (45,) and r.dtype == np.float64
         assert r.min() >= 0.0 and r.max() <= 2.0
 
@@ -119,11 +119,11 @@ class TestPixelRdm:
 
 class TestAverage:
     def test_single_rdm_identity(self, rng):
-        r = rdm_from_features(rng.normal(size=(5, 6)))
+        r = rdm_from_features(rng.normal(size=(5, 6)), stim_ids(5))
         assert np.array_equal(average_rdms([r]), r)
 
     def test_duplicate_average_identity(self, rng):
-        r = rdm_from_features(rng.normal(size=(5, 6)))
+        r = rdm_from_features(rng.normal(size=(5, 6)), stim_ids(5))
         assert np.abs(average_rdms([r, r]) - r).max() < 1e-15
 
     def test_entrywise_mean(self):

@@ -244,6 +244,28 @@ class TestBootstrap:
         assert stats.bootstrap_ci(x, y, n_boot=300, seed=9) == \
             stats.bootstrap_ci(x, y, n_boot=300, seed=9)
 
+    def test_cap_counts_only_the_draws_it_uses(self):
+        # 45 of 50 x values tie, so a resample is constant with p = 0.9**50,
+        # about 0.5 %. Seed 1's one 256-row round holds 2 constant rows, but
+        # only 1 before the 100th kept resample: within the cap of 1.
+        x = np.ones(50)
+        x[45:] = [2.0, 3.0, 4.0, 5.0, 6.0]
+        y = np.arange(50.0)
+        (lo, hi), degenerate = _bootstrap_oracle(x, y, 100, seed=1)
+        assert degenerate == 2
+        assert stats.bootstrap_ci(x, y, n_boot=100, seed=1) == \
+            pytest.approx((lo, hi), abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("n", [45, 780])
+    def test_int32_draws_are_the_int64_stream(self, n):
+        # bootstrap_ci draws int32 indices; the oracle replays int64 ones
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2):
+            assert np.array_equal(
+                a.integers(0, n, size=(stats._BOOT_CHUNK, n), dtype=np.int32),
+                b.integers(0, n, size=(stats._BOOT_CHUNK, n)))
+        assert a.random() == b.random()
+
     def test_degenerate_resamples_capped(self):
         # all-but-one identical values: most resamples are constant
         x = np.zeros(50)
