@@ -35,16 +35,12 @@ CHECKPOINT_MAGIC = "PLRSA-CKPT-v1"
 
 @dataclass
 class NetworkState:
-    """The five-layer net as one name -> array map: per conv block "<tap>.w",
-    ".b", ".gamma", ".beta", ".running_mean" and ".running_var", then
-    "fc1.w", "fc1.b", "fc2.w" and "fc2.b", in that order (the checkpoint's
-    array order and `apply_sgd`'s update order). Every layer's geometry is
-    read from its weights. `bn_batches_seen[i]` counts the train-mode
-    batches conv block i has normalised."""
+    """The five-layer net as one name -> array map, laid out by
+    `array_shapes`, beside the seed that drew it. The arrays are the whole
+    record: every layer's geometry is read from its weights."""
 
     arrays: dict[str, np.ndarray]
     rng_seed: int
-    bn_batches_seen: list[int]
     _warned_fresh_eval: bool = field(default=False, repr=False, compare=False)
 
     @property
@@ -65,34 +61,42 @@ class NetworkState:
         return ConvSpec.for_weights(self.arrays[f"{tap}.w"], stride=1, padding=1)
 
 
+def array_shapes(in_channels: int, channels, num_classes: int) -> dict[str, tuple[int, ...]]:
+    """Every array's name -> shape in `NetworkState.arrays` order, which is
+    the checkpoint's array order and `apply_sgd`'s update order: per conv
+    block "<tap>.w", ".b", ".gamma", ".beta", ".running_mean" and
+    ".running_var", then "fc1.w", "fc1.b", "fc2.w" and "fc2.b"."""
+    if len(channels) != 3 or min(in_channels, num_classes, *channels) < 1:
+        raise ConfigurationError(f"three conv widths >= 1 on >= 1 input channels and >= 1 "
+                                 f"classes expected, got {channels} on {in_channels} for "
+                                 f"{num_classes}")
+    shapes, c_in = {}, in_channels
+    for tap, c_out in zip(CONV_TAPS, channels):
+        shapes[f"{tap}.w"] = (c_out, c_in, 3, 3)
+        for name in ("b", "gamma", "beta", "running_mean", "running_var"):
+            shapes[f"{tap}.{name}"] = (c_out,)
+        c_in = c_out
+    shapes.update({"fc1.w": (c_in, FC1_WIDTH), "fc1.b": (FC1_WIDTH,),
+                   "fc2.w": (FC1_WIDTH, num_classes), "fc2.b": (num_classes,)})
+    return shapes
+
+
 def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
                    in_channels: int = 3) -> NetworkState:
-    """He-normal weights (std sqrt(2/fan_in)), zero biases, BN gamma=1 beta=0.
-
-    Deterministic per seed: the same seed always yields a bitwise-identical
-    state.
-    """
-    if len(channels) != 3 or min(in_channels, *channels) < 1:
-        raise ConfigurationError(f"three conv widths >= 1 on >= 1 input channels expected, "
-                                 f"got {channels} on {in_channels}")
+    """He-normal weights (std sqrt(2/fan_in), drawn in layout order), zero
+    biases, BN gamma=1 beta=0, running mean 0 and var 1. The same seed
+    always yields a bitwise-identical state."""
     rng = named_rng(seed, "init")
     arrays = {}
-    c_in = in_channels
-    for tap, c_out in zip(CONV_TAPS, channels):
-        shape = (c_out, c_in, 3, 3)
-        arrays[f"{tap}.w"] = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
-        arrays[f"{tap}.b"] = np.zeros(c_out)
-        arrays[f"{tap}.gamma"] = np.ones(c_out)
-        arrays[f"{tap}.beta"] = np.zeros(c_out)
-        arrays[f"{tap}.running_mean"] = np.zeros(c_out)
-        arrays[f"{tap}.running_var"] = np.ones(c_out)
-        c_in = c_out
-    arrays["fc1.w"] = rng.normal(0.0, np.sqrt(2.0 / channels[-1]),
-                                 size=(channels[-1], FC1_WIDTH))
-    arrays["fc1.b"] = np.zeros(FC1_WIDTH)
-    arrays["fc2.w"] = rng.normal(0.0, np.sqrt(2.0 / FC1_WIDTH), size=(FC1_WIDTH, num_classes))
-    arrays["fc2.b"] = np.zeros(num_classes)
-    return NetworkState(arrays, int(seed), [0, 0, 0])
+    for name, shape in array_shapes(in_channels, channels, num_classes).items():
+        if name.endswith(".w"):
+            fan_in = np.prod(shape[1:]) if len(shape) == 4 else shape[0]
+            arrays[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        elif name.endswith((".gamma", ".running_var")):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return NetworkState(arrays, int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +138,14 @@ def _check_batch(state: NetworkState, batch):
 def _block_forward(state: NetworkState, i: int, x, mode: str) -> BlockCache:
     """Conv block i: conv -> BN -> ReLU -> pool, keeping one full-size map:
     the BN output is rectified in place. Train mode's BN output is a fresh
-    array and counts one batch in `bn_batches_seen[i]`; eval mode's BN
-    overwrites the conv output, and its record keeps only the pooled
-    output, so the full-size map is freed when this returns."""
+    array and moves the block's running stats; eval mode's BN overwrites
+    the conv output, and its record keeps only the pooled output, so the
+    full-size map is freed when this returns."""
     tap, a = CONV_TAPS[i], state.arrays
     z = ops.conv2d_forward(x, a[f"{tap}.w"], a[f"{tap}.b"], state.conv_spec(tap))
     act, bn_cache = ops.batchnorm_forward(z, a[f"{tap}.gamma"], a[f"{tap}.beta"],
                                           a[f"{tap}.running_mean"], a[f"{tap}.running_var"], mode)
     del z
-    if mode == "train":
-        state.bn_batches_seen[i] += 1
     np.maximum(act, 0.0, out=act)
     out = ops.maxpool2x2_forward(act)
     if mode == "eval":
@@ -158,12 +160,15 @@ def forward_cached(state: NetworkState, batch, mode: str) -> ForwardCache:
     An eval-mode cache keeps only each block's `out`, the rest of every
     BlockCache is None: `forward` reads nothing else, and every backward
     caller (bp, fa, pc, stdp) runs a train-mode pass. An eval pass through
-    a network with an untrained BN block logs one warning per network, not
-    one per block or batch.
+    a network with a BN block whose running stats are still their init
+    values (mean all 0, var all 1), which no train-mode batch has moved,
+    logs one warning per network, not one per block or batch.
     """
     _check_batch(state, batch)
-    if (mode == "eval" and not state._warned_fresh_eval
-            and 0 in state.bn_batches_seen):
+    a = state.arrays
+    if mode == "eval" and not state._warned_fresh_eval and any(
+            not a[f"{tap}.running_mean"].any() and (a[f"{tap}.running_var"] == 1.0).all()
+            for tap in CONV_TAPS):
         log.warning("batchnorm eval before any train step: using init stats (mean 0, var 1)")
         state._warned_fresh_eval = True
     x = batch
@@ -295,19 +300,14 @@ def extract_all_taps(state: NetworkState, stimuli) -> dict[str, np.ndarray]:
 def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
     """Write a versioned binary checkpoint: header, JSON manifest, raw float64.
 
-    The file is written to `<path>.tmp` and renamed onto `path`, so a save
-    that fails leaves any checkpoint already at `path` as it was.
+    The manifest holds the rule tag, the seed and each array's name and
+    shape; the network's geometry is read back from those shapes. The file
+    is written to `<path>.tmp` and renamed onto `path`, so a save that
+    fails leaves any checkpoint already at `path` as it was.
     """
     arrays = state.arrays
-    manifest = {
-        "rule": rule,
-        "seed": state.rng_seed,
-        "in_channels": state.in_channels,
-        "channels": list(state.channels),
-        "num_classes": state.num_classes,
-        "bn_batches_seen": list(state.bn_batches_seen),
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
-    }
+    manifest = {"rule": rule, "seed": state.rng_seed,
+                "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]}
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
@@ -323,34 +323,33 @@ def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (NetworkState, rule tag). The manifest must
-    list exactly the network's arrays, each with its exact shape, every
-    array must be finite, and the file must end after the last array."""
+    """Read a checkpoint; returns (NetworkState, rule tag). The manifest's
+    rule must be a string, its seed an integer >= 0, and its arrays exactly
+    the layout their conv<i>.w and fc2.w shapes imply, checked before any
+    array is read; other keys are ignored. Every array must be finite, and
+    the file must end after the last array."""
     with open(path, "rb") as f:
         magic = f.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: bad checkpoint header {magic!r}")
         try:
             manifest = json.loads(f.readline().decode("ascii"))
-            state = init_he_normal(manifest["seed"], channels=tuple(manifest["channels"]),
-                                   num_classes=manifest["num_classes"],
-                                   in_channels=manifest["in_channels"])
+            rule, seed = manifest["rule"], manifest["seed"]
             entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                        for e in manifest["arrays"]]
-            seen = manifest["bn_batches_seen"]
-            if (not isinstance(seen, list) or len(seen) != 3
-                    or any(type(n) is not int or n < 0 for n in seen)):
-                raise DataFormatError(
-                    f"{path}: bn_batches_seen must be 3 integers >= 0, got {seen!r}")
-            state.bn_batches_seen = seen
-            rule = manifest["rule"]
-        except (ValueError, KeyError, TypeError, ConfigurationError) as e:
+            shapes = dict(entries)
+            expected = array_shapes(shapes["conv1.w"][1],
+                                    tuple(shapes[f"{tap}.w"][0] for tap in CONV_TAPS),
+                                    shapes["fc2.w"][1])
+        except (ValueError, KeyError, TypeError, IndexError, ConfigurationError) as e:
             raise DataFormatError(f"{path}: bad checkpoint manifest ({e!r})") from None
-        arrays = state.arrays
-        expected = [(name, a.shape) for name, a in arrays.items()]
-        if sorted(entries) != sorted(expected):
+        if not isinstance(rule, str) or type(seed) is not int or seed < 0:
+            raise DataFormatError(f"{path}: checkpoint rule must be a string and seed an "
+                                  f"integer >= 0, got rule {rule!r} and seed {seed!r}")
+        if sorted(entries) != sorted(expected.items()):
             raise DataFormatError(f"{path}: checkpoint arrays differ from the network's in "
-                                  f"{sorted(set(entries) ^ set(expected))}")
+                                  f"{sorted(set(entries) ^ set(expected.items()))}")
+        arrays = {name: np.empty(shape) for name, shape in expected.items()}
         for name, shape in entries:
             buf = f.read(8 * arrays[name].size)
             if len(buf) != 8 * arrays[name].size:
@@ -360,4 +359,4 @@ def load_checkpoint(path):
                 raise DataFormatError(f"{path}: non-finite value in checkpoint array {name!r}")
         if f.read(1):
             raise DataFormatError(f"{path}: trailing bytes after the last checkpoint array")
-    return state, rule
+    return NetworkState(arrays, seed), rule

@@ -17,10 +17,10 @@ input into one array; the backward takes the pool's input and output
 and derives the argmax from them as an int8 corner index, breaks ties
 towards the first corner in row-major window order and truncates a
 trailing odd row or column. Batch norm (eps BN_EPS, running-stat
-momentum BN_MOMENTUM) writes eval mode into a given `out` (the input
-itself, say) or one fresh full-size output, and train mode allocates
-that output plus the cached xhat; its backward allocates two full-size
-buffers, one of which it returns. The pool and eval batch norm run their
+momentum BN_MOMENTUM) normalises its input in place in eval mode and
+returns it, and train mode allocates one fresh full-size output plus the
+cached xhat; its backward allocates two full-size buffers, one of which
+it returns. The pool and eval batch norm run their
 ufunc chains one cache-sized block of (images, channels) at a time.
 """
 

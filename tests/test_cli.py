@@ -243,6 +243,18 @@ class TestExitCodes:
                      "--out-scores", str(tmp_path / "s.csv"),
                      "--out-grid", str(tmp_path / "g.csv")]) == 3
 
+    @pytest.mark.parametrize("verb", ["extract", "filters"])
+    def test_bad_checkpoint_seed_is_3(self, random_ckpt, tmp_path, capsys, verb):
+        head, manifest, body = random_ckpt.read_bytes().split(b"\n", 2)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(head + b"\n" + manifest.replace(b'"seed": 0', b'"seed": 1.7')
+                        + b"\n" + body)
+        out = ["--out", str(tmp_path / "f")] if verb == "extract" else [
+            "--out-scores", str(tmp_path / "s.csv"), "--out-grid", str(tmp_path / "g.csv")]
+        args = ["--stimuli", str(tmp_path), "--resolution", "32"] if verb == "extract" else []
+        assert main([verb, "--ckpt", str(bad), *args, *out]) == 3
+        assert "bad.ckpt: checkpoint rule must be a string and seed" in capsys.readouterr().err
+
     def test_truncated_checkpoint_manifest_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b'PLRSA-CKPT-v1\n{"arrays": [{"name": "conv1.w", "sha')

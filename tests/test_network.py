@@ -108,15 +108,16 @@ class TestForward:
             assert np.array_equal(t1[t], t2[t])
 
     @pytest.mark.parametrize("resolution", [32, 224])
-    def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution):
+    def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution, caplog):
         a = state.arrays
         for tap, c in zip(CONV_TAPS, state.channels):
             a[f"{tap}.running_mean"][:] = rng.normal(size=c)
             a[f"{tap}.running_var"][:] = rng.uniform(0.5, 2.0, size=c)
-        state.bn_batches_seen = [1, 1, 1]
         batch = rng.random(size=(2, 3, resolution, resolution))
-        cache = forward_cached(state, batch, "eval")
-        _, taps = forward(state, batch)
+        with caplog.at_level("WARNING"):
+            cache = forward_cached(state, batch, "eval")
+            _, taps = forward(state, batch)
+        assert "batchnorm eval" not in caplog.text  # hand-set stats count as trained
         x = batch
         for name, c in zip(CONV_TAPS, cache.blocks):
             assert all(f is None for f in (c.x, c.bn_cache, c.post_relu))
@@ -191,13 +192,35 @@ class TestFeatureExtraction:
             cat = np.concatenate([fa[t], fb[t]])
             assert np.abs(both[t] - cat).max() < 1e-12
 
-    def test_train_pass_counts_one_batch_per_block(self, state, rng, caplog):
+    def test_train_pass_moves_every_blocks_running_stats(self, state, rng, caplog):
         forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
-        assert state.bn_batches_seen == [1, 1, 1]
+        a = state.arrays
+        for tap in CONV_TAPS:
+            assert (a[f"{tap}.running_mean"] != 0.0).all()
+            assert (a[f"{tap}.running_var"] != 1.0).all()
+        moved = {k: v.copy() for k, v in a.items()}
         with caplog.at_level("WARNING"):
             forward(state, rng.random(size=(2, 3, 32, 32)))
-        assert state.bn_batches_seen == [1, 1, 1]
+        assert all(np.array_equal(v, a[k]) for k, v in moved.items())
         assert "batchnorm eval before any train step" not in caplog.text
+
+    @pytest.mark.parametrize("stat", ["running_mean", "running_var"])
+    def test_one_block_at_init_stats_warns(self, state, rng, caplog, stat):
+        # conv2 keeps its init stats; moving either one of them silences it
+        forward_cached(state, rng.random(size=(2, 3, 32, 32)), "train")
+        a = state.arrays
+        a["conv2.running_mean"][:], a["conv2.running_var"][:] = 0.0, 1.0
+        with caplog.at_level("WARNING"):
+            forward(state, rng.random(size=(1, 3, 32, 32)))
+        assert caplog.text.count("batchnorm eval before any train step") == 1
+        fresh = init_he_normal(0, channels=SMALL)
+        fresh.arrays[f"conv1.{stat}"][0] += 0.5
+        for tap in ("conv2", "conv3"):
+            fresh.arrays[f"{tap}.{stat}"][:] += 0.5
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            forward(fresh, rng.random(size=(1, 3, 32, 32)))
+        assert "batchnorm eval" not in caplog.text
 
     def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog, monkeypatch):
         # three fresh BN blocks and two batches, but one network
@@ -205,7 +228,12 @@ class TestFeatureExtraction:
         with caplog.at_level("WARNING"):
             extract_all_taps(state, stimulus_set(rng.random(size=(3, 3, 32, 32))))
             forward(state, rng.random(size=(1, 3, 32, 32)))
+            forward(state, rng.random(size=(1, 3, 32, 32)))
         assert caplog.text.count("batchnorm eval before any train step") == 1
+        # the flag is per network: another fresh one warns once more
+        with caplog.at_level("WARNING"):
+            forward(init_he_normal(1, channels=SMALL), rng.random(size=(1, 3, 32, 32)))
+        assert caplog.text.count("batchnorm eval before any train step") == 2
 
 
 class TestCheckpoint:
@@ -213,15 +241,41 @@ class TestCheckpoint:
         # move the state off its init values first
         state.arrays["conv1.w"] += 0.01
         state.arrays["conv2.running_mean"] += 0.5
-        state.bn_batches_seen[1] = 7
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path, rule="bp")
         loaded, rule = load_checkpoint(path)
         assert rule == "bp"
         for (ka, va), (kb, vb) in zip(state.arrays.items(), loaded.arrays.items()):
             assert ka == kb and np.array_equal(va, vb)
-        assert loaded.bn_batches_seen == [0, 7, 0]
         assert loaded.rng_seed == state.rng_seed
+
+    def test_manifest_states_each_fact_once(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path, rule="bp")
+        manifest = json.loads(path.read_bytes().split(b"\n")[1])
+        assert sorted(manifest) == ["arrays", "rule", "seed"]
+        assert [e["name"] for e in manifest["arrays"]] == list(state.arrays)
+
+    def test_layout_is_the_init_arrays(self):
+        shapes = network.array_shapes(1, SMALL, 4)
+        state = init_he_normal(5, channels=SMALL, num_classes=4, in_channels=1)
+        assert {k: v.shape for k, v in state.arrays.items()} == shapes
+        assert list(state.arrays) == list(shapes)
+
+    def test_older_manifest_with_extra_keys_loads(self, rng, tmp_path):
+        # a manifest that also lists the geometry and per-block BN batch
+        # counts loads to the same arrays, rule and seed
+        state = init_he_normal(3, channels=SMALL, num_classes=4, in_channels=2)
+        state.arrays["conv3.running_var"] += rng.uniform(size=8)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path, rule="fa")
+        self._rewrite(path, lambda m: m.update(in_channels=2, channels=list(SMALL),
+                                               num_classes=4, bn_batches_seen=[0, 2, 5]))
+        loaded, rule = load_checkpoint(path)
+        assert (rule, loaded.rng_seed) == ("fa", 3)
+        assert list(loaded.arrays) == list(state.arrays)
+        for k, v in state.arrays.items():
+            assert np.array_equal(loaded.arrays[k], v) and loaded.arrays[k].flags.writeable
 
     def test_round_trip_keeps_geometry(self, tmp_path):
         state = init_he_normal(5, channels=SMALL, num_classes=4, in_channels=1)
@@ -322,24 +376,48 @@ class TestCheckpoint:
     def test_missing_manifest_key_rejected(self, state, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        self._rewrite(path, lambda m: m.pop("channels"))
-        with pytest.raises(DataFormatError, match="manifest.*channels"):
+        self._rewrite(path, lambda m: m.pop("seed"))
+        with pytest.raises(DataFormatError, match="manifest.*seed"):
             load_checkpoint(path)
 
     def test_zero_width_channels_rejected(self, state, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        self._rewrite(path, lambda m: m.update(channels=[0, 6, 8]))
+
+        def zero_width(m):
+            next(e for e in m["arrays"] if e["name"] == "conv1.w")["shape"] = [0, 3, 3, 3]
+
+        self._rewrite(path, zero_width)
         with pytest.raises(DataFormatError, match="manifest.*conv widths >= 1"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("seen", [[], [5], [5, 0], [-3, 5, 5], [1, 2, 3, 4],
-                                      [1.5, 2, 3], [True, 2, 3], "555", None])
-    def test_bad_bn_batches_seen_rejected(self, state, tmp_path, seen):
+    @pytest.mark.parametrize("edit", [
+        {"rule": 5}, {"rule": None}, {"rule": ["bp"]},
+        {"seed": 1.7}, {"seed": True}, {"seed": -1}, {"seed": "0"}, {"seed": None}],
+        ids=["rule-int", "rule-null", "rule-list", "seed-float", "seed-bool",
+             "seed-negative", "seed-str", "seed-null"])
+    def test_bad_rule_or_seed_rejected(self, state, tmp_path, edit):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path, rule="bp")
+        self._rewrite(path, lambda m: m.update(edit))
+        with pytest.raises(DataFormatError,
+                           match="net.ckpt: checkpoint rule must be a string and seed an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["repeat", "inconsistent"])
+    def test_layout_checked_before_any_array_is_read(self, state, tmp_path, edit):
+        # no array bytes follow the manifest, so a read would be "truncated"
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        self._rewrite(path, lambda m: m.update(bn_batches_seen=seen))
-        with pytest.raises(DataFormatError, match="bn_batches_seen must be 3 integers >= 0"):
+
+        def bad_layout(m):
+            if edit == "repeat":
+                m["arrays"].insert(1, dict(m["arrays"][0]))
+            else:  # conv2 reads 5 channels, conv1 writes 4
+                next(e for e in m["arrays"] if e["name"] == "conv2.w")["shape"] = [6, 5, 3, 3]
+
+        self._rewrite(path, bad_layout, arrays=[])
+        with pytest.raises(DataFormatError, match="arrays differ from the network's"):
             load_checkpoint(path)
 
     def test_truncated_manifest_rejected(self, state, tmp_path):
