@@ -14,7 +14,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ log = logging.getLogger(__name__)
 
 TAPS = ("conv1", "conv2", "conv3", "fc1", "fc2")
 CONV_TAPS = ("conv1", "conv2", "conv3")
+LEVELS = ("input",) + CONV_TAPS  # record keys of PC's r_0..r_3; conv block i reads LEVELS[i]
 SUPPORTED_RESOLUTIONS = (32, 224)
 DEFAULT_CHANNELS = (32, 64, 128)
 FC1_WIDTH = 512
@@ -103,25 +103,6 @@ def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-class BlockCache(NamedTuple):
-    """One conv block's forward record. An eval-mode record keeps only
-    `out`; the other fields, which only a backward reads, are None.
-    `post_relu` and `out` are the pool's input and output, from which its
-    backward derives the argmax, so nothing may write them in between."""
-
-    out: np.ndarray                      # post-pool block output
-    x: np.ndarray | None = None          # block input
-    bn_cache: ops.BnCache | None = None
-    post_relu: np.ndarray | None = None  # post-BN, post-ReLU, pre-pool
-
-
-class ForwardCache(NamedTuple):
-    blocks: tuple[BlockCache, BlockCache, BlockCache]
-    gap: np.ndarray           # [B, C3] input to fc1
-    fc1_act: np.ndarray       # post-ReLU; > 0 is the ReLU mask
-    logits: np.ndarray
-
-
 def _check_batch(state: NetworkState, batch):
     if batch.ndim != 4 or batch.shape[1] != state.in_channels:
         raise ConfigurationError(
@@ -135,34 +116,24 @@ def _check_batch(state: NetworkState, batch):
         )
 
 
-def _block_forward(state: NetworkState, i: int, x, mode: str) -> BlockCache:
-    """Conv block i: conv -> BN -> ReLU -> pool, keeping one full-size map:
-    the BN output is rectified in place. Train mode's BN output is a fresh
-    array and moves the block's running stats; eval mode's BN overwrites
-    the conv output, and its record keeps only the pooled output, so the
-    full-size map is freed when this returns."""
-    tap, a = CONV_TAPS[i], state.arrays
-    z = ops.conv2d_forward(x, a[f"{tap}.w"], a[f"{tap}.b"], state.conv_spec(tap))
-    act, bn_cache = ops.batchnorm_forward(z, a[f"{tap}.gamma"], a[f"{tap}.beta"],
-                                          a[f"{tap}.running_mean"], a[f"{tap}.running_var"], mode)
-    del z
-    np.maximum(act, 0.0, out=act)
-    out = ops.maxpool2x2_forward(act)
-    if mode == "eval":
-        return BlockCache(out)
-    return BlockCache(out, x, bn_cache, act)
+def forward_cached(state: NetworkState, batch, mode: str) -> dict:
+    """Full forward pass as one name -> array record: "input" (the batch),
+    each conv tap "conv1".."conv3" (the pooled block output, which is block
+    i + 1's input), "gap", "fc1" (post-ReLU; > 0 is its ReLU mask) and
+    "fc2" (the logits). Each block keeps one full-size map: its BN output,
+    rectified in place. Train mode's BN output is a fresh array and moves
+    the block's running stats, and the record adds "<tap>.relu" (that
+    post-BN, post-ReLU map, the pool's input) and "<tap>.bn" (the
+    `ops.BnCache`). The pool's backward derives its argmax from "<tap>.relu"
+    and "<tap>", so nothing may write either before it runs.
 
-
-def forward_cached(state: NetworkState, batch, mode: str) -> ForwardCache:
-    """Full forward pass; in train mode it keeps every intermediate a
-    backward needs.
-
-    An eval-mode cache keeps only each block's `out`, the rest of every
-    BlockCache is None: `forward` reads nothing else, and every backward
-    caller (bp, fa, pc, stdp) runs a train-mode pass. An eval pass through
-    a network with a BN block whose running stats are still their init
-    values (mean all 0, var all 1), which no train-mode batch has moved,
-    logs one warning per network, not one per block or batch.
+    Eval mode's BN overwrites the conv output, and the full-size map is
+    freed once pooled, so an eval record holds no full-size map: `forward`
+    reads nothing else, and every backward caller (bp, fa, pc, stdp) runs a
+    train-mode pass. An eval pass through a network with a BN block whose
+    running stats are still their init values (mean all 0, var all 1),
+    which no train-mode batch has moved, logs one warning per network, not
+    one per block or batch.
     """
     _check_batch(state, batch)
     a = state.arrays
@@ -171,21 +142,28 @@ def forward_cached(state: NetworkState, batch, mode: str) -> ForwardCache:
             for tap in CONV_TAPS):
         log.warning("batchnorm eval before any train step: using init stats (mean 0, var 1)")
         state._warned_fresh_eval = True
+    record = {"input": batch}
     x = batch
-    caches = []
-    for i in range(len(CONV_TAPS)):
-        c = _block_forward(state, i, x, mode)
-        caches.append(c)
-        x = c.out
-    return fc_forward(state, ops.global_avg_pool(x))._replace(blocks=tuple(caches))
+    for tap in CONV_TAPS:
+        z = ops.conv2d_forward(x, a[f"{tap}.w"], a[f"{tap}.b"], state.conv_spec(tap))
+        act, bn = ops.batchnorm_forward(z, a[f"{tap}.gamma"], a[f"{tap}.beta"],
+                                        a[f"{tap}.running_mean"], a[f"{tap}.running_var"], mode)
+        del z
+        np.maximum(act, 0.0, out=act)
+        x = record[tap] = ops.maxpool2x2_forward(act)
+        if mode == "train":
+            record[f"{tap}.relu"], record[f"{tap}.bn"] = act, bn
+        del act
+    record.update(fc_forward(state, ops.global_avg_pool(x)))
+    return record
 
 
-def fc_forward(state: NetworkState, gap) -> ForwardCache:
-    """FC1 -> ReLU -> FC2 on [B, C3] features; the cache has no conv blocks."""
+def fc_forward(state: NetworkState, gap) -> dict:
+    """FC1 -> ReLU -> FC2 on [B, C3] features: the record's "gap", "fc1"
+    and "fc2"."""
     a = state.arrays
-    fc1_act = ops.relu_forward(ops.affine_forward(gap, a["fc1.w"], a["fc1.b"]))
-    logits = ops.affine_forward(fc1_act, a["fc2.w"], a["fc2.b"])
-    return ForwardCache(blocks=(), gap=gap, fc1_act=fc1_act, logits=logits)
+    fc1 = ops.relu_forward(ops.affine_forward(gap, a["fc1.w"], a["fc1.b"]))
+    return {"gap": gap, "fc1": fc1, "fc2": ops.affine_forward(fc1, a["fc2.w"], a["fc2.b"])}
 
 
 def forward(state: NetworkState, batch):
@@ -195,14 +173,14 @@ def forward(state: NetworkState, batch):
     Conv taps are the post-ReLU, post-pool maps; fc1 is post-ReLU; fc2 is
     the raw logits.
     """
-    cache = forward_cached(state, batch, "eval")
-    taps = dict(zip(CONV_TAPS, (c.out for c in cache.blocks)))
-    return cache.logits, {**taps, "fc1": cache.fc1_act, "fc2": cache.logits}
+    record = forward_cached(state, batch, "eval")
+    return record["fc2"], {tap: record[tap] for tap in TAPS}
 
 
-def backward(state: NetworkState, cache: ForwardCache, grad_logits,
+def backward(state: NetworkState, record: dict, grad_logits,
              feedback=None) -> dict[str, np.ndarray]:
-    """Backward pass from a logits gradient down to every parameter.
+    """Backward pass through a train-mode `forward_cached` record from a
+    logits gradient down to every parameter.
 
     Returns name -> gradient for every trained parameter, keyed like
     `state.arrays` (the BN running stats have none). The error travels
@@ -212,37 +190,37 @@ def backward(state: NetworkState, cache: ForwardCache, grad_logits,
     parameter gradients and pool/ReLU routing stay local either way.
     """
     transport = feedback or state.arrays
-    delta, grads = fc_backward(cache, grad_logits, transport)
-    delta = ops.global_avg_pool_backward(delta, cache.blocks[2].out.shape)
-    # Conv blocks, deepest first
+    delta, grads = fc_backward(record, grad_logits, transport)
+    delta = ops.global_avg_pool_backward(delta, record["conv3"].shape)
+    # Conv blocks, deepest first; block i's input is the level below it
     for i in (2, 1, 0):
-        name, c = CONV_TAPS[i], cache.blocks[i]
-        spec = state.conv_spec(name)
+        tap = CONV_TAPS[i]
+        x, out, spec = record[LEVELS[i]], record[tap], state.conv_spec(tap)
         # The ReLU mask at pooled resolution: each window's argmax is `out`.
-        delta = ops.maxpool2x2_backward(ops.relu_backward(delta, c.out), c.post_relu, c.out)
-        delta, grads[f"{name}.gamma"], grads[f"{name}.beta"] = ops.batchnorm_backward(
-            delta, c.bn_cache)
-        grads[f"{name}.w"] = ops.conv2d_weight_grad(delta, c.x, spec)
-        grads[f"{name}.b"] = delta.sum(axis=(0, 2, 3))
+        delta = ops.maxpool2x2_backward(ops.relu_backward(delta, out), record[f"{tap}.relu"], out)
+        delta, grads[f"{tap}.gamma"], grads[f"{tap}.beta"] = ops.batchnorm_backward(
+            delta, record[f"{tap}.bn"])
+        grads[f"{tap}.w"] = ops.conv2d_weight_grad(delta, x, spec)
+        grads[f"{tap}.b"] = delta.sum(axis=(0, 2, 3))
         if i > 0:
-            delta = ops.conv2d_input_grad(delta, transport[f"{name}.w"], spec, c.x.shape[2:])
+            delta = ops.conv2d_input_grad(delta, transport[f"{tap}.w"], spec, x.shape[2:])
     return grads
 
 
-def fc_backward(cache: ForwardCache, grad_logits, transport):
+def fc_backward(record: dict, grad_logits, transport):
     """Backward through FC2 -> ReLU -> FC1 from a logits gradient.
 
     The error travels down through `transport["fc2.w"]` and
     `transport["fc1.w"]`, each in its forward weight's shape. Returns
-    (gradient w.r.t. `cache.gap`, {"fc1.w", "fc1.b", "fc2.w", "fc2.b"}
+    (gradient w.r.t. `record["gap"]`, {"fc1.w", "fc1.b", "fc2.w", "fc2.b"}
     gradients).
     """
     grads = {}
     delta, grads["fc2.w"], grads["fc2.b"] = ops.affine_backward(
-        grad_logits, cache.fc1_act, transport["fc2.w"])
-    delta = ops.relu_backward(delta, cache.fc1_act)
+        grad_logits, record["fc1"], transport["fc2.w"])
+    delta = ops.relu_backward(delta, record["fc1"])
     delta, grads["fc1.w"], grads["fc1.b"] = ops.affine_backward(
-        delta, cache.gap, transport["fc1.w"])
+        delta, record["gap"], transport["fc1.w"])
     return delta, grads
 
 
@@ -324,10 +302,11 @@ def save_checkpoint(state: NetworkState, path, rule: str = "") -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (NetworkState, rule tag). The manifest's
-    rule must be a string, its seed an integer >= 0, and its arrays exactly
-    the layout their conv<i>.w and fc2.w shapes imply, checked before any
-    array is read; other keys are ignored. Every array must be finite, and
-    the file must end after the last array."""
+    rule must be a string, its seed an integer >= 0, each shape a list of
+    integers >= 0, and its arrays exactly the layout their conv<i>.w and
+    fc2.w shapes imply, each listed once, checked before any array is read;
+    other keys are ignored. Every array must be finite, and the file must
+    end after the last array."""
     with open(path, "rb") as f:
         magic = f.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
@@ -335,8 +314,12 @@ def load_checkpoint(path):
         try:
             manifest = json.loads(f.readline().decode("ascii"))
             rule, seed = manifest["rule"], manifest["seed"]
-            entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
-                       for e in manifest["arrays"]]
+            entries = []
+            for e in manifest["arrays"]:
+                name, shape = str(e["name"]), e["shape"]
+                if type(shape) is not list or any(type(d) is not int or d < 0 for d in shape):
+                    raise ValueError(f"{name!r} shape {shape!r} is not a list of integers >= 0")
+                entries.append((name, tuple(shape)))
             shapes = dict(entries)
             expected = array_shapes(shapes["conv1.w"][1],
                                     tuple(shapes[f"{tap}.w"][0] for tap in CONV_TAPS),
@@ -346,6 +329,11 @@ def load_checkpoint(path):
         if not isinstance(rule, str) or type(seed) is not int or seed < 0:
             raise DataFormatError(f"{path}: checkpoint rule must be a string and seed an "
                                   f"integer >= 0, got rule {rule!r} and seed {seed!r}")
+        if len(shapes) < len(entries):
+            names = [name for name, _ in entries]
+            raise DataFormatError(f"{path}: checkpoint arrays differ from the network's: "
+                                  f"{sorted({n for n in names if names.count(n) > 1})} "
+                                  f"listed more than once")
         if sorted(entries) != sorted(expected.items()):
             raise DataFormatError(f"{path}: checkpoint arrays differ from the network's in "
                                   f"{sorted(set(entries) ^ set(expected.items()))}")

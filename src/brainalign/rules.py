@@ -46,6 +46,7 @@ from .errors import ConfigurationError, TrainingDivergedError
 from .network import (
     CONV_TAPS,
     DEFAULT_CHANNELS,
+    LEVELS,
     NetworkState,
     apply_sgd,
     backward,
@@ -105,11 +106,11 @@ class RuleParams:
 
 def bp_step(state: NetworkState, batch, labels, lr: float):
     """One SGD step on softmax cross-entropy. Mutates `state`; returns (loss, logits)."""
-    cache = forward_cached(state, batch, mode="train")
-    loss, grad_logits = ops.softmax_xent(cache.logits, labels)
-    grads = backward(state, cache, grad_logits)
+    record = forward_cached(state, batch, mode="train")
+    loss, grad_logits = ops.softmax_xent(record["fc2"], labels)
+    grads = backward(state, record, grad_logits)
     apply_sgd(state, grads, lr)
-    return loss, cache.logits
+    return loss, record["fc2"]
 
 
 def make_feedback_weights(state: NetworkState, seed: int) -> dict[str, np.ndarray]:
@@ -143,11 +144,11 @@ def fa_step(state: NetworkState, feedback: dict[str, np.ndarray], batch, labels,
     if got != expected:
         raise ConfigurationError(
             f"feedback shapes {got} do not match the forward weights' {expected}")
-    cache = forward_cached(state, batch, mode="train")
-    loss, grad_logits = ops.softmax_xent(cache.logits, labels)
-    grads = backward(state, cache, grad_logits, feedback=feedback)
+    record = forward_cached(state, batch, mode="train")
+    loss, grad_logits = ops.softmax_xent(record["fc2"], labels)
+    grads = backward(state, record, grad_logits, feedback=feedback)
     apply_sgd(state, grads, lr)
-    return loss, cache.logits
+    return loss, record["fc2"]
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +242,14 @@ def pc_infer_and_learn(state: NetworkState, pc, batch, labels, cfg: RuleParams):
 
     Returns (readout loss, logits, energy trace).
     """
-    cache = forward_cached(state, batch, mode="train")
-    reps0 = [batch] + [c.out for c in cache.blocks]
-    reps, eps, energies = pc_inference(pc, reps0, cfg.pc_t_inf, cfg.pc_alpha)
+    record = forward_cached(state, batch, mode="train")
+    reps, eps, energies = pc_inference(pc, [record[level] for level in LEVELS],
+                                       cfg.pc_t_inf, cfg.pc_alpha)
     B = batch.shape[0]
 
     for l in (1, 2):  # eps_3 does not exist: conv3 keeps its weights
-        tap, c = CONV_TAPS[l - 1], cache.blocks[l - 1]
-        routed = ops.maxpool2x2_backward(eps[l], c.post_relu, c.out)
+        tap = CONV_TAPS[l - 1]
+        routed = ops.maxpool2x2_backward(eps[l], record[f"{tap}.relu"], record[tap])
         dw = ops.conv2d_weight_grad(routed, reps[l - 1], state.conv_spec(tap)) / B
         state.arrays[f"{tap}.w"] += cfg.pc_eta_w * dw
     for i, p in enumerate(pc):
@@ -331,16 +332,16 @@ def stdp_conv_delta(t_pre, t_post, spec: ConvSpec, cfg: RuleParams) -> np.ndarra
 def stdp_step(state: NetworkState, batch, labels, cfg: RuleParams, spike_rng):
     """One STDP pass over a batch: spike-timing updates for every conv
     kernel, then a BP readout step on the cached features. Mutates state."""
-    cache = forward_cached(state, batch, mode="train")
-    pre_maps = [batch, cache.blocks[0].out, cache.blocks[1].out]
-    for tap, c, pre in zip(CONV_TAPS, cache.blocks, pre_maps):
+    record = forward_cached(state, batch, mode="train")
+    for below, tap in zip(LEVELS, CONV_TAPS):
+        pre, post = record[below], record[f"{tap}.relu"]
         p_pre = pre / max(float(pre.max()), 1e-8)
-        p_post = c.post_relu / max(float(c.post_relu.max()), 1e-8)
+        p_post = post / max(float(post.max()), 1e-8)
         t_pre = first_spike_times(p_pre, cfg.stdp_t, spike_rng)
         t_post = first_spike_times(p_post, cfg.stdp_t, spike_rng)
         state.arrays[f"{tap}.w"] += cfg.stdp_lr * stdp_conv_delta(
             t_pre, t_post, state.conv_spec(tap), cfg)
-    loss, logits = _readout_step(state, cache.gap, labels, cfg.lr)
+    loss, logits = _readout_step(state, record["gap"], labels, cfg.lr)
     return loss, logits
 
 
@@ -350,11 +351,11 @@ def stdp_step(state: NetworkState, batch, labels, cfg: RuleParams, spike_rng):
 
 def _readout_step(state: NetworkState, feats, labels, lr: float):
     """BP/SGD step on FC1+FC2 only, from fixed [B, C3] features."""
-    cache = fc_forward(state, feats)
-    loss, grad_logits = ops.softmax_xent(cache.logits, labels)
-    _, grads = fc_backward(cache, grad_logits, state.arrays)
+    record = fc_forward(state, feats)
+    loss, grad_logits = ops.softmax_xent(record["fc2"], labels)
+    _, grads = fc_backward(record, grad_logits, state.arrays)
     apply_sgd(state, grads, lr)  # FC gradients only: the conv blocks stay as they are
-    return loss, cache.logits
+    return loss, record["fc2"]
 
 
 def evaluate_accuracy(state: NetworkState, images, labels) -> float:

@@ -24,7 +24,7 @@ from brainalign.data import (
     write_rdm_csv,
     write_synth_dataset,
 )
-from brainalign.network import forward_cached, init_he_normal
+from brainalign.network import CONV_TAPS, forward_cached, init_he_normal
 from brainalign.ops import ConvSpec
 from brainalign.pipeline import ExperimentConfig, run_experiment
 from brainalign.rdm import pairs, rdm_from_features
@@ -128,12 +128,12 @@ def test_criterion_01_gradient_correctness():
     # perturbation flips a routing decision are skipped (FD is undefined at
     # a kink), and the error gets a small absolute floor because BN absorbs
     # conv biases (their true gradient is exactly zero, FD returns noise).
-    def routing(cache):
+    def routing(record):
         sig = []
-        for bc in cache.blocks:
-            sig.append(ops._pool_argmax(bc.post_relu, bc.out))
-            sig.append(bc.post_relu > 0)
-        sig.append(cache.fc1_act > 0)
+        for tap in CONV_TAPS:
+            sig.append(ops._pool_argmax(record[f"{tap}.relu"], record[tap]))
+            sig.append(record[f"{tap}.relu"] > 0)
+        sig.append(record["fc1"] > 0)
         return sig
 
     def floored_relerr(a, n):
@@ -144,9 +144,9 @@ def test_criterion_01_gradient_correctness():
         st = init_he_normal(trial, channels=(2, 3, 4))
         batch = rng.normal(0.5, 0.2, size=(2, 3, 32, 32)).clip(0, 1)
         labels = rng.integers(0, 10, size=2)
-        cache = forward_cached(st, batch, "train")
-        _, grad_logits = ops.softmax_xent(cache.logits, labels)
-        grads = network.backward(st, cache, grad_logits)
+        record = forward_cached(st, batch, "train")
+        _, grad_logits = ops.softmax_xent(record["fc2"], labels)
+        grads = network.backward(st, record, grad_logits)
         params = st.arrays
         for name in ("conv1.w", "conv2.gamma", "conv3.b", "fc1.w", "fc2.w"):
             tensor, analytic = params[name], grads[name]
@@ -156,14 +156,14 @@ def test_criterion_01_gradient_correctness():
                 i = tuple(ix[k] for ix in sel)
                 orig = tensor[i]
                 tensor[i] = orig + 1e-5
-                cache_p = forward_cached(st, batch, "train")
-                fp = ops.softmax_xent(cache_p.logits, labels)[0]
+                record_p = forward_cached(st, batch, "train")
+                fp = ops.softmax_xent(record_p["fc2"], labels)[0]
                 tensor[i] = orig - 1e-5
-                cache_m = forward_cached(st, batch, "train")
-                fm = ops.softmax_xent(cache_m.logits, labels)[0]
+                record_m = forward_cached(st, batch, "train")
+                fm = ops.softmax_xent(record_m["fc2"], labels)[0]
                 tensor[i] = orig
                 stable = all(np.array_equal(a, b) for a, b in
-                             zip(routing(cache_p), routing(cache_m)))
+                             zip(routing(record_p), routing(record_m)))
                 if not stable:
                     skipped += 1
                     continue
@@ -223,8 +223,8 @@ def test_criterion_04_pc_energy_descent():
         st = init_he_normal(trial % 17, channels=SMALL)
         pc = init_pc_state(st, trial)
         xb = rng.normal(0.5, 0.25, size=(2, 3, 32, 32)).clip(0, 1)
-        cache = forward_cached(st, xb, "train")
-        _, _, energies = pc_inference(pc, [xb] + [c.out for c in cache.blocks],
+        record = forward_cached(st, xb, "train")
+        _, _, energies = pc_inference(pc, [xb] + [record[t] for t in CONV_TAPS],
                                       t_inf=10, alpha=alpha)
         if np.any(np.diff(energies) > 1e-9 * max(energies)):
             violations += 1

@@ -115,19 +115,32 @@ class TestForward:
             a[f"{tap}.running_var"][:] = rng.uniform(0.5, 2.0, size=c)
         batch = rng.random(size=(2, 3, resolution, resolution))
         with caplog.at_level("WARNING"):
-            cache = forward_cached(state, batch, "eval")
+            record = forward_cached(state, batch, "eval")
             _, taps = forward(state, batch)
         assert "batchnorm eval" not in caplog.text  # hand-set stats count as trained
+        assert not any(k.endswith((".relu", ".bn")) for k in record)
         x = batch
-        for name, c in zip(CONV_TAPS, cache.blocks):
-            assert all(f is None for f in (c.x, c.bn_cache, c.post_relu))
+        for name in CONV_TAPS:
             z = ops.conv2d_forward(x, a[f"{name}.w"], a[f"{name}.b"], state.conv_spec(name))
             act, _ = ops.batchnorm_forward(z, a[f"{name}.gamma"], a[f"{name}.beta"],
                                            a[f"{name}.running_mean"],
                                            a[f"{name}.running_var"], "eval")
             x = ops.maxpool2x2_forward(ops.relu_forward(act))
-            assert np.array_equal(c.out, x)
+            assert np.array_equal(record[name], x)
             assert np.array_equal(taps[name], x)
+
+    def test_record_holds_each_documented_array_once(self, state, rng):
+        batch = rng.random(size=(2, 3, 32, 32))
+        keys = {"input", *CONV_TAPS, "gap", "fc1", "fc2"}
+        record = forward_cached(state, batch, "train")
+        assert set(record) == keys | {f"{t}.{k}" for t in CONV_TAPS for k in ("relu", "bn")}
+        assert record["input"] is batch
+        assert all(isinstance(record[f"{t}.bn"], ops.BnCache) for t in CONV_TAPS)
+        arrays = [v for v in record.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == len(record) - len(CONV_TAPS)
+        assert not any(np.may_share_memory(u, v) for i, u in enumerate(arrays)
+                       for v in arrays[i + 1:])
+        assert set(forward_cached(state, batch, "eval")) == keys
 
     def test_eval_forward_at_224_holds_one_map_per_block(self):
         # Default channels, two 224 px images: conv1's output is 25.7 MB
@@ -146,9 +159,9 @@ class TestForward:
         assert peak < 34e6
 
     def test_backward_names_every_trained_parameter(self, state, rng):
-        cache = forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
-        _, grad_logits = ops.softmax_xent(cache.logits, np.array([0, 1]))
-        grads = backward(state, cache, grad_logits)
+        record = forward_cached(state, rng.random(size=(2, 3, 32, 32)), mode="train")
+        _, grad_logits = ops.softmax_xent(record["fc2"], np.array([0, 1]))
+        grads = backward(state, record, grad_logits)
         params = state.arrays
         assert set(grads) == {n for n in params if "running" not in n}
         for name, g in grads.items():
@@ -402,6 +415,27 @@ class TestCheckpoint:
         self._rewrite(path, lambda m: m.update(edit))
         with pytest.raises(DataFormatError,
                            match="net.ckpt: checkpoint rule must be a string and seed an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[4.9], ["4"], "10", [True], [-4], None, {"4": 4}],
+                             ids=["float", "str-dim", "str", "bool", "negative", "null", "object"])
+    def test_shape_not_a_list_of_integers_rejected(self, state, tmp_path, shape):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+
+        def set_shape(m):
+            next(e for e in m["arrays"] if e["name"] == "conv1.b")["shape"] = shape
+
+        self._rewrite(path, set_shape)
+        with pytest.raises(DataFormatError, match=r"net.ckpt: bad checkpoint manifest .*"
+                                                  r"'conv1.b' shape .* not a list of integers"):
+            load_checkpoint(path)
+
+    def test_repeated_array_named(self, state, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(state, path)
+        self._rewrite(path, lambda m: m["arrays"].insert(3, dict(m["arrays"][1])))
+        with pytest.raises(DataFormatError, match=r"\['conv1.b'\] listed more than once"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", ["repeat", "inconsistent"])

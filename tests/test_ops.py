@@ -388,7 +388,7 @@ class TestBatchNorm:
         assert np.array_equal(x, fresh)
 
     def test_train_output_does_not_alias_cached_xhat(self, rng):
-        # _block_forward rectifies the output in place, and the backward
+        # forward_cached rectifies the output in place, and the backward
         # then reads xhat
         x = rng.normal(size=(4, 2, 5, 5))
         out, cache = ops.batchnorm_forward(x, np.ones(2), np.zeros(2),

@@ -89,11 +89,11 @@ class TestBp:
         # the readout layer update is (softmax - onehot) x^T / B, computable by hand
         state = init_he_normal(1, channels=SMALL)
         xb, yb = small_batch(rng)
-        cache = forward_cached(copy.deepcopy(state), xb, "train")
-        sm = ops.softmax(cache.logits)
+        record = forward_cached(copy.deepcopy(state), xb, "train")
+        sm = ops.softmax(record["fc2"])
         onehot = np.zeros_like(sm)
         onehot[np.arange(len(yb)), yb] = 1
-        expected_gw = cache.fc1_act.T @ ((sm - onehot) / len(yb))
+        expected_gw = record["fc1"].T @ ((sm - onehot) / len(yb))
         w_before = state.arrays["fc2.w"].copy()
         bp_step(state, xb, yb, lr=0.5)
         assert np.abs((w_before - state.arrays["fc2.w"]) - 0.5 * expected_gw).max() < 1e-12
@@ -101,11 +101,11 @@ class TestBp:
     def test_descent_for_small_lr(self, rng):
         state = init_he_normal(2, channels=SMALL)
         xb, yb = small_batch(rng, n=8)
-        cache = forward_cached(copy.deepcopy(state), xb, "train")
-        loss_before, _ = ops.softmax_xent(cache.logits, yb)
+        record = forward_cached(copy.deepcopy(state), xb, "train")
+        loss_before, _ = ops.softmax_xent(record["fc2"], yb)
         bp_step(state, xb, yb, lr=1e-3)
-        cache2 = forward_cached(state, xb, "train")
-        loss_after, _ = ops.softmax_xent(cache2.logits, yb)
+        record2 = forward_cached(state, xb, "train")
+        loss_after, _ = ops.softmax_xent(record2["fc2"], yb)
         assert loss_after < loss_before
 
     def test_readout_step_is_the_bp_fc_head(self, rng):
@@ -113,7 +113,7 @@ class TestBp:
         # as the FC part of a BP step on the same batch and state
         state = init_he_normal(3, channels=SMALL)
         xb, yb = small_batch(rng)
-        gap = forward_cached(copy.deepcopy(state), xb, "train").gap
+        gap = forward_cached(copy.deepcopy(state), xb, "train")["gap"]
         bp, readout = copy.deepcopy(state), copy.deepcopy(state)
         bp_step(bp, xb, yb, lr=0.1)
         _readout_step(readout, gap, yb, lr=0.1)
@@ -162,10 +162,10 @@ class TestFa:
         state = init_he_normal(7, channels=SMALL)
         fb = make_feedback_weights(state, seed=123)
         xb, yb = small_batch(rng)
-        cache = forward_cached(copy.deepcopy(state), xb, "train")
-        loss, grad_logits = ops.softmax_xent(cache.logits, yb)
-        delta = (grad_logits @ fb["fc2.w"].T) * (cache.fc1_act > 0)
-        expected_gw1 = cache.gap.T @ delta
+        record = forward_cached(copy.deepcopy(state), xb, "train")
+        loss, grad_logits = ops.softmax_xent(record["fc2"], yb)
+        delta = (grad_logits @ fb["fc2.w"].T) * (record["fc1"] > 0)
+        expected_gw1 = record["gap"].T @ delta
         w_before = state.arrays["fc1.w"].copy()
         fa_step(state, fb, xb, yb, lr=1.0)
         assert np.abs((w_before - state.arrays["fc1.w"]) - expected_gw1).max() < 1e-12
@@ -207,9 +207,9 @@ class TestPc:
             state = init_he_normal(trial, channels=SMALL)
             pc = init_pc_state(state, trial)
             xb = rng.normal(0.5, 0.25, size=(2, 3, 32, 32)).clip(0, 1)
-            cache = forward_cached(state, xb, "train")
+            record = forward_cached(state, xb, "train")
             _, _, energies = pc_inference(
-                pc, [xb] + [c.out for c in cache.blocks], t_inf=10, alpha=0.02)
+                pc, [xb] + [record[t] for t in CONV_TAPS], t_inf=10, alpha=0.02)
             if np.any(np.diff(energies) > 1e-9):
                 violations += 1
         assert violations == 0
@@ -218,8 +218,8 @@ class TestPc:
         state = init_he_normal(3, channels=SMALL)
         pc = init_pc_state(state, 3)
         xb = rng.normal(0.5, 0.2, size=(1, 3, 32, 32)).clip(0, 1)
-        cache = forward_cached(state, xb, "train")
-        reps = [xb] + [c.out for c in cache.blocks]
+        record = forward_cached(state, xb, "train")
+        reps = [xb] + [record[t] for t in CONV_TAPS]
         eps = pc_errors(pc, reps)
         from brainalign.rules import pc_representation_grads
         grads = pc_representation_grads(pc, eps)
