@@ -14,12 +14,13 @@ from brainalign.ops import ConvSpec
 
 rng = np.random.default_rng(0)
 
-# A small convolution: 2 input channels -> 3 filters, 3x3 kernel, padded
+# A small convolution: 2 input channels -> 3 filters, 3x3 kernel, padded.
+# The kernel is the cross-correlation only; the caller adds the bias
 spec = ConvSpec(in_channels=2, out_channels=3, kernel_size=3, stride=1, padding=1)
 x = rng.normal(size=(2, 2, 6, 6))
 w = rng.normal(size=spec.weight_shape)
 b = rng.normal(size=3)
-out = ops.conv2d_forward(x, w, b, spec)
+out = ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1)
 print("conv output shape:", out.shape)
 
 # Backward: gradients of a random scalar projection of the output, from
@@ -47,7 +48,7 @@ def fd(f, t, eps=1e-5):
     return g
 
 
-loss = lambda: float(np.sum(ops.conv2d_forward(x, w, b, spec) * proj))
+loss = lambda: float(np.sum((ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1)) * proj))
 for name, grad, param in (("grad_x", gx, x), ("grad_w", gw, w), ("grad_b", gb, b)):
     print(f"conv {name} vs finite differences:",
           np.abs(grad - fd(loss, param)).max(), "(absolute)")

@@ -1,6 +1,6 @@
 """The fixed five-layer CNN: three conv blocks (conv -> BN -> ReLU -> 2x2
-max-pool) followed by a global average pool, FC1 (512 units, ReLU) and a
-linear FC2 readout.
+max-pool; eval mode pools first, with the same bits) followed by a global
+average pool, FC1 (512 units, ReLU) and a linear FC2 readout.
 
 Global average pooling sits between conv3 and FC1, so the classifier head
 is resolution-independent: the same parameters run at 32x32 (training) and
@@ -120,20 +120,36 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
     """Full forward pass as one name -> array record: "input" (the batch),
     each conv tap "conv1".."conv3" (the pooled block output, which is block
     i + 1's input), "gap", "fc1" (post-ReLU; > 0 is its ReLU mask) and
-    "fc2" (the logits). Each block keeps one full-size map: its BN output,
-    rectified in place. Train mode's BN output is a fresh array and moves
-    the block's running stats, and the record adds "<tap>.relu" (that
-    post-BN, post-ReLU map, the pool's input) and "<tap>.bn" (the
-    `ops.BnCache`). The pool's backward derives its argmax from "<tap>.relu"
-    and "<tap>", so nothing may write either before it runs.
+    "fc2" (the logits).
 
-    Eval mode's BN overwrites the conv output, and the full-size map is
-    freed once pooled, so an eval record holds no full-size map: `forward`
-    reads nothing else, and every backward caller (bp, fa, pc, stdp) runs a
-    train-mode pass. An eval pass through a network with a BN block whose
-    running stats are still their init values (mean all 0, var all 1),
-    which no train-mode batch has moved, logs one warning per network, not
-    one per block or batch.
+    Train mode runs each block in the order it is defined: conv, + b, BN
+    (a fresh array; moves the block's running stats), ReLU in place, pool.
+    The record adds "<tap>.relu" (that post-BN, post-ReLU map, the pool's
+    input) and "<tap>.bn" (the `ops.BnCache`). The pool's backward derives
+    its argmax from "<tap>.relu" and "<tap>", so nothing may write either
+    before it runs.
+
+    Eval mode pools first: conv, pool, then + b, BN and ReLU in place on
+    the pooled map, a quarter of the size, with the same bits. After the
+    GEMM, each step is one rounded per-channel map t -> round(t + b),
+    round(t - mean), round(t * inv_std), round(t * gamma), round(t + beta),
+    max(t, 0), and rounding keeps each monotone: non-decreasing, except
+    round(t * gamma) for gamma < 0, which is non-increasing. A
+    non-decreasing map commutes with max, so for gamma >= 0 the window max
+    of the block output is the map of the window max of the conv output;
+    for gamma < 0 it is the map of the window min, taken exactly as
+    -max(-z) by negating those channels in place before and after the
+    pool. For finite conv outputs the two orders give equal values, and
+    equal bits unless a zero's sign differs, which needs a beta of -0 (init
+    and SGD never make one). The full-size conv output is freed once pooled,
+    so an eval record holds no full-size map: `forward` reads nothing
+    else, and every backward caller (bp, fa, pc, stdp) runs a train-mode
+    pass.
+
+    An eval pass through a network with a BN block whose running stats
+    are still their init values (mean all 0, var all 1), which no
+    train-mode batch has moved, logs one warning per network, not one per
+    block or batch.
     """
     _check_batch(state, batch)
     a = state.arrays
@@ -145,15 +161,27 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
     record = {"input": batch}
     x = batch
     for tap in CONV_TAPS:
-        z = ops.conv2d_forward(x, a[f"{tap}.w"], a[f"{tap}.b"], state.conv_spec(tap))
-        act, bn = ops.batchnorm_forward(z, a[f"{tap}.gamma"], a[f"{tap}.beta"],
-                                        a[f"{tap}.running_mean"], a[f"{tap}.running_var"], mode)
-        del z
-        np.maximum(act, 0.0, out=act)
-        x = record[tap] = ops.maxpool2x2_forward(act)
+        z = ops.conv2d_forward(x, a[f"{tap}.w"], state.conv_spec(tap))
+        bias = a[f"{tap}.b"].reshape(1, -1, 1, 1)
+        bn_args = (a[f"{tap}.gamma"], a[f"{tap}.beta"], a[f"{tap}.running_mean"],
+                   a[f"{tap}.running_var"], mode)
         if mode == "train":
-            record[f"{tap}.relu"], record[f"{tap}.bn"] = act, bn
-        del act
+            z += bias
+            act, record[f"{tap}.bn"] = ops.batchnorm_forward(z, *bn_args)
+            np.maximum(act, 0.0, out=act)
+            x = record[tap] = ops.maxpool2x2_forward(act)
+            record[f"{tap}.relu"] = act
+        else:
+            flipped = np.flatnonzero(a[f"{tap}.gamma"] < 0)
+            for c in flipped:
+                z[:, c] *= -1.0
+            x = ops.maxpool2x2_forward(z)
+            for c in flipped:
+                x[:, c] *= -1.0
+            x += bias
+            ops.batchnorm_forward(x, *bn_args)
+            record[tap] = np.maximum(x, 0.0, out=x)
+        del z
     record.update(fc_forward(state, ops.global_avg_pool(x)))
     return record
 

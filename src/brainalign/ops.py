@@ -6,22 +6,24 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention), in three kernels: the forward, the input gradient (which is
-also the transposed convolution) and the weight gradient; the bias
-gradient is a plain sum, taken by the caller. The forward copies
-conv_windows into im2col blocks of at most _CONV_BLOCK_CELLS, whole
-images or, for a large image, runs of its output rows, and each block's
-GEMM writes straight into its slice of the output, where the bias is
-added. Max pooling takes the max of four strided corner views of the
-input into one array; the backward takes the pool's input and output
-and derives the argmax from them as an int8 corner index, breaks ties
-towards the first corner in row-major window order and truncates a
-trailing odd row or column. Batch norm (eps BN_EPS, running-stat
-momentum BN_MOMENTUM) normalises its input in place in eval mode and
-returns it, and train mode allocates one fresh full-size output plus the
-cached xhat; its backward allocates two full-size buffers, one of which
-it returns. The pool and eval batch norm run their
-ufunc chains one cache-sized block of (images, channels) at a time.
+convention) with no bias, in three kernels: the forward, the input
+gradient (which is also the transposed convolution) and the weight
+gradient. The bias is the caller's in both directions: it adds `b` to
+the forward's output and takes the bias gradient as a plain sum. The
+forward copies conv_windows into im2col blocks of at most
+_CONV_BLOCK_CELLS, whole images or, for a large image, runs of its
+output rows, and each block's GEMM writes straight into its slice of
+the output. Max pooling takes the max of each pair of input rows, which
+are contiguous, then of each pair of columns, into one array; the
+backward takes the pool's input and output and derives the argmax from
+them as an int8 corner index, breaks ties towards the first corner in
+row-major window order and truncates a trailing odd row or column. Batch
+norm (eps BN_EPS, running-stat momentum BN_MOMENTUM) normalises its
+input in place in eval mode and returns it, and train mode allocates one
+fresh full-size output plus the cached xhat; its backward allocates two
+full-size buffers, one of which it returns. The pool and eval batch norm
+run their ufunc chains one cache-sized block of (images, channels) at a
+time.
 """
 
 from __future__ import annotations
@@ -113,14 +115,15 @@ def conv_windows(x, spec: ConvSpec) -> np.ndarray:
     return windows[:, :, : s * Ho : s, : s * Wo : s]
 
 
-def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k] plus bias `b` [O].
+def conv2d_forward(x, w, spec: ConvSpec) -> np.ndarray:
+    """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k]; no bias, which the
+    caller adds.
 
     The windows are copied into im2col blocks [b, C*k^2, rows*Wo] of at
     most _CONV_BLOCK_CELLS: whole images while one image fits, else runs
     of one image's output rows (at least one). Each block is one GEMM per
     image, weights on the left, written into that image's rows of the
-    output, and the bias is added there in place.
+    output.
 
     Each output element is the same dot product over C*k^2 as in one GEMM
     over the whole batch. A BLAS may sum it in another order when the GEMM
@@ -137,7 +140,6 @@ def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
     out = np.empty((B, O, Ho, Wo))
     out_cols = out.reshape(B, O, Ho * Wo)   # a view: `out` is contiguous
     w_rows = w.reshape(O, K)
-    bias = np.asarray(b).reshape(-1, 1)
     rows = min(Ho, max(1, _CONV_BLOCK_CELLS // (K * Wo)))
     images = max(1, _CONV_BLOCK_CELLS // (K * Ho * Wo)) if rows == Ho else 1
     buf = np.empty(min(B, images) * K * rows * Wo)
@@ -149,7 +151,6 @@ def conv2d_forward(x, w, b, spec: ConvSpec) -> np.ndarray:
             np.copyto(cols, win.transpose(0, 1, 4, 5, 2, 3))
             dst = out_cols[b0 : b0 + nb, :, r0 * Wo : (r0 + nr) * Wo]
             np.matmul(w_rows, cols.reshape(nb, K, nr * Wo), out=dst)
-            dst += bias
     return out
 
 
@@ -226,20 +227,26 @@ def _pool_argmax(x, out):
 def maxpool2x2_forward(x):
     """Max over non-overlapping 2x2 windows. Odd trailing rows/cols are dropped.
 
-    The output is an elementwise max of the four corner views, taken into
-    one array block by block (_map_blocks). No argmax is computed here: the
-    backward derives it from this input and output.
+    Block by block (_map_blocks), the max of each pair of input rows,
+    taken over contiguous rows into one reused half-size buffer, then the
+    max of each pair of its columns, into one array. The values are the
+    elementwise max of the four _pool_corners views. No argmax is
+    computed here: the backward derives it from this input and output.
     """
     if x.ndim != 4:
         raise ConfigurationError(f"maxpool2x2 expects a 4D tensor, got {x.shape}")
     B, C, H, W = x.shape
-    out = np.empty((B, C, H // 2, W // 2), dtype=x.dtype)
+    Ho, Wo = H // 2, W // 2
+    out = np.empty((B, C, Ho, Wo), dtype=x.dtype)
+    pairs = None   # sized by the first block, the largest
     for images, channels in _map_blocks(x.shape):
-        c0, c1, c2, c3 = _pool_corners(x[images, channels])
-        o = out[images, channels]
-        np.maximum(c0, c1, out=o)
-        np.maximum(o, c2, out=o)
-        np.maximum(o, c3, out=o)
+        block, o = x[images, channels], out[images, channels]
+        if pairs is None:
+            pairs = np.empty(o.shape[:3] + (2 * Wo,), dtype=x.dtype)
+        p = pairs[: o.shape[0], : o.shape[1]]
+        np.maximum(block[:, :, 0 : 2 * Ho : 2, : 2 * Wo], block[:, :, 1 : 2 * Ho : 2, : 2 * Wo],
+                   out=p)
+        np.maximum(p[..., 0::2], p[..., 1::2], out=o)
     return out
 
 
@@ -280,8 +287,9 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str):
     normalises by the running stats.
 
     Train mode never writes `x`. Eval mode normalises `x` in place, block
-    by block (_map_blocks), and returns it: its one caller owns the conv
-    output it passes.
+    by block (_map_blocks), and returns it: its one caller owns the map it
+    passes, the pooled conv output plus bias (see
+    network.forward_cached for why eval can pool first).
 
     Returns (output, BnCache) in train mode and (x, None) in eval mode.
     """

@@ -199,7 +199,7 @@ def pc_representation_grads(pc, eps):
     grads = []
     for l in range(1, top + 1):
         p = pc[l - 1]
-        g = -2.0 * ops.conv2d_forward(eps[l - 1], p, np.zeros(p.shape[0]), _pc_spec(p))
+        g = -2.0 * ops.conv2d_forward(eps[l - 1], p, _pc_spec(p))
         if l < top:
             g = g + 2.0 * eps[l]
         grads.append(g)

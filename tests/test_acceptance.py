@@ -69,15 +69,16 @@ def test_criterion_01_gradient_correctness():
         x = rng.normal(size=(2, spec.in_channels, h, h))
         w = rng.normal(size=spec.weight_shape)
         b = rng.normal(size=spec.out_channels)
-        proj = rng.normal(size=ops.conv2d_forward(x, w, b, spec).shape)
+        proj = rng.normal(size=ops.conv2d_forward(x, w, spec).shape)
+
+        def loss(x, w, b):
+            return float(np.sum((ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1)) * proj))
+
         gx = ops.conv2d_input_grad(proj, w, spec, x.shape[2:])
         gw, gb = ops.conv2d_weight_grad(proj, x, spec), proj.sum(axis=(0, 2, 3))
-        worst = max(worst, relerr(gx, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(v, w, b, spec) * proj)), x)))
-        worst = max(worst, relerr(gw, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(x, v, b, spec) * proj)), w)))
-        worst = max(worst, relerr(gb, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(x, w, v, spec) * proj)), b)))
+        worst = max(worst, relerr(gx, numeric_grad(lambda v: loss(v, w, b), x)))
+        worst = max(worst, relerr(gw, numeric_grad(lambda v: loss(x, v, b), w)))
+        worst = max(worst, relerr(gb, numeric_grad(lambda v: loss(x, w, v), b)))
 
     for _ in range(20):  # maxpool (tie-free inputs)
         h = 2 * int(rng.integers(1, 4))

@@ -109,9 +109,18 @@ class TestForward:
 
     @pytest.mark.parametrize("resolution", [32, 224])
     def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution, caplog):
+        # Eval pools before the bias, BN and ReLU. The reference runs the
+        # block in its defined order: conv, + b, BN, ReLU, pool. Some
+        # channels have gamma < 0 (their block output pools the conv's
+        # window min) and one has gamma = 0.
         a = state.arrays
         for tap, c in zip(CONV_TAPS, state.channels):
-            a[f"{tap}.running_mean"][:] = rng.normal(size=c)
+            a[f"{tap}.b"][:] = rng.normal(size=c)
+            a[f"{tap}.beta"][:] = rng.uniform(0.5, 1.0, size=c)
+            a[f"{tap}.gamma"][:] = rng.normal(size=c)
+            a[f"{tap}.gamma"][:2] = -np.abs(a[f"{tap}.gamma"][:2])
+            a[f"{tap}.gamma"][2] = 0.0
+            a[f"{tap}.running_mean"][:] = rng.normal(scale=0.1, size=c)
             a[f"{tap}.running_var"][:] = rng.uniform(0.5, 2.0, size=c)
         batch = rng.random(size=(2, 3, resolution, resolution))
         with caplog.at_level("WARNING"):
@@ -121,13 +130,18 @@ class TestForward:
         assert not any(k.endswith((".relu", ".bn")) for k in record)
         x = batch
         for name in CONV_TAPS:
-            z = ops.conv2d_forward(x, a[f"{name}.w"], a[f"{name}.b"], state.conv_spec(name))
-            act, _ = ops.batchnorm_forward(z, a[f"{name}.gamma"], a[f"{name}.beta"],
-                                           a[f"{name}.running_mean"],
-                                           a[f"{name}.running_var"], "eval")
+            bn_args = (a[f"{name}.gamma"], a[f"{name}.beta"], a[f"{name}.running_mean"],
+                       a[f"{name}.running_var"], "eval")
+            z = ops.conv2d_forward(x, a[f"{name}.w"], state.conv_spec(name))
+            # max-pooling every channel first is wrong where gamma < 0
+            naive = ops.maxpool2x2_forward(z) + a[f"{name}.b"].reshape(1, -1, 1, 1)
+            naive = ops.relu_forward(ops.batchnorm_forward(naive, *bn_args)[0])
+            act, _ = ops.batchnorm_forward(z + a[f"{name}.b"].reshape(1, -1, 1, 1), *bn_args)
             x = ops.maxpool2x2_forward(ops.relu_forward(act))
-            assert np.array_equal(record[name], x)
-            assert np.array_equal(taps[name], x)
+            assert not np.array_equal(naive[:, :2], x[:, :2])
+            for got in (record[name], taps[name]):
+                assert np.array_equal(got, x)
+                assert np.array_equal(np.signbit(got), np.signbit(x))
 
     def test_record_holds_each_documented_array_once(self, state, rng):
         batch = rng.random(size=(2, 3, 32, 32))
@@ -144,9 +158,9 @@ class TestForward:
 
     def test_eval_forward_at_224_holds_one_map_per_block(self):
         # Default channels, two 224 px images: conv1's output is 25.7 MB
-        # and its pooled output 6.4 MB. BN and ReLU run in place on the
-        # conv output, and each block's full-size map is freed before the
-        # next block's conv, so the peak is those two maps, 32.2 MB.
+        # and its pooled output 6.4 MB. The bias, BN and ReLU run in place
+        # on the pooled map, and each block's full-size map is freed before
+        # the next block's conv, so the peak is those two maps, 32.2 MB.
         state = init_he_normal(0)
         batch = np.random.default_rng(3).random(size=(2, 3, 224, 224))
         forward(state, batch)  # the BN warning and first-call setup happen here

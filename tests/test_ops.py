@@ -23,45 +23,42 @@ def rng():
 class TestConvForward:
     def test_one_by_one_kernel_scales(self):
         out = ops.conv2d_forward(np.ones((1, 1, 3, 3)), np.full((1, 1, 1, 1), 2.0),
-                                 np.zeros(1), ConvSpec(1, 1, 1))
+                                 ConvSpec(1, 1, 1))
         assert out.shape == (1, 1, 3, 3)
         assert np.array_equal(out, np.full((1, 1, 3, 3), 2.0))
 
     def test_hand_multiply_accumulate(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-        out = ops.conv2d_forward(x, w, np.zeros(1), ConvSpec(1, 1, 2))
+        out = ops.conv2d_forward(x, w, ConvSpec(1, 1, 2))
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 5.0
 
     def test_zero_input_gives_bias(self, rng):
         w = rng.normal(size=(4, 2, 3, 3))
         b = np.array([0.5, -1.0, 2.0, 0.0])
-        out = ops.conv2d_forward(np.zeros((2, 2, 6, 6)), w, b,
-                                 ConvSpec(2, 4, 3, padding=1))
+        out = ops.conv2d_forward(np.zeros((2, 2, 6, 6)), w,
+                                 ConvSpec(2, 4, 3, padding=1)) + b.reshape(1, -1, 1, 1)
         for o in range(4):
             assert np.allclose(out[:, o], b[o])
 
     def test_linearity(self, rng):
         spec = ConvSpec(3, 2, 3, padding=1)
         w = rng.normal(size=(2, 3, 3, 3))
-        b = np.zeros(2)
         x, y = rng.normal(size=(2, 2, 3, 5, 5))
-        lhs = ops.conv2d_forward(1.7 * x - 0.3 * y, w, b, spec)
-        rhs = 1.7 * ops.conv2d_forward(x, w, b, spec) - 0.3 * ops.conv2d_forward(y, w, b, spec)
+        lhs = ops.conv2d_forward(1.7 * x - 0.3 * y, w, spec)
+        rhs = 1.7 * ops.conv2d_forward(x, w, spec) - 0.3 * ops.conv2d_forward(y, w, spec)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_output_shape_formula(self):
         spec = ConvSpec(1, 1, 3, stride=2, padding=1)
-        out = ops.conv2d_forward(np.zeros((1, 1, 7, 7)), np.zeros((1, 1, 3, 3)),
-                                 np.zeros(1), spec)
+        out = ops.conv2d_forward(np.zeros((1, 1, 7, 7)), np.zeros((1, 1, 3, 3)), spec)
         assert out.shape[2] == (7 + 2 - 3) // 2 + 1
 
     def test_shape_mismatch_names_both_shapes(self, rng):
         spec = ConvSpec(3, 2, 3)
         with pytest.raises(ConfigurationError) as e:
-            ops.conv2d_forward(np.zeros((1, 4, 5, 5)), rng.normal(size=(2, 3, 3, 3)),
-                               np.zeros(2), spec)
+            ops.conv2d_forward(np.zeros((1, 4, 5, 5)), rng.normal(size=(2, 3, 3, 3)), spec)
         assert "(1, 4, 5, 5)" in str(e.value)
 
     def test_capped_chunks_match_whole_batch_gemm(self, rng):
@@ -71,7 +68,7 @@ class TestConvForward:
         assert ops._CONV_BLOCK_CELLS // (27 * 224) < 224
         x = rng.random(size=(2, 3, 224, 224))
         w, b = rng.normal(size=spec.weight_shape), rng.normal(size=32)
-        assert np.array_equal(ops.conv2d_forward(x, w, b, spec),
+        assert np.array_equal(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
                               conv_forward_reference(x, w, b, spec))
 
     # (B, H, W, spec, blocks). Wo is a multiple of 8 and no block is small,
@@ -95,7 +92,7 @@ class TestConvForward:
             assert ops._CONV_BLOCK_CELLS // (K * Wo) < Ho
         x = rng.normal(size=(B, spec.in_channels, H, W))
         w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
-        assert np.array_equal(ops.conv2d_forward(x, w, b, spec),
+        assert np.array_equal(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
                               conv_forward_reference(x, w, b, spec))
 
     # a ragged Wo and a one-row last block: the BLAS may sum in another order
@@ -106,7 +103,7 @@ class TestConvForward:
     def test_ragged_blocks_match_to_rounding(self, rng, B, H, W, spec):
         x = rng.normal(size=(B, spec.in_channels, H, W))
         w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
-        np.testing.assert_allclose(ops.conv2d_forward(x, w, b, spec),
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
                                    conv_forward_reference(x, w, b, spec), rtol=0, atol=1e-12)
 
 
@@ -149,15 +146,16 @@ class TestConvBackward:
         x = rng.normal(size=(2, spec.in_channels) + in_hw)
         w = rng.normal(size=spec.weight_shape)
         b = rng.normal(size=spec.out_channels)
-        proj = rng.normal(size=ops.conv2d_forward(x, w, b, spec).shape)
+
+        def loss(x, w, b):
+            return float(np.sum((ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1)) * proj))
+
+        proj = rng.normal(size=ops.conv2d_forward(x, w, spec).shape)
         gx = ops.conv2d_input_grad(proj, w, spec, x.shape[2:])
         gw, gb = ops.conv2d_weight_grad(proj, x, spec), proj.sum(axis=(0, 2, 3))
-        assert relerr(gx, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(v, w, b, spec) * proj)), x)) < 1e-4
-        assert relerr(gw, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(x, v, b, spec) * proj)), w)) < 1e-4
-        assert relerr(gb, numeric_grad(
-            lambda v: float(np.sum(ops.conv2d_forward(x, w, v, spec) * proj)), b)) < 1e-4
+        assert relerr(gx, numeric_grad(lambda v: loss(v, w, b), x)) < 1e-4
+        assert relerr(gw, numeric_grad(lambda v: loss(x, v, b), w)) < 1e-4
+        assert relerr(gb, numeric_grad(lambda v: loss(x, w, v), b)) < 1e-4
 
 
 def direct_conv(x, w, b, spec, grad_out):
@@ -191,7 +189,8 @@ class TestConvOracle:
         Ho, Wo = spec.out_size(shape[2]), spec.out_size(shape[3])
         g = rng.normal(size=(shape[0], spec.out_channels, Ho, Wo))
         out, gx, gw = direct_conv(x, w, b, spec, g)
-        np.testing.assert_allclose(ops.conv2d_forward(x, w, b, spec), out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1), out,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(ops.conv2d_input_grad(g, w, spec, shape[2:]), gx,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(ops.conv2d_weight_grad(g, x, spec), gw, rtol=0, atol=1e-12)
@@ -271,6 +270,24 @@ class TestMaxPool:
                           for i in (0, 1) for j in (0, 1))
         out = ops.maxpool2x2_forward(x)
         assert np.array_equal(out, np.maximum(np.maximum(np.maximum(c0, c1), c2), c3))
+
+    # odd and even sides, repeated values with +-inf, and a non-contiguous
+    # input (every other channel of a larger map, transposed in H and W)
+    @pytest.mark.parametrize("kind", ["normal", "repeats_and_inf", "non_contiguous"])
+    @pytest.mark.parametrize("H", [2, 3, 5, 7])
+    @pytest.mark.parametrize("W", [2, 3, 5, 7])
+    def test_equals_max_of_corner_views(self, rng, kind, H, W):
+        if kind == "normal":
+            x = rng.normal(size=(2, 3, H, W))
+        elif kind == "repeats_and_inf":
+            x = rng.choice([-np.inf, -1.0, 0.0, 2.0, np.inf], size=(2, 3, H, W))
+        else:
+            x = rng.normal(size=(2, 6, W, H))[:, ::2].transpose(0, 1, 3, 2)
+            assert not x.flags.c_contiguous
+        before = x.copy()
+        out = ops.maxpool2x2_forward(x)
+        assert np.array_equal(out, np.maximum.reduce(ops._pool_corners(x)))
+        assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("grad_shape, out_shape", [
         ((1, 2, 2, 3), (1, 2, 2, 2)), ((1, 2, 2, 2), (1, 2, 2, 3)), ((1, 2, 3, 3), (1, 2, 3, 3))])
@@ -444,7 +461,7 @@ def test_forward_leaves_input_unchanged_and_unshared(rng, op):
     x = rng.normal(size=(2, 3, 6, 6))
     before = x.tobytes()
     if op == "conv":
-        results = [ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4),
+        results = [ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)),
                                       ConvSpec(3, 4, 3, padding=1))]
     elif op == "pool":
         out = ops.maxpool2x2_forward(x)
