@@ -64,8 +64,9 @@ class NetworkState:
 def array_shapes(in_channels: int, channels, num_classes: int) -> dict[str, tuple[int, ...]]:
     """Every array's name -> shape in `NetworkState.arrays` order, which is
     the checkpoint's array order and `apply_sgd`'s update order: per conv
-    block "<tap>.w", ".b", ".gamma", ".beta", ".running_mean" and
-    ".running_var", then "fc1.w", "fc1.b", "fc2.w" and "fc2.b"."""
+    block "<tap>.w", ".gamma", ".beta", ".running_mean" and ".running_var",
+    then "fc1.w", "fc1.b", "fc2.w" and "fc2.b". A conv block has no bias:
+    the train-mode BN after it subtracts the batch mean, cancelling one."""
     if len(channels) != 3 or min(in_channels, num_classes, *channels) < 1:
         raise ConfigurationError(f"three conv widths >= 1 on >= 1 input channels and >= 1 "
                                  f"classes expected, got {channels} on {in_channels} for "
@@ -73,7 +74,7 @@ def array_shapes(in_channels: int, channels, num_classes: int) -> dict[str, tupl
     shapes, c_in = {}, in_channels
     for tap, c_out in zip(CONV_TAPS, channels):
         shapes[f"{tap}.w"] = (c_out, c_in, 3, 3)
-        for name in ("b", "gamma", "beta", "running_mean", "running_var"):
+        for name in ("gamma", "beta", "running_mean", "running_var"):
             shapes[f"{tap}.{name}"] = (c_out,)
         c_in = c_out
     shapes.update({"fc1.w": (c_in, FC1_WIDTH), "fc1.b": (FC1_WIDTH,),
@@ -84,7 +85,7 @@ def array_shapes(in_channels: int, channels, num_classes: int) -> dict[str, tupl
 def init_he_normal(seed: int, channels=DEFAULT_CHANNELS, num_classes: int = 10,
                    in_channels: int = 3) -> NetworkState:
     """He-normal weights (std sqrt(2/fan_in), drawn in layout order), zero
-    biases, BN gamma=1 beta=0, running mean 0 and var 1. The same seed
+    FC biases, BN gamma=1 beta=0, running mean 0 and var 1. The same seed
     always yields a bitwise-identical state."""
     rng = named_rng(seed, "init")
     arrays = {}
@@ -122,29 +123,28 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
     i + 1's input), "gap", "fc1" (post-ReLU; > 0 is its ReLU mask) and
     "fc2" (the logits).
 
-    Train mode runs each block in the order it is defined: conv, + b, BN
-    (a fresh array; moves the block's running stats), ReLU in place, pool.
+    Train mode runs each block in the order it is defined: conv, BN (a
+    fresh array; moves the block's running stats), ReLU in place, pool.
     The record adds "<tap>.relu" (that post-BN, post-ReLU map, the pool's
     input) and "<tap>.bn" (the `ops.BnCache`). The pool's backward derives
     its argmax from "<tap>.relu" and "<tap>", so nothing may write either
     before it runs.
 
-    Eval mode pools first: conv, pool, then + b, BN and ReLU in place on
-    the pooled map, a quarter of the size, with the same bits. After the
-    GEMM, each step is one rounded per-channel map t -> round(t + b),
-    round(t - mean), round(t * inv_std), round(t * gamma), round(t + beta),
-    max(t, 0), and rounding keeps each monotone: non-decreasing, except
-    round(t * gamma) for gamma < 0, which is non-increasing. A
-    non-decreasing map commutes with max, so for gamma >= 0 the window max
-    of the block output is the map of the window max of the conv output;
-    for gamma < 0 it is the map of the window min, taken exactly as
-    -max(-z) by negating those channels in place before and after the
-    pool. For finite conv outputs the two orders give equal values, and
-    equal bits unless a zero's sign differs, which needs a beta of -0 (init
-    and SGD never make one). The full-size conv output is freed once pooled,
-    so an eval record holds no full-size map: `forward` reads nothing
-    else, and every backward caller (bp, fa, pc, stdp) runs a train-mode
-    pass.
+    Eval mode pools first: conv, pool, then BN and ReLU in place on the
+    pooled map, a quarter of the size, with the same bits. After the GEMM,
+    each step is one rounded per-channel map t -> round(t - mean),
+    round(t * inv_std), round(t * gamma), round(t + beta), max(t, 0), and
+    rounding keeps each monotone: non-decreasing, except round(t * gamma)
+    for gamma < 0, which is non-increasing. A non-decreasing map commutes
+    with max, so for gamma >= 0 the window max of the block output is the
+    map of the window max of the conv output; for gamma < 0 it is the map
+    of the window min, taken exactly as -max(-z) by negating those
+    channels in place before and after the pool. For finite conv outputs
+    the two orders give equal values, and equal bits unless a zero's sign
+    differs, which needs a beta of -0 (init and SGD never make one). The
+    full-size conv output is freed once pooled, so an eval record holds no
+    full-size map: `forward` reads nothing else, and every backward caller
+    (bp, fa, pc, stdp) runs a train-mode pass.
 
     An eval pass through a network with a BN block whose running stats
     are still their init values (mean all 0, var all 1), which no
@@ -162,11 +162,9 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
     x = batch
     for tap in CONV_TAPS:
         z = ops.conv2d_forward(x, a[f"{tap}.w"], state.conv_spec(tap))
-        bias = a[f"{tap}.b"].reshape(1, -1, 1, 1)
         bn_args = (a[f"{tap}.gamma"], a[f"{tap}.beta"], a[f"{tap}.running_mean"],
                    a[f"{tap}.running_var"], mode)
         if mode == "train":
-            z += bias
             act, record[f"{tap}.bn"] = ops.batchnorm_forward(z, *bn_args)
             np.maximum(act, 0.0, out=act)
             x = record[tap] = ops.maxpool2x2_forward(act)
@@ -178,7 +176,6 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
             x = ops.maxpool2x2_forward(z)
             for c in flipped:
                 x[:, c] *= -1.0
-            x += bias
             ops.batchnorm_forward(x, *bn_args)
             record[tap] = np.maximum(x, 0.0, out=x)
         del z
@@ -229,7 +226,6 @@ def backward(state: NetworkState, record: dict, grad_logits,
         delta, grads[f"{tap}.gamma"], grads[f"{tap}.beta"] = ops.batchnorm_backward(
             delta, record[f"{tap}.bn"])
         grads[f"{tap}.w"] = ops.conv2d_weight_grad(delta, x, spec)
-        grads[f"{tap}.b"] = delta.sum(axis=(0, 2, 3))
         if i > 0:
             delta = ops.conv2d_input_grad(delta, transport[f"{tap}.w"], spec, x.shape[2:])
     return grads

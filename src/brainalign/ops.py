@@ -6,10 +6,9 @@ backward pass. Backwards are exact gradients of the forwards; the test
 suite checks them against central finite differences.
 
 Convolution is cross-correlation (no kernel flip, the deep learning
-convention) with no bias, in three kernels: the forward, the input
-gradient (which is also the transposed convolution) and the weight
-gradient. The bias is the caller's in both directions: it adds `b` to
-the forward's output and takes the bias gradient as a plain sum. The
+convention) in three kernels: the forward, the input gradient (which is
+also the transposed convolution) and the weight gradient. It has no
+bias: the batch norm after each network conv would cancel one. The
 forward copies conv_windows into im2col blocks of at most
 _CONV_BLOCK_CELLS, whole images or, for a large image, runs of its
 output rows, and each block's GEMM writes straight into its slice of
@@ -116,8 +115,7 @@ def conv_windows(x, spec: ConvSpec) -> np.ndarray:
 
 
 def conv2d_forward(x, w, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k]; no bias, which the
-    caller adds.
+    """Cross-correlate `x` [B,C,H,W] with `w` [O,C,k,k]; no bias.
 
     The windows are copied into im2col blocks [b, C*k^2, rows*Wo] of at
     most _CONV_BLOCK_CELLS: whole images while one image fits, else runs
@@ -288,8 +286,8 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode: str):
 
     Train mode never writes `x`. Eval mode normalises `x` in place, block
     by block (_map_blocks), and returns it: its one caller owns the map it
-    passes, the pooled conv output plus bias (see
-    network.forward_cached for why eval can pool first).
+    passes, the pooled conv output (see network.forward_cached for why
+    eval can pool first).
 
     Returns (output, BnCache) in train mode and (x, None) in eval mode.
     """

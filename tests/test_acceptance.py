@@ -127,8 +127,7 @@ def test_criterion_01_gradient_correctness():
     # Full network: loss gradient w.r.t. sampled entries of every tensor.
     # ReLU and max-pool are only piecewise smooth, so entries whose
     # perturbation flips a routing decision are skipped (FD is undefined at
-    # a kink), and the error gets a small absolute floor because BN absorbs
-    # conv biases (their true gradient is exactly zero, FD returns noise).
+    # a kink).
     def routing(record):
         sig = []
         for tap in CONV_TAPS:
@@ -136,9 +135,6 @@ def test_criterion_01_gradient_correctness():
             sig.append(record[f"{tap}.relu"] > 0)
         sig.append(record["fc1"] > 0)
         return sig
-
-    def floored_relerr(a, n):
-        return np.linalg.norm(a - n) / max(np.linalg.norm(n), np.linalg.norm(a), 1e-5)
 
     checked = skipped = 0
     for trial in range(20):
@@ -149,7 +145,7 @@ def test_criterion_01_gradient_correctness():
         _, grad_logits = ops.softmax_xent(record["fc2"], labels)
         grads = network.backward(st, record, grad_logits)
         params = st.arrays
-        for name in ("conv1.w", "conv2.gamma", "conv3.b", "fc1.w", "fc2.w"):
+        for name in ("conv1.w", "conv2.gamma", "conv3.beta", "fc1.w", "fc2.w"):
             tensor, analytic = params[name], grads[name]
             sel = tuple(rng.integers(0, s, 4) for s in tensor.shape)
             nums, anas = [], []
@@ -172,7 +168,7 @@ def test_criterion_01_gradient_correctness():
                 anas.append(analytic[i])
                 checked += 1
             if nums:
-                worst = max(worst, floored_relerr(np.array(anas), np.array(nums)))
+                worst = max(worst, relerr(np.array(anas), np.array(nums)))
 
     elapsed = time.time() - t0
     _report(1, "gradient correctness",

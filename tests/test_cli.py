@@ -9,6 +9,8 @@ import pytest
 
 from brainalign.cli import build_parser, main
 from brainalign.data import read_rdm_csv, write_rdm_csv
+from brainalign.errors import DataFormatError
+from brainalign.network import NetworkState, load_checkpoint, save_checkpoint
 from brainalign.pipeline import save_features
 
 from helpers import square, treehash
@@ -254,6 +256,25 @@ class TestExitCodes:
         args = ["--stimuli", str(tmp_path), "--resolution", "32"] if verb == "extract" else []
         assert main([verb, "--ckpt", str(bad), *args, *out]) == 3
         assert "bad.ckpt: checkpoint rule must be a string and seed" in capsys.readouterr().err
+
+    def test_checkpoint_with_conv_biases_is_3(self, synth_dir, random_ckpt, tmp_path, capsys):
+        # the older layout: a "<tap>.b" after each conv weight, which the
+        # batch norm after the conv cancels
+        state, rule = load_checkpoint(random_ckpt)
+        arrays = {}
+        for name, a in state.arrays.items():
+            arrays[name] = a
+            if name.startswith("conv") and name.endswith(".w"):
+                arrays[name[:-1] + "b"] = np.zeros(a.shape[0])
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(NetworkState(arrays, state.rng_seed), old, rule)
+        with pytest.raises(DataFormatError, match=r"differ from the network's in .*'conv1\.b'"):
+            load_checkpoint(old)
+        assert main(["extract", "--ckpt", str(old), "--resolution", "32",
+                     "--stimuli", str(synth_dir / "data" / "stimuli"),
+                     "--out", str(tmp_path / "f")]) == 3
+        assert "old.ckpt: checkpoint arrays differ" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_truncated_checkpoint_manifest_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

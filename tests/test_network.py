@@ -56,7 +56,7 @@ class TestInit:
     def test_biases_zero_bn_identity(self, state):
         a = state.arrays
         for tap in CONV_TAPS:
-            assert not a[f"{tap}.b"].any()
+            assert f"{tap}.b" not in a  # the BN after each conv cancels a bias
             assert np.all(a[f"{tap}.gamma"] == 1.0) and not a[f"{tap}.beta"].any()
             assert not a[f"{tap}.running_mean"].any() and np.all(a[f"{tap}.running_var"] == 1.0)
         assert not a["fc1.b"].any() and not a["fc2.b"].any()
@@ -109,13 +109,12 @@ class TestForward:
 
     @pytest.mark.parametrize("resolution", [32, 224])
     def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution, caplog):
-        # Eval pools before the bias, BN and ReLU. The reference runs the
-        # block in its defined order: conv, + b, BN, ReLU, pool. Some
-        # channels have gamma < 0 (their block output pools the conv's
-        # window min) and one has gamma = 0.
+        # Eval pools before BN and ReLU. The reference runs the block in
+        # its defined order: conv, BN, ReLU, pool. Some channels have
+        # gamma < 0 (their block output pools the conv's window min) and
+        # one has gamma = 0.
         a = state.arrays
         for tap, c in zip(CONV_TAPS, state.channels):
-            a[f"{tap}.b"][:] = rng.normal(size=c)
             a[f"{tap}.beta"][:] = rng.uniform(0.5, 1.0, size=c)
             a[f"{tap}.gamma"][:] = rng.normal(size=c)
             a[f"{tap}.gamma"][:2] = -np.abs(a[f"{tap}.gamma"][:2])
@@ -134,9 +133,9 @@ class TestForward:
                        a[f"{name}.running_var"], "eval")
             z = ops.conv2d_forward(x, a[f"{name}.w"], state.conv_spec(name))
             # max-pooling every channel first is wrong where gamma < 0
-            naive = ops.maxpool2x2_forward(z) + a[f"{name}.b"].reshape(1, -1, 1, 1)
-            naive = ops.relu_forward(ops.batchnorm_forward(naive, *bn_args)[0])
-            act, _ = ops.batchnorm_forward(z + a[f"{name}.b"].reshape(1, -1, 1, 1), *bn_args)
+            naive = ops.relu_forward(ops.batchnorm_forward(
+                ops.maxpool2x2_forward(z), *bn_args)[0])
+            act, _ = ops.batchnorm_forward(z, *bn_args)
             x = ops.maxpool2x2_forward(ops.relu_forward(act))
             assert not np.array_equal(naive[:, :2], x[:, :2])
             for got in (record[name], taps[name]):
@@ -158,7 +157,7 @@ class TestForward:
 
     def test_eval_forward_at_224_holds_one_map_per_block(self):
         # Default channels, two 224 px images: conv1's output is 25.7 MB
-        # and its pooled output 6.4 MB. The bias, BN and ReLU run in place
+        # and its pooled output 6.4 MB. BN and ReLU run in place
         # on the pooled map, and each block's full-size map is freed before
         # the next block's conv, so the peak is those two maps, 32.2 MB.
         state = init_he_normal(0)
@@ -387,17 +386,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_wrong_shape_rejected(self, state, tmp_path):
-        # a [1] bias would otherwise broadcast across all conv1 channels
+        # a [1] beta would otherwise broadcast across all conv1 channels
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
         arrays = dict(state.arrays)
-        arrays["conv1.b"] = arrays["conv1.b"][:1]
+        arrays["conv1.beta"] = arrays["conv1.beta"][:1]
 
         def shrink(m):
-            next(e for e in m["arrays"] if e["name"] == "conv1.b")["shape"] = [1]
+            next(e for e in m["arrays"] if e["name"] == "conv1.beta")["shape"] = [1]
 
         self._rewrite(path, shrink, arrays.values())
-        with pytest.raises(DataFormatError, match="conv1.b"):
+        with pytest.raises(DataFormatError, match="conv1.beta"):
             load_checkpoint(path)
 
     def test_missing_manifest_key_rejected(self, state, tmp_path):
@@ -438,18 +437,18 @@ class TestCheckpoint:
         save_checkpoint(state, path)
 
         def set_shape(m):
-            next(e for e in m["arrays"] if e["name"] == "conv1.b")["shape"] = shape
+            next(e for e in m["arrays"] if e["name"] == "conv1.beta")["shape"] = shape
 
         self._rewrite(path, set_shape)
         with pytest.raises(DataFormatError, match=r"net.ckpt: bad checkpoint manifest .*"
-                                                  r"'conv1.b' shape .* not a list of integers"):
+                                                  r"'conv1.beta' shape .* not a list of integers"):
             load_checkpoint(path)
 
     def test_repeated_array_named(self, state, tmp_path):
         path = tmp_path / "net.ckpt"
         save_checkpoint(state, path)
-        self._rewrite(path, lambda m: m["arrays"].insert(3, dict(m["arrays"][1])))
-        with pytest.raises(DataFormatError, match=r"\['conv1.b'\] listed more than once"):
+        self._rewrite(path, lambda m: m["arrays"].insert(3, dict(m["arrays"][2])))
+        with pytest.raises(DataFormatError, match=r"\['conv1.beta'\] listed more than once"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", ["repeat", "inconsistent"])

@@ -328,6 +328,19 @@ class TestBatchNorm:
         out, _ = ops.batchnorm_forward(x, np.zeros(2), beta, np.zeros(2), np.ones(2), "train")
         assert np.allclose(out[:, 0], 0.7) and np.allclose(out[:, 1], -0.2)
 
+    def test_train_mode_cancels_a_per_channel_constant(self, rng):
+        # why a conv block has no bias: the batch mean absorbs one, and the
+        # input gradient summed per channel, which a bias would receive, is 0
+        z = rng.normal(size=(4, 3, 5, 5))
+        c = rng.normal(scale=3.0, size=(1, 3, 1, 1))
+        gamma, beta = rng.normal(1.0, 0.3, size=3), rng.normal(size=3)
+        out, cache = ops.batchnorm_forward(z, gamma, beta, np.zeros(3), np.ones(3), "train")
+        shifted, _ = ops.batchnorm_forward(z + c, gamma, beta, np.zeros(3), np.ones(3), "train")
+        assert np.abs(shifted - out).max() < 1e-13
+        grad_x, _, _ = ops.batchnorm_backward(rng.normal(size=z.shape), cache)
+        assert np.abs(grad_x).max() > 0.1
+        assert np.abs(grad_x.sum(axis=(0, 2, 3))).max() < 1e-13
+
     def test_running_stats_update_and_eval(self, rng):
         mean, var = np.zeros(2), np.ones(2)
         x = rng.normal(1.0, 2.0, size=(16, 2, 4, 4))
