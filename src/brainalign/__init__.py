@@ -13,7 +13,7 @@ from .network import (
     NetworkState,
     TAPS,
     extract_all_taps,
-    forward,
+    forward_cached,
     init_he_normal,
     load_checkpoint,
     save_checkpoint,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrainalignError", "ConfigurationError", "DataFormatError",
     "TrainingDivergedError", "UndefinedStatisticError",
-    "NetworkState", "TAPS", "extract_all_taps", "forward",
+    "NetworkState", "TAPS", "extract_all_taps", "forward_cached",
     "init_he_normal", "load_checkpoint", "save_checkpoint",
     "ExperimentConfig", "best_layer_sweep", "run_experiment",
     "average_rdms", "pixel_rdm", "rdm_from_features",

@@ -5,7 +5,8 @@ average pool, FC1 (512 units, ReLU) and a linear FC2 readout.
 Global average pooling sits between conv3 and FC1, so the classifier head
 is resolution-independent: the same parameters run at 32x32 (training) and
 224x224 (feature extraction). Activation taps are named conv1/conv2/conv3
-(post-pool), fc1 (post-ReLU) and fc2 (logits).
+(post-pool), fc1 (post-ReLU) and fc2 (logits). Every pass, train or eval,
+is one `forward_cached` record that its caller reads by tap name.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ def forward_cached(state: NetworkState, batch, mode: str) -> dict:
     the two orders give equal values, and equal bits unless a zero's sign
     differs, which needs a beta of -0 (init and SGD never make one). The
     full-size conv output is freed once pooled, so an eval record holds no
-    full-size map: `forward` reads nothing else, and every backward caller
-    (bp, fa, pc, stdp) runs a train-mode pass.
+    full-size map: its callers (evaluation, feature extraction) read only
+    the taps, and every backward caller (bp, fa, pc, stdp) runs a
+    train-mode pass. An eval record is a pure function of (state, batch).
 
     An eval pass through a network with a BN block whose running stats
     are still their init values (mean all 0, var all 1), which no
@@ -189,17 +191,6 @@ def fc_forward(state: NetworkState, gap) -> dict:
     a = state.arrays
     fc1 = ops.relu_forward(ops.affine_forward(gap, a["fc1.w"], a["fc1.b"]))
     return {"gap": gap, "fc1": fc1, "fc2": ops.affine_forward(fc1, a["fc2.w"], a["fc2.b"])}
-
-
-def forward(state: NetworkState, batch):
-    """Eval-mode forward pass returning (logits, tap activations), a pure
-    function of (state, batch).
-
-    Conv taps are the post-ReLU, post-pool maps; fc1 is post-ReLU; fc2 is
-    the raw logits.
-    """
-    record = forward_cached(state, batch, "eval")
-    return record["fc2"], {tap: record[tap] for tap in TAPS}
 
 
 def backward(state: NetworkState, record: dict, grad_logits,
@@ -286,13 +277,16 @@ def extract_all_taps(state: NetworkState, stimuli) -> dict[str, np.ndarray]:
     """
     images = stimuli.images
     batch_size = _extraction_batch_size(images.shape[-1])
-    chunks: dict[str, list[np.ndarray]] = {t: [] for t in TAPS}
-    for start in range(0, images.shape[0], batch_size):
-        _, taps = forward(state, images[start : start + batch_size])
-        for t in TAPS:
-            a = taps[t]
-            chunks[t].append(ops.global_avg_pool(a) if a.ndim == 4 else a)
-    return {t: np.concatenate(chunks[t], axis=0) for t in TAPS}
+    chunks = [_tap_features(forward_cached(state, images[start : start + batch_size], "eval"))
+              for start in range(0, images.shape[0], batch_size)]
+    return {t: np.concatenate([c[t] for c in chunks], axis=0) for t in TAPS}
+
+
+def _tap_features(record: dict) -> dict[str, np.ndarray]:
+    """One eval record's feature rows at every tap. Its caller passes the
+    record as a temporary, freed when this returns, so no batch's maps are
+    alive during the next batch's forward."""
+    return {t: ops.global_avg_pool(record[t]) if t in CONV_TAPS else record[t] for t in TAPS}
 
 
 # ---------------------------------------------------------------------------

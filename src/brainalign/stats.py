@@ -7,7 +7,9 @@ Conventions shared by everything here:
 
 * Ties get average (fractional) ranks. A vector is ranked with one
   unstable sort: a tie run's average rank does not depend on the order
-  inside it, so the ranks are bit for bit those of a stable sort.
+  inside it, so the ranks are bit for bit those of a stable sort. That
+  sort's order and tie runs come back with the ranks, and the bootstrap
+  reads them instead of sorting again.
 * Permutation p-values use the (b + 1) / (N + 1) estimator, so the
   smallest representable p at N permutations is 1 / (N + 1).
 * Bootstrap CIs are percentile intervals with linear interpolation. No
@@ -47,38 +49,30 @@ _PERM_CHUNK_CELLS = 1 << 20
 # Ranks and Spearman
 # ---------------------------------------------------------------------------
 
-def _sorted_runs(row):
-    """(order, bounds): a sort order of a 1D row and the sorted positions
-    where its tie runs start, followed by len(row). Run k fills sorted
-    positions bounds[k] .. bounds[k + 1] - 1."""
-    order = np.argsort(row)
-    s = row[order]
-    n = s.shape[0]
-    starts = np.ones(n + 1, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=starts[1:n])
-    return order, np.flatnonzero(starts)
+def rank_rows(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Average (fractional) 1-based ranks of a 1D vector, with the one sort
+    they come from: (ranks, order, bounds), where v[order] is sorted and tie
+    run k fills sorted positions bounds[k] .. bounds[k + 1] - 1 (the last
+    bound is len(v)).
 
-
-def rank_rows(m: np.ndarray) -> np.ndarray:
-    """Average (fractional) 1-based ranks along axis 1 of a 2D array.
-
-    Each row is sorted once, by numpy's default (unstable) argsort. The
+    The vector is sorted once, by numpy's default (unstable) argsort. The
     ranks are bit-identical to those of a stable sort: a tie run at sorted
     positions start .. stop - 1 gets (start + stop + 1) / 2 whatever the
     order inside it, and 0.0 ties -0.0 because the runs split on `!=`.
-    Values must be finite: NaN has no place in the order.
+    Values must be finite: NaN has no place in the order. (The name is
+    older than the one-vector form; perfbench traces it as
+    `stats.rank_rows`.)
     """
-    m = np.asarray(m, dtype=np.float64)
-    ranks = np.empty_like(m)
-    for row, out in zip(m, ranks):
-        order, bounds = _sorted_runs(row)
-        out[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
-    return ranks
-
-
-def rank_average(x) -> np.ndarray:
-    """Average 1-based ranks of a single vector."""
-    return rank_rows(np.asarray(x, dtype=np.float64)[None, :])[0]
+    v = np.asarray(v, dtype=np.float64)
+    order = np.argsort(v)
+    s = v[order]
+    n = s.shape[0]
+    starts = np.ones(n + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=starts[1:n])
+    bounds = np.flatnonzero(starts)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    return ranks, order, bounds
 
 
 def _check_vector_pair(x, y):
@@ -98,7 +92,7 @@ def _check_vector_pair(x, y):
 
 def _zranks(x) -> np.ndarray:
     """Centered, unit-norm ranks: corr(x, y) == zranks(x) @ zranks(y)."""
-    r = rank_average(x)
+    r = rank_rows(x)[0]
     r -= r.mean()
     norm = np.sqrt(r @ r)
     if norm == 0:
@@ -120,7 +114,7 @@ def _tie_layout(v):
     """(order, below, through): a sort order of v and, per element, how many
     elements sort strictly below its tie group and how many sort below or
     in it, i.e. the bounds of its tie run."""
-    order, bounds = _sorted_runs(rank_rows(v[None, :])[0])
+    _, order, bounds = rank_rows(v)
     size = np.diff(bounds)
     below = np.empty(order.shape, dtype=np.intp)
     below[order] = np.repeat(bounds[:-1], size)
@@ -315,9 +309,9 @@ def partial_spearman(model_vec, brain_vec, control_vec) -> dict:
         warnings.warn("constant control vector: partial Spearman falls back to "
                       "plain Spearman", stacklevel=2)
         return {"rho": spearman(model, brain), "degenerate": False}
-    rm = rank_average(model)
-    rb = rank_average(brain)
-    rc = rank_average(control)
+    rm = rank_rows(model)[0]
+    rb = rank_rows(brain)[0]
+    rc = rank_rows(control)[0]
     rc = rc - rc.mean()
     vc = rc @ rc
 

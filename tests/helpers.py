@@ -1,11 +1,13 @@
 """Shared test utilities: the finite-difference oracle, error metrics, a
-tree hash, stimulus ids, a StimulusSet builder and the square form of an
-RDM vector.
+tree hash, stimulus ids, a StimulusSet builder, the square form of an
+RDM vector and a tracemalloc peak.
 
 numeric_grad is deliberately independent of any backward-pass code: it
 only ever calls forward functions, perturbing one element at a time with
 central differences.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -66,3 +68,14 @@ def square(vec, n):
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = vec
     return m + m.T
+
+
+def traced_peak(f, *args, **kwargs):
+    """(f(*args, **kwargs), the peak bytes tracemalloc saw allocated while
+    it ran). numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -2,8 +2,6 @@
 a brute-force oracle, PPM round trips, RDM CSV validation, and the
 synthetic dataset contracts."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,8 @@ from brainalign import data as D
 from brainalign.errors import ConfigurationError, DataFormatError
 from brainalign.rdm import average_rdms, rdm_from_features
 from brainalign.stats import spearman
+
+from helpers import traced_peak
 
 
 @pytest.fixture
@@ -196,12 +196,7 @@ class TestStimulusDir:
         # the [N,3,R,R] array plus one image's resize temporaries: 1.21x
         for i in range(16):
             D.write_ppm(rng.random(size=(3, 64, 64)), tmp_path / f"s{i:02d}.ppm")
-        tracemalloc.start()
-        try:
-            stim = D.load_stimulus_dir(tmp_path, resolution=224)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stim, peak = traced_peak(D.load_stimulus_dir, tmp_path, resolution=224)
         assert peak < 1.3 * stim.images.nbytes
 
     def test_empty_dir(self, tmp_path):

@@ -2,7 +2,6 @@
 extraction against brute-force oracles, and checkpoint round trips."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +13,13 @@ from brainalign.network import (
     TAPS,
     backward,
     extract_all_taps,
-    forward,
     forward_cached,
     init_he_normal,
     load_checkpoint,
     save_checkpoint,
 )
 
-from helpers import stimulus_set
+from helpers import stimulus_set, traced_peak
 
 SMALL = (4, 6, 8)
 
@@ -69,43 +67,42 @@ class TestInit:
 
 class TestForward:
     def test_zero_input_gives_uniform_softmax(self, state):
-        logits, _ = forward(state, np.zeros((2, 3, 32, 32)))
+        logits = forward_cached(state, np.zeros((2, 3, 32, 32)), "eval")["fc2"]
         assert np.abs(logits - logits[:, :1]).max() == 0.0  # all classes equal
         assert np.allclose(ops.softmax(logits), 0.1)
 
     def test_identical_images_identical_tap_rows(self, state, rng):
         img = rng.random(size=(1, 3, 32, 32))
         batch = np.concatenate([img, img], axis=0)
-        _, taps = forward(state, batch)
+        record = forward_cached(state, batch, "eval")
         for t in TAPS:
-            assert np.array_equal(taps[t][0], taps[t][1])
+            assert np.array_equal(record[t][0], record[t][1])
 
     def test_cifar_tap_shapes(self, state, rng):
-        _, taps = forward(state, rng.random(size=(2, 3, 32, 32)))
-        assert taps["conv1"].shape == (2, 4, 16, 16)
-        assert taps["conv2"].shape == (2, 6, 8, 8)
-        assert taps["conv3"].shape == (2, 8, 4, 4)
-        assert taps["fc1"].shape == (2, 512)
-        assert taps["fc2"].shape == (2, 10)
+        record = forward_cached(state, rng.random(size=(2, 3, 32, 32)), "eval")
+        assert record["conv1"].shape == (2, 4, 16, 16)
+        assert record["conv2"].shape == (2, 6, 8, 8)
+        assert record["conv3"].shape == (2, 8, 4, 4)
+        assert record["fc1"].shape == (2, 512)
+        assert record["fc2"].shape == (2, 10)
 
     def test_224_resolution_valid(self, state, rng):
-        logits, taps = forward(state, rng.random(size=(1, 3, 224, 224)))
-        assert taps["conv3"].shape == (1, 8, 28, 28)
-        assert logits.shape == (1, 10)
+        record = forward_cached(state, rng.random(size=(1, 3, 224, 224)), "eval")
+        assert record["conv3"].shape == (1, 8, 28, 28)
+        assert record["fc2"].shape == (1, 10)
 
     def test_unsupported_resolution_rejected(self, state):
         with pytest.raises(ConfigurationError, match="resolution"):
-            forward(state, np.zeros((1, 3, 64, 64)))
+            forward_cached(state, np.zeros((1, 3, 64, 64)), "eval")
         with pytest.raises(ConfigurationError, match="resolution"):
-            forward(state, np.zeros((1, 3, 32, 224)))
+            forward_cached(state, np.zeros((1, 3, 32, 224)), "eval")
 
     def test_eval_forward_is_pure(self, state, rng):
         batch = rng.random(size=(3, 3, 32, 32))
-        l1, t1 = forward(state, batch)
-        l2, t2 = forward(state, batch)
-        assert np.array_equal(l1, l2)
+        r1 = forward_cached(state, batch, "eval")
+        r2 = forward_cached(state, batch, "eval")
         for t in TAPS:
-            assert np.array_equal(t1[t], t2[t])
+            assert np.array_equal(r1[t], r2[t])
 
     @pytest.mark.parametrize("resolution", [32, 224])
     def test_eval_cache_keeps_only_block_outputs(self, state, rng, resolution, caplog):
@@ -124,7 +121,6 @@ class TestForward:
         batch = rng.random(size=(2, 3, resolution, resolution))
         with caplog.at_level("WARNING"):
             record = forward_cached(state, batch, "eval")
-            _, taps = forward(state, batch)
         assert "batchnorm eval" not in caplog.text  # hand-set stats count as trained
         assert not any(k.endswith((".relu", ".bn")) for k in record)
         x = batch
@@ -138,9 +134,8 @@ class TestForward:
             act, _ = ops.batchnorm_forward(z, *bn_args)
             x = ops.maxpool2x2_forward(ops.relu_forward(act))
             assert not np.array_equal(naive[:, :2], x[:, :2])
-            for got in (record[name], taps[name]):
-                assert np.array_equal(got, x)
-                assert np.array_equal(np.signbit(got), np.signbit(x))
+            assert np.array_equal(record[name], x)
+            assert np.array_equal(np.signbit(record[name]), np.signbit(x))
 
     def test_record_holds_each_documented_array_once(self, state, rng):
         batch = rng.random(size=(2, 3, 32, 32))
@@ -162,13 +157,8 @@ class TestForward:
         # the next block's conv, so the peak is those two maps, 32.2 MB.
         state = init_he_normal(0)
         batch = np.random.default_rng(3).random(size=(2, 3, 224, 224))
-        forward(state, batch)  # the BN warning and first-call setup happen here
-        tracemalloc.start()
-        try:
-            forward(state, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forward_cached(state, batch, "eval")  # the BN warning and first-call setup happen here
+        _, peak = traced_peak(forward_cached, state, batch, "eval")
         assert peak < 34e6
 
     def test_backward_names_every_trained_parameter(self, state, rng):
@@ -200,10 +190,21 @@ class TestFeatureExtraction:
     def test_gap_matches_brute_force_mean(self, state, rng):
         stimuli = rng.random(size=(3, 3, 32, 32))
         feats = extract_all_taps(state, stimulus_set(stimuli))["conv2"]
-        _, taps = forward(state, stimuli)
-        oracle = np.array([[taps["conv2"][n, c].mean() for c in range(6)]
+        maps = forward_cached(state, stimuli, "eval")["conv2"]
+        oracle = np.array([[maps[n, c].mean() for c in range(6)]
                            for n in range(3)])
         assert np.abs(feats - oracle).max() < 1e-12
+
+    def test_no_batch_maps_outlive_their_batch(self):
+        # three 32 px extraction batches peak where one does: each batch's
+        # eval record is released before the next batch's forward runs
+        state = init_he_normal(0)
+        images = np.random.default_rng(4).random(size=(192, 3, 32, 32))
+        assert images.shape[0] == 3 * network._extraction_batch_size(32)
+        extract_all_taps(state, stimulus_set(images[:64]))  # BN warning, first-call setup
+        _, one = traced_peak(extract_all_taps, state, stimulus_set(images[:64]))
+        _, three = traced_peak(extract_all_taps, state, stimulus_set(images))
+        assert three < 1.1 * one
 
     def test_batch_concat_commutes(self, state, rng, monkeypatch):
         # equality up to BLAS kernel choice: different batch shapes may take
@@ -226,7 +227,7 @@ class TestFeatureExtraction:
             assert (a[f"{tap}.running_var"] != 1.0).all()
         moved = {k: v.copy() for k, v in a.items()}
         with caplog.at_level("WARNING"):
-            forward(state, rng.random(size=(2, 3, 32, 32)))
+            forward_cached(state, rng.random(size=(2, 3, 32, 32)), "eval")
         assert all(np.array_equal(v, a[k]) for k, v in moved.items())
         assert "batchnorm eval before any train step" not in caplog.text
 
@@ -237,7 +238,7 @@ class TestFeatureExtraction:
         a = state.arrays
         a["conv2.running_mean"][:], a["conv2.running_var"][:] = 0.0, 1.0
         with caplog.at_level("WARNING"):
-            forward(state, rng.random(size=(1, 3, 32, 32)))
+            forward_cached(state, rng.random(size=(1, 3, 32, 32)), "eval")
         assert caplog.text.count("batchnorm eval before any train step") == 1
         fresh = init_he_normal(0, channels=SMALL)
         fresh.arrays[f"conv1.{stat}"][0] += 0.5
@@ -245,7 +246,7 @@ class TestFeatureExtraction:
             fresh.arrays[f"{tap}.{stat}"][:] += 0.5
         caplog.clear()
         with caplog.at_level("WARNING"):
-            forward(fresh, rng.random(size=(1, 3, 32, 32)))
+            forward_cached(fresh, rng.random(size=(1, 3, 32, 32)), "eval")
         assert "batchnorm eval" not in caplog.text
 
     def test_untrained_network_logs_bn_warning_once(self, state, rng, caplog, monkeypatch):
@@ -253,12 +254,13 @@ class TestFeatureExtraction:
         monkeypatch.setattr(network, "_extraction_batch_size", lambda resolution: 2)
         with caplog.at_level("WARNING"):
             extract_all_taps(state, stimulus_set(rng.random(size=(3, 3, 32, 32))))
-            forward(state, rng.random(size=(1, 3, 32, 32)))
-            forward(state, rng.random(size=(1, 3, 32, 32)))
+            forward_cached(state, rng.random(size=(1, 3, 32, 32)), "eval")
+            forward_cached(state, rng.random(size=(1, 3, 32, 32)), "eval")
         assert caplog.text.count("batchnorm eval before any train step") == 1
         # the flag is per network: another fresh one warns once more
         with caplog.at_level("WARNING"):
-            forward(init_he_normal(1, channels=SMALL), rng.random(size=(1, 3, 32, 32)))
+            forward_cached(init_he_normal(1, channels=SMALL), rng.random(size=(1, 3, 32, 32)),
+                           "eval")
         assert caplog.text.count("batchnorm eval before any train step") == 2
 
 

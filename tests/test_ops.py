@@ -34,13 +34,10 @@ class TestConvForward:
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 5.0
 
-    def test_zero_input_gives_bias(self, rng):
+    def test_zero_input_gives_zeros(self, rng):
         w = rng.normal(size=(4, 2, 3, 3))
-        b = np.array([0.5, -1.0, 2.0, 0.0])
-        out = ops.conv2d_forward(np.zeros((2, 2, 6, 6)), w,
-                                 ConvSpec(2, 4, 3, padding=1)) + b.reshape(1, -1, 1, 1)
-        for o in range(4):
-            assert np.allclose(out[:, o], b[o])
+        out = ops.conv2d_forward(np.zeros((2, 2, 6, 6)), w, ConvSpec(2, 4, 3, padding=1))
+        assert out.shape == (2, 4, 6, 6) and not out.any()
 
     def test_linearity(self, rng):
         spec = ConvSpec(3, 2, 3, padding=1)
@@ -67,9 +64,8 @@ class TestConvForward:
         spec = ConvSpec(3, 32, 3, padding=1)
         assert ops._CONV_BLOCK_CELLS // (27 * 224) < 224
         x = rng.random(size=(2, 3, 224, 224))
-        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=32)
-        assert np.array_equal(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
-                              conv_forward_reference(x, w, b, spec))
+        w = rng.normal(size=spec.weight_shape)
+        assert np.array_equal(ops.conv2d_forward(x, w, spec), conv_forward_reference(x, w, spec))
 
     # (B, H, W, spec, blocks). Wo is a multiple of 8 and no block is small,
     # as at every layer of the network, so each block's GEMM sums each dot
@@ -91,9 +87,8 @@ class TestConvForward:
         else:                 # several runs of rows per image
             assert ops._CONV_BLOCK_CELLS // (K * Wo) < Ho
         x = rng.normal(size=(B, spec.in_channels, H, W))
-        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
-        assert np.array_equal(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
-                              conv_forward_reference(x, w, b, spec))
+        w = rng.normal(size=spec.weight_shape)
+        assert np.array_equal(ops.conv2d_forward(x, w, spec), conv_forward_reference(x, w, spec))
 
     # a ragged Wo and a one-row last block: the BLAS may sum in another order
     @pytest.mark.parametrize("B, H, W, spec", [
@@ -102,15 +97,15 @@ class TestConvForward:
     ])
     def test_ragged_blocks_match_to_rounding(self, rng, B, H, W, spec):
         x = rng.normal(size=(B, spec.in_channels, H, W))
-        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
-        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1),
-                                   conv_forward_reference(x, w, b, spec), rtol=0, atol=1e-12)
+        w = rng.normal(size=spec.weight_shape)
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec),
+                                   conv_forward_reference(x, w, spec), rtol=0, atol=1e-12)
 
 
-def conv_forward_reference(x, w, b, spec):
-    """The conv forward as one tensordot over the whole batch, then the bias."""
+def conv_forward_reference(x, w, spec):
+    """The conv forward as one tensordot over the whole batch."""
     whole = np.tensordot(w, ops.conv_windows(x, spec), axes=([1, 2, 3], [1, 4, 5]))
-    return whole.transpose(1, 0, 2, 3) + b.reshape(-1, 1, 1)
+    return whole.transpose(1, 0, 2, 3)
 
 
 class TestConvBackward:
@@ -120,8 +115,8 @@ class TestConvBackward:
         w = rng.normal(size=(3, 2, 3, 3))
         g = np.zeros((2, 3, 4, 4))
         gx = ops.conv2d_input_grad(g, w, spec, x.shape[2:])
-        gw, gb = ops.conv2d_weight_grad(g, x, spec), g.sum(axis=(0, 2, 3))
-        assert not gx.any() and not gw.any() and not gb.any()
+        gw = ops.conv2d_weight_grad(g, x, spec)
+        assert not gx.any() and not gw.any()
 
     def test_scalar_case_product_rule(self):
         # 1x1 kernel on a 1x1 image: grad_w = grad_out * input
@@ -130,10 +125,9 @@ class TestConvBackward:
         w = np.full((1, 1, 1, 1), -2.0)
         g = np.full((1, 1, 1, 1), 5.0)
         gx = ops.conv2d_input_grad(g, w, spec, x.shape[2:])
-        gw, gb = ops.conv2d_weight_grad(g, x, spec), g.sum(axis=(0, 2, 3))
+        gw = ops.conv2d_weight_grad(g, x, spec)
         assert gw[0, 0, 0, 0] == 15.0
         assert gx[0, 0, 0, 0] == -10.0
-        assert gb[0] == 5.0
 
     @pytest.mark.parametrize("spec,in_hw", [
         (ConvSpec(4, 3, 3, stride=1, padding=0), (5, 5)),
@@ -145,20 +139,18 @@ class TestConvBackward:
     def test_matches_finite_differences(self, rng, spec, in_hw):
         x = rng.normal(size=(2, spec.in_channels) + in_hw)
         w = rng.normal(size=spec.weight_shape)
-        b = rng.normal(size=spec.out_channels)
 
-        def loss(x, w, b):
-            return float(np.sum((ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1)) * proj))
+        def loss(x, w):
+            return float(np.sum(ops.conv2d_forward(x, w, spec) * proj))
 
         proj = rng.normal(size=ops.conv2d_forward(x, w, spec).shape)
         gx = ops.conv2d_input_grad(proj, w, spec, x.shape[2:])
-        gw, gb = ops.conv2d_weight_grad(proj, x, spec), proj.sum(axis=(0, 2, 3))
-        assert relerr(gx, numeric_grad(lambda v: loss(v, w, b), x)) < 1e-4
-        assert relerr(gw, numeric_grad(lambda v: loss(x, v, b), w)) < 1e-4
-        assert relerr(gb, numeric_grad(lambda v: loss(x, w, v), b)) < 1e-4
+        gw = ops.conv2d_weight_grad(proj, x, spec)
+        assert relerr(gx, numeric_grad(lambda v: loss(v, w), x)) < 1e-4
+        assert relerr(gw, numeric_grad(lambda v: loss(x, v), w)) < 1e-4
 
 
-def direct_conv(x, w, b, spec, grad_out):
+def direct_conv(x, w, spec, grad_out):
     """Direct-sum reference: each output position sums over its own padded
     window; the gradients scatter back through the same windows."""
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -169,7 +161,7 @@ def direct_conv(x, w, b, spec, grad_out):
     for i in range(Ho):
         for j in range(Wo):
             rows, cols = slice(i * s, i * s + k), slice(j * s, j * s + k)
-            out[:, :, i, j] = np.einsum("bcuv,ocuv->bo", xp[:, :, rows, cols], w) + b
+            out[:, :, i, j] = np.einsum("bcuv,ocuv->bo", xp[:, :, rows, cols], w)
             gxp[:, :, rows, cols] += np.einsum("bo,ocuv->bcuv", grad_out[:, :, i, j], w)
             gw += np.einsum("bo,bcuv->ocuv", grad_out[:, :, i, j], xp[:, :, rows, cols])
     return out, gxp[:, :, p : p + x.shape[2], p : p + x.shape[3]], gw
@@ -185,12 +177,10 @@ class TestConvOracle:
     def test_matches_direct_sum(self, rng, spec, shape):
         x = rng.normal(size=shape)
         w = rng.normal(size=spec.weight_shape)
-        b = rng.normal(size=spec.out_channels)
         Ho, Wo = spec.out_size(shape[2]), spec.out_size(shape[3])
         g = rng.normal(size=(shape[0], spec.out_channels, Ho, Wo))
-        out, gx, gw = direct_conv(x, w, b, spec, g)
-        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec) + b.reshape(1, -1, 1, 1), out,
-                                   rtol=0, atol=1e-12)
+        out, gx, gw = direct_conv(x, w, spec, g)
+        np.testing.assert_allclose(ops.conv2d_forward(x, w, spec), out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ops.conv2d_input_grad(g, w, spec, shape[2:]), gx,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(ops.conv2d_weight_grad(g, x, spec), gw, rtol=0, atol=1e-12)

@@ -14,6 +14,7 @@ from brainalign.errors import ConfigurationError, TrainingDivergedError
 from brainalign.network import CONV_TAPS, forward_cached, init_he_normal
 from brainalign.ops import ConvSpec
 from brainalign.rules import (
+    EVAL_BATCH_SIZE,
     RuleParams,
     _pair_kernel_table,
     _readout_step,
@@ -34,6 +35,8 @@ from brainalign.rules import (
     train,
 )
 from brainalign.seeding import named_rng
+
+from helpers import traced_peak
 
 SMALL = (4, 6, 8)
 
@@ -404,6 +407,19 @@ class TestTrain:
         params = RuleParams(epochs=6, batch_size=32, lr=0.02)
         state = train("bp", params, ds, seed=0, channels=SMALL)
         assert evaluate_accuracy(state, ds.images, ds.labels) > 0.9
+
+    def test_evaluation_releases_each_batch(self):
+        # three eval batches peak where one does: each batch's record is
+        # released before the next batch's forward runs
+        state = init_he_normal(0)
+        rng = np.random.default_rng(5)
+        images = rng.random(size=(3 * EVAL_BATCH_SIZE, 3, 32, 32))
+        labels = rng.integers(0, 10, images.shape[0])
+        one_batch = (images[:EVAL_BATCH_SIZE], labels[:EVAL_BATCH_SIZE])
+        evaluate_accuracy(state, *one_batch)  # BN warning, first-call setup
+        _, one = traced_peak(evaluate_accuracy, state, *one_batch)
+        _, three = traced_peak(evaluate_accuracy, state, images, labels)
+        assert three < 1.1 * one
 
     @pytest.mark.parametrize("rule", ["bp", "fa", "pc", "stdp"])
     def test_deterministic_per_seed(self, rule):

@@ -71,9 +71,14 @@ class TestSpearman:
 
     def test_rank_rows_matches_scipy_rankdata(self, rng):
         m = rng.integers(0, 5, size=(40, 25)).astype(float)
-        mine = stats.rank_rows(m)
+        mine = _ranks(m)
         ref = np.vstack([ss.rankdata(row) for row in m])
         assert np.array_equal(mine, ref)
+
+
+def _ranks(m):
+    """rank_rows' ranks of each row of a 2D array."""
+    return np.vstack([stats.rank_rows(row)[0] for row in m])
 
 
 def _stable_rank_rows(m):
@@ -116,24 +121,37 @@ class TestRankRows:
     @pytest.mark.parametrize("case", sorted(_RANK_CASES))
     def test_matches_rankdata_and_stable_reference(self, case):
         m = np.array(_RANK_CASES[case])
-        ranks = stats.rank_rows(m)
+        ranks = _ranks(m)
         assert np.array_equal(ranks, _stable_rank_rows(m))
         assert np.array_equal(ranks, np.vstack([ss.rankdata(row) for row in m]))
+
+    @pytest.mark.parametrize("case", sorted(_RANK_CASES))
+    def test_returns_its_sort_and_tie_runs(self, case):
+        for row in np.array(_RANK_CASES[case]):
+            ranks, order, bounds = stats.rank_rows(row)
+            assert np.array_equal(np.sort(order), np.arange(row.size))
+            assert np.all(row[order][1:] >= row[order][:-1])
+            # a run holds equal values, and each bound starts a new value
+            assert bounds[0] == 0 and bounds[-1] == row.size
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                assert np.all(row[order[start:stop]] == row[order[start]])
+                assert np.all(ranks[order[start:stop]] == (start + stop + 1) / 2.0)
+            assert np.all(row[order[bounds[1:-1]]] != row[order[bounds[1:-1] - 1]])
 
     def test_long_tied_row(self):
         # the pair count of 720 stimuli, in about 400 tie runs
         m = np.round(np.random.default_rng(3).normal(size=(1, 258840)), 2)
-        ranks = stats.rank_rows(m)
+        ranks = _ranks(m)
         assert np.array_equal(ranks, _stable_rank_rows(m))
         assert np.array_equal(ranks[0], ss.rankdata(m[0]))
 
     def test_permuting_columns_permutes_ranks(self, rng):
         m = np.vstack([rng.integers(0, 6, 200).astype(float), rng.normal(size=200),
                        np.round(rng.normal(size=200), 1)])
-        ranks = stats.rank_rows(m)
+        ranks = _ranks(m)
         for _ in range(5):
             perm = rng.permutation(200)
-            assert np.array_equal(stats.rank_rows(m[:, perm]), ranks[:, perm])
+            assert np.array_equal(_ranks(m[:, perm]), ranks[:, perm])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +190,7 @@ class TestBootstrap:
     def test_tie_layout_bounds_match_searchsorted(self, make):
         for v in make(500, 4):
             order, below, through = stats._tie_layout(v)
-            ranks = stats.rank_average(v)
+            ranks = stats.rank_rows(v)[0]
             assert np.array_equal(np.sort(order), np.arange(v.size))
             assert np.all(np.diff(v[order]) >= 0)
             sorted_ranks = np.sort(ranks)
